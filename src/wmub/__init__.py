@@ -16,7 +16,6 @@ from .bases import (
     build_wmub,
     classify_pair,
     duality_report,
-    factor_structure_check,
     overlap_table,
     partition_bases,
     symplectic_label_defect,
@@ -44,9 +43,11 @@ from .geometry import (
     pair_census,
     partition_lines,
     redundancy,
+    sweep_matrix,
 )
 from .hilbert import (
     DimMismatch,
+    DimTooLarge,
     EvenDimension,
     NotOddPrime,
     OrthonormalBasis,
@@ -66,7 +67,6 @@ from .hilbert import (
 from .zring import (
     CrtContext,
     InvalidDims,
-    Modulus,
     NotAUnit,
     crt_context,
     dedekind_psi,

@@ -12,18 +12,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import (
-    MaximalLineCatalog,
-    SharedComponent,
-    catalog_index,
-    classify_line_pair,
-    redundancy,
+from .geometry import MaximalLineCatalog, SharedComponent, catalog_index, redundancy, sweep_matrix
+from .hilbert import (
+    MAX_DIM,
+    DimTooLarge,
+    OrthonormalBasis,
+    assemble_tensor_basis,
+    conjugation_defect,
+    prime_mub,
 )
-from .hilbert import OrthonormalBasis, assemble_tensor_basis, conjugation_defect, prime_mub
 from .zring import CrtContext
 
-# Overlap templates are compared on squared magnitudes; the admissible
-# squared values {0, 1/d, 1/d2, 1/d1} are separated by >= 0.05 for d <= 105.
+# Overlap templates are compared on squared magnitudes.  The closest two
+# admissible squared values {0, 1/d, 1/d2, 1/d1} are 0 and 1/d, so a
+# tolerance is unambiguous only up to half that gap, 1/(2d) (0.0053 at
+# d = 95); `wmub verify` rejects anything larger.
 OVERLAP_ATOL = 1e-9
 
 
@@ -32,7 +35,15 @@ class NotWeaklyUnbiased(ValueError):
 
 
 class DualityViolation(ValueError):
-    """A line pair and its basis pair landed in mismatched classes."""
+    """A line pair and its basis pair landed in mismatched classes.
+
+    Raised after the whole pair pass, so `overlap_census` holds the counts
+    over every basis pair.
+    """
+
+    def __init__(self, message: str, overlap_census: dict[OverlapCategory, int]):
+        super().__init__(message)
+        self.overlap_census = overlap_census
 
 
 class OverlapCategory(Enum):
@@ -58,15 +69,14 @@ class WmubSet:
     position (x) position first, then the second-factor sweep, the
     first-factor sweep, and the double sweep.  `factor_labels` holds the
     sweep value of each factor (None for the position basis); the
-    symplectic labels are the d-dimensional matrix parameters realized by
-    each assembled basis.
+    symplectic labels are the entries of the catalog's sweep matrix with
+    the same index, which each assembled basis must realize.
     """
 
     ctx: CrtContext
     bases: tuple[OrthonormalBasis, ...]
     factor_labels: tuple[tuple[int | None, int | None], ...]
     symplectic_labels: tuple[tuple[int, int, int, int], ...]
-    factor_bases: tuple[tuple[OrthonormalBasis, ...], tuple[OrthonormalBasis, ...]]
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -81,22 +91,13 @@ class WmubSet:
         return self.symplectic_labels[j - 1]
 
 
-def _symplectic_label(
-    ctx: CrtContext, lam1: int | None, lam2: int | None
-) -> tuple[int, int, int, int]:
-    d, s1, s2, t1, t2 = ctx.d, ctx.s1, ctx.s2, ctx.t1, ctx.t2
-    if lam1 is None and lam2 is None:
-        return (1, 0, 0, 1)
-    if lam1 is None:
-        return (s1, t2 * s2 % d, -ctx.d1 % d, (s1 - lam2 * s2) % d)
-    if lam2 is None:
-        return (s2, t1 * s1 % d, -ctx.d2 % d, (s2 - lam1 * s1) % d)
-    eta = (t1 * t1 * ctx.d2 + t2 * t2 * ctx.d1) % d
-    return (0, eta, (-ctx.d1 - ctx.d2) % d, (-lam1 * s1 - lam2 * s2) % d)
-
-
 def build_wmub(ctx: CrtContext) -> WmubSet:
-    """Assemble the dedekind_psi(d) weak mutually unbiased bases."""
+    """Assemble the dedekind_psi(d) weak mutually unbiased bases.
+
+    Raises DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM.
+    """
+    if ctx.d > MAX_DIM:
+        raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
     mubs1 = tuple(prime_mub(ctx.d1))
     mubs2 = tuple(prime_mub(ctx.d2))
 
@@ -109,9 +110,9 @@ def build_wmub(ctx: CrtContext) -> WmubSet:
         for i2, lam2 in enumerate((None, *range(ctx.d2))):
             j = catalog_index(ctx, i1, i2)
             assembled = assemble_tensor_basis(factor(mubs1, lam1), factor(mubs2, lam2), ctx)
-            slots[j - 1] = (assembled, (lam1, lam2), _symplectic_label(ctx, lam1, lam2))
+            slots[j - 1] = (assembled, (lam1, lam2), sweep_matrix(ctx, lam1, lam2).entries)
     bases, labels, symps = zip(*slots)
-    return WmubSet(ctx, tuple(bases), tuple(labels), tuple(symps), (mubs1, mubs2))
+    return WmubSet(ctx, tuple(bases), tuple(labels), tuple(symps))
 
 
 def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
@@ -169,60 +170,6 @@ def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, 
     return counts
 
 
-@dataclass(frozen=True)
-class FactorStructurePair:
-    i: int
-    j: int
-    category: OverlapCategory
-    first_factors_equal: bool
-    second_factors_equal: bool
-    first_factors_unbiased: bool
-    second_factors_unbiased: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
-class FactorStructureReport:
-    pairs: tuple[FactorStructurePair, ...]
-    all_ok: bool
-
-
-def _factors_unbiased(a: OrthonormalBasis, b: OrthonormalBasis, tol: float) -> bool:
-    sq = np.abs(a.matrix.conj().T @ b.matrix) ** 2
-    return bool(np.abs(sq - 1.0 / a.dim).max() <= tol)
-
-
-def factor_structure_check(s: WmubSet, tol: float = OVERLAP_ATOL) -> FactorStructureReport:
-    """Confirm the factor-level picture behind each overlap category.
-
-    Pairs in the d1**-0.5 class must share their second factor with
-    mutually unbiased first factors; the d2**-0.5 class mirrors that; flat
-    pairs must be mutually unbiased in both factors.
-    """
-    mubs1, mubs2 = s.factor_bases
-
-    def factor(mubs, lam):
-        return mubs[0] if lam is None else mubs[1 + lam]
-
-    records = []
-    for i in range(1, len(s) + 1):
-        for j in range(i + 1, len(s) + 1):
-            category = classify_pair(s, i, j, tol).category
-            a1, a2 = s.factor_label(i)
-            b1, b2 = s.factor_label(j)
-            eq1, eq2 = a1 == b1, a2 == b2
-            mu1 = not eq1 and _factors_unbiased(factor(mubs1, a1), factor(mubs1, b1), tol)
-            mu2 = not eq2 and _factors_unbiased(factor(mubs2, a2), factor(mubs2, b2), tol)
-            if category is OverlapCategory.SUB_D1:
-                ok = eq2 and not eq1 and mu1
-            elif category is OverlapCategory.SUB_D2:
-                ok = eq1 and not eq2 and mu2
-            else:
-                ok = not eq1 and not eq2 and mu1 and mu2
-            records.append(FactorStructurePair(i, j, category, eq1, eq2, mu1, mu2, ok))
-    return FactorStructureReport(tuple(records), all(r.ok for r in records))
-
-
 def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
     """Partition the set into d2+1 groups of d1+1 pairwise unbiased bases.
 
@@ -258,7 +205,6 @@ class PairDuality:
     intersection_size: int
     shared_component: SharedComponent
     category: OverlapCategory
-    match: bool
 
 
 @dataclass(frozen=True)
@@ -273,35 +219,33 @@ class DualityReport:
 def duality_report(
     catalog: MaximalLineCatalog, s: WmubSet, tol: float = OVERLAP_ATOL
 ) -> DualityReport:
-    """Certify the pairwise dictionary between lines and bases.
+    """Certify the pairwise dictionary between lines and bases in one pass.
 
-    For every unordered index pair, an intersection of size d2 must meet the
-    d1**-0.5 overlap template, size d1 the d2**-0.5 template, and size 1 the
-    flat template; the per-index symplectic parameters of catalog and basis
-    set must agree as well.  The first violation raises DualityViolation.
+    Each basis pair is classified once and compared with the catalog's
+    stored class of the line pair with the same indices: an intersection of
+    size d2 must meet the d1**-0.5 overlap template, size d1 the d2**-0.5
+    template, and size 1 the flat template.  A table that fits no template
+    raises NotWeaklyUnbiased at once; the first mismatch raises
+    DualityViolation once the pass has counted every pair.
     """
     ctx = s.ctx
     if catalog.ctx != ctx:
         raise ValueError("catalog and basis set were built from different contexts")
-    for k in range(1, len(s) + 1):
-        if catalog.entry(k).matrix.entries != s.symplectic_label(k):
-            raise DualityViolation(f"index {k}: line and basis symplectic labels differ")
     expected = {ctx.d2: OverlapCategory.SUB_D1, ctx.d1: OverlapCategory.SUB_D2, 1: OverlapCategory.FULL}
     pairs = []
     line_census = {ctx.d2: 0, ctx.d1: 0, 1: 0}
     overlap_census = {category: 0 for category in OverlapCategory}
-    for i in range(1, len(s) + 1):
-        for j in range(i + 1, len(s) + 1):
-            lc = classify_line_pair(catalog.entry(i).line, catalog.entry(j).line, ctx)
-            oc = classify_pair(s, i, j, tol)
-            if expected[lc.intersection_size] is not oc.category:
-                raise DualityViolation(
-                    f"pair ({i}, {j}): intersection {lc.intersection_size} "
-                    f"against overlap class {oc.category.value}"
-                )
-            line_census[lc.intersection_size] += 1
-            overlap_census[oc.category] += 1
-            pairs.append(
-                PairDuality(i, j, lc.intersection_size, lc.shared_component, oc.category, True)
+    mismatch = None
+    for (i, j), lc in catalog.pair_classes:
+        oc = classify_pair(s, i, j, tol)
+        if mismatch is None and expected[lc.intersection_size] is not oc.category:
+            mismatch = (
+                f"pair ({i}, {j}): intersection {lc.intersection_size} "
+                f"against overlap class {oc.category.value}"
             )
+        line_census[lc.intersection_size] += 1
+        overlap_census[oc.category] += 1
+        pairs.append(PairDuality(i, j, lc.intersection_size, lc.shared_component, oc.category))
+    if mismatch is not None:
+        raise DualityViolation(mismatch, overlap_census)
     return DualityReport(ctx, tuple(pairs), line_census, overlap_census, redundancy(ctx.d))

@@ -21,14 +21,17 @@ from .bases import (
     duality_report,
     partition_bases,
     symplectic_label_defect,
-    wmub_census,
 )
 from .geometry import maximal_line_catalog, pair_census, partition_lines, redundancy
-from .hilbert import unitarity_defect
+from .hilbert import DimTooLarge, unitarity_defect
 from .zring import InvalidDims, crt_context, dedekind_psi
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+
+
+class UsageError(ValueError):
+    """A command-line value outside the range the command accepts."""
 
 
 @dataclass
@@ -186,8 +189,19 @@ class Verification:
 
 
 def run_verification(d1: int, d2: int, tol: float) -> Verification:
-    """Run the whole pipeline with every numeric gate at `tol`."""
+    """Run the whole pipeline with every numeric gate at `tol`.
+
+    Usage errors raise before any check runs: InvalidDims, DimTooLarge, and
+    UsageError for a tolerance that is not in [0, 1/(2d)], half the
+    smallest gap between the admissible squared overlaps.
+    """
     ctx = crt_context(d1, d2)
+    ceiling = 0.5 / ctx.d
+    if not 0 <= tol <= ceiling:  # also rejects nan
+        raise UsageError(
+            f"--tolerance must lie in [0, 1/(2d)] = [0, {ceiling:.4g}] at d={ctx.d}, got {tol:g}"
+        )
+    s = build_wmub(ctx)
     v = Verification(d1, d2, ctx.d)
     psi = dedekind_psi(ctx.d)
 
@@ -201,7 +215,6 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     if not v.record("line-census", counts == want, detail):
         return v
 
-    s = build_wmub(ctx)
     defect = max(unitarity_defect(s.basis(j).matrix) for j in range(1, len(s) + 1))
     if not v.record(
         "unitarity", defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
@@ -214,11 +227,17 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     ):
         return v
 
+    # One pass over the basis pairs gives both the overlap census and the
+    # duality check; a mismatch is reported only if the counts are right.
     try:
-        census = wmub_census(s, tol)
+        report = duality_report(catalog, s, tol)
     except NotWeaklyUnbiased as err:
         v.record("overlap-census", False, str(err))
         return v
+    except DualityViolation as err:
+        census, violation = err.overlap_census, str(err)
+    else:
+        census, violation = report.overlap_census, None
     counts3 = (
         census[OverlapCategory.SUB_D1],
         census[OverlapCategory.SUB_D2],
@@ -231,12 +250,8 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
         return v
     v.overlap_counts = counts3
 
-    try:
-        report = duality_report(catalog, s, tol)
-    except (DualityViolation, NotWeaklyUnbiased) as err:
-        v.record("duality", False, str(err))
-        return v
-    if not v.record("duality", True, f"{len(report.pairs)} pairs matched"):
+    detail = violation or f"{sum(counts3)} pairs matched"
+    if not v.record("duality", violation is None, detail):
         return v
 
     grids_equal = partition_lines(ctx, catalog) == partition_bases(s)
@@ -309,6 +324,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if v.ok else VERIFY_ERROR
     except InvalidDims:
         print("d1 and d2 must be distinct odd primes with d1<d2", file=sys.stderr)
+        return USAGE_ERROR
+    except (DimTooLarge, UsageError) as err:
+        print(err, file=sys.stderr)
         return USAGE_ERROR
     return 0
 

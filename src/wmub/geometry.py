@@ -268,9 +268,12 @@ def component_generator(p: int, lam: int | None) -> tuple[int, int]:
     return (0, 1) if lam is None else (1, -lam % p)
 
 
-def _sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
-    # Matrix over Z(d) whose action on the vertical line produces the entry
-    # with component indices (lam1, lam2).
+def sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
+    """Matrix over Z(d) whose action on the vertical line produces the
+    catalog entry with component indices (lam1, lam2).
+
+    The same matrix labels the basis with factor sweep values (lam1, lam2).
+    """
     d, s1, s2, t1, t2 = ctx.d, ctx.s1, ctx.s2, ctx.t1, ctx.t2
     if lam1 is None and lam2 is None:
         return SymplecticMatrix.identity(d)
@@ -316,6 +319,16 @@ class MaximalLineCatalog:
     def __iter__(self):
         return iter(self.entries)
 
+    @cached_property
+    def pair_classes(self) -> tuple[tuple[tuple[int, int], LinePairClass], ...]:
+        """((i, j), class) for every unordered index pair i < j, in
+        row-major order; each pair is classified once per catalog."""
+        return tuple(
+            ((a.index, b.index), classify_line_pair(a.line, b.line, self.ctx))
+            for k, a in enumerate(self.entries)
+            for b in self.entries[k + 1:]
+        )
+
 
 def catalog_index(ctx: CrtContext, i1: int, i2: int) -> int:
     """1-based catalog index of the entry with component indices (i1, i2).
@@ -357,7 +370,7 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
             comp2 = component_generator(ctx.d2, lam2)
             generator = product_generator(comp1, comp2, ctx)
             entry_line = line(ctx.d, *generator)
-            matrix = _sweep_matrix(ctx, lam1, lam2)
+            matrix = sweep_matrix(ctx, lam1, lam2)
             if matrix.act_line(base) != entry_line:
                 raise RuntimeError(f"catalog entry {index}: matrix route disagrees")
             if product_points(comp_lines[1][lam1], comp_lines[2][lam2], ctx) != entry_line.point_set:
@@ -390,9 +403,11 @@ class LinePairClass:
 def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
     """Classify a pair of distinct maximal lines by intersection size.
 
-    The size is computed twice, by point-set enumeration and by the
-    component rule (d2 common points iff the second components coincide,
-    d1 iff the first do, 1 otherwise); disagreement means a bug and raises.
+    The size is computed twice, as gcd(det[a;b], d) of the two generators
+    (squarefree d: the lines coincide modulo exactly the primes dividing the
+    determinant) and by the component rule (d2 common points iff the second
+    components coincide, d1 iff the first do, 1 otherwise); disagreement
+    means a bug and raises.
     """
     if a.d != ctx.d or b.d != ctx.d:
         raise ModulusMismatch("lines and context use different moduli")
@@ -400,7 +415,8 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
         raise NotMaximal("pair classification needs two maximal lines")
     if a == b:
         raise ValueError("pair classification needs two distinct lines")
-    size = len(a.point_set & b.point_set)
+    (nu_a, mu_a), (nu_b, mu_b) = a.generator, b.generator
+    size = math.gcd((nu_a * mu_b - mu_a * nu_b) % ctx.d, ctx.d)
     a1, a2 = factorize_line(a, ctx)
     b1, b2 = factorize_line(b, ctx)
     if a2 == b2:
@@ -411,7 +427,7 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
         shared, expected = SharedComponent.NONE, 1
     if size != expected:
         raise RuntimeError(
-            f"component rule predicts {expected} common points, enumeration found {size}"
+            f"component rule predicts {expected} common points, determinant gives {size}"
         )
     return LinePairClass(size, shared)
 
@@ -421,9 +437,8 @@ def pair_census(ctx: CrtContext, catalog: MaximalLineCatalog | None = None) -> d
     if catalog is None:
         catalog = maximal_line_catalog(ctx)
     counts = {ctx.d2: 0, ctx.d1: 0, 1: 0}
-    for i, a in enumerate(catalog.entries):
-        for b in catalog.entries[i + 1:]:
-            counts[classify_line_pair(a.line, b.line, ctx).intersection_size] += 1
+    for _, pair in catalog.pair_classes:
+        counts[pair.intersection_size] += 1
     return counts
 
 

@@ -34,11 +34,15 @@ class DimMismatch(ValueError):
     """Factor dimensions do not match the CRT context."""
 
 
+class DimTooLarge(ValueError):
+    """A Hilbert-space dimension exceeds the supported cap MAX_DIM."""
+
+
 def _check_dim(d: int) -> None:
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     if d > MAX_DIM:
-        raise ValueError(f"dimension {d} exceeds the supported cap {MAX_DIM}")
+        raise DimTooLarge(f"dimension {d} exceeds the supported cap {MAX_DIM}")
 
 
 def omega(d: int, k: int) -> complex:

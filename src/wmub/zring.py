@@ -54,30 +54,6 @@ def prime_factorization(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Modulus:
-    """A validated modulus together with its prime factorization."""
-
-    d: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, d: int) -> Modulus:
-        return cls(d, prime_factorization(d))
-
-    @property
-    def phi(self) -> int:
-        return euler_phi(self.d)
-
-    @property
-    def psi(self) -> int:
-        return dedekind_psi(self.d)
-
-    @property
-    def j2(self) -> int:
-        return jordan_j2(self.d)
-
-
 @lru_cache(maxsize=None)
 def euler_phi(d: int) -> int:
     """Number of units of Z(d): d * prod(1 - 1/p) over prime divisors."""

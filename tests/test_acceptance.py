@@ -128,8 +128,8 @@ def test_criterion_05_line_census():
                 ctx.d1: ctx.d2 * psi // 2,
                 1: ctx.d * psi // 2,
             }
-            # classify_line_pair cross-checks enumeration against the
-            # component rule on every call, so the census above is already
+            # classify_line_pair cross-checks the determinant route against
+            # the component rule on every call, so the census above is already
             # pair-by-pair verified; spot-check the rule's direction too.
             entries = catalog.entries
             for a in entries[:6]:

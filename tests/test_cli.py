@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wmub.cli import main
+import wmub.bases
+import wmub.geometry
+from wmub.bases import OverlapCategory, OverlapClass
+from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -122,6 +128,112 @@ def test_verify_over_tight_tolerance_fails_with_named_check(capsys):
     assert out.startswith("FAIL ")
     named = out.split()[1].rstrip(":")
     assert named in {"unitarity", "conjugation", "overlap-census", "duality"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--d1", "3", "--d2", "5", "--tolerance=nan"],
+        ["verify", "--d1", "3", "--d2", "5", "--tolerance=inf"],
+        ["verify", "--d1", "3", "--d2", "5", "--tolerance=-1"],
+        ["verify", "--d1", "3", "--d2", "5", "--tolerance=0.5"],
+        # 0.02 is above 1/(2*95), half the gap between squared overlaps 0 and 1/95
+        ["verify", "--d1", "5", "--d2", "19", "--tolerance=0.02"],
+        ["verify", "--d1", "3", "--d2", "37"],
+        ["wmub", "--d1", "3", "--d2", "37"],
+        ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"],
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_geometry_side_is_not_capped_at_105(capsys):
+    code, out, _ = run_cli(capsys, ["lines", "--d1", "3", "--d2", "37"])
+    assert code == 0 and len(out.splitlines()) == 152
+
+
+def test_verify_tolerance_ceiling_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5", f"--tolerance={1 / 30!r}"])
+    assert code == 0 and "duality: OK" in out
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap every binding of `fn` in the wmub modules; return the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "wmub" or name.startswith("wmub."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_verify_classifies_each_pair_once(capsys, monkeypatch):
+    basis_calls = count_calls(monkeypatch, wmub.bases.classify_pair)
+    line_calls = count_calls(monkeypatch, wmub.geometry.classify_line_pair)
+    code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 0
+    assert len(basis_calls) == len(line_calls) == 24 * 23 // 2
+
+
+def relabel_pairs(monkeypatch, relabel: dict) -> None:
+    """Make classify_pair report the given categories for some pairs."""
+    real = wmub.bases.classify_pair
+
+    def patched(s, i, j, tol=wmub.bases.OVERLAP_ATOL):
+        got = real(s, i, j, tol)
+        category = relabel.get((i, j), got.category)
+        return OverlapClass(category, got.value, got.support_count)
+
+    monkeypatch.setattr(wmub.bases, "classify_pair", patched)
+
+
+def test_verify_names_overlap_census_on_wrong_counts(capsys, monkeypatch):
+    relabel_pairs(monkeypatch, {(3, 9): OverlapCategory.SUB_D1})
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == "FAIL overlap-census: (37, 60, 179) expected (36, 60, 180)"
+
+
+def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypatch):
+    # Swapping two categories keeps the census, so only the pairing is wrong.
+    relabel_pairs(monkeypatch, {(1, 7): OverlapCategory.FULL, (3, 9): OverlapCategory.SUB_D1})
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == (
+        "FAIL duality: pair (1, 7): intersection 5 against overlap class d^{-1/2}"
+    )
+
+
+VALID_PAIRS = [(3, 5), (3, 7), (5, 7)]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.one_of(
+        st.sampled_from(VALID_PAIRS), st.tuples(st.integers(-1, 5), st.integers(-1, 7))
+    ),
+    tol=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([0.0, 1e-15, 1e-9, 1 / 70, 0.02]),
+    ),
+)
+def test_verify_exit_code_property(dims, tol):
+    # d1 <= 5 and d2 <= 7, so VALID_PAIRS lists every valid pair (d <= 35).
+    d1, d2 = dims
+    code = main(["verify", f"--d1={d1}", f"--d2={d2}", f"--tolerance={tol!r}"])
+    invalid = dims not in VALID_PAIRS or not (
+        math.isfinite(tol) and 0 <= tol <= 1 / (2 * d1 * d2)
+    )
+    assert code in ((USAGE_ERROR,) if invalid else (0, VERIFY_ERROR))
 
 
 def test_verify_json(capsys):

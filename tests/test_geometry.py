@@ -375,6 +375,14 @@ def test_classify_pair_examples(catalog15, ctx15):
         classify_line_pair(pick(1), line(15, 5, 10), ctx15)
 
 
+def test_classify_line_pair_matches_point_set_intersection(catalogs):
+    # Brute-force oracle for the determinant route: count common points.
+    for d, catalog in catalogs.items():
+        for (i, j), got in catalog.pair_classes:
+            a, b = catalog.entry(i).line, catalog.entry(j).line
+            assert got.intersection_size == len(a.point_set & b.point_set)
+
+
 def test_pair_census(contexts, catalogs):
     expected = {
         15: {5: 36, 3: 60, 1: 180},

@@ -7,7 +7,6 @@ import pytest
 from wmub.zring import (
     CrtContext,
     InvalidDims,
-    Modulus,
     NotAUnit,
     crt_context,
     dedekind_psi,
@@ -48,12 +47,6 @@ def test_prime_factorization():
     assert prime_factorization(360) == ((2, 3), (3, 2), (5, 1))
     with pytest.raises(ValueError):
         prime_factorization(1)
-
-
-def test_modulus_bundle():
-    m = Modulus.of(15)
-    assert m.d == 15 and m.factors == ((3, 1), (5, 1))
-    assert (m.phi, m.psi, m.j2) == (8, 24, 192)
 
 
 @pytest.mark.parametrize("d,expected", [(15, 8), (3, 2), (9, 6)])
