@@ -6,19 +6,23 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MaximalLineCatalog, SharedComponent, catalog_index, redundancy, sweep_matrix
+from .geometry import MaximalLineCatalog, catalog_index, redundancy, sweep_matrix
 from .hilbert import (
     MAX_DIM,
     DimTooLarge,
     OrthonormalBasis,
     assemble_tensor_basis,
     conjugation_defect,
+    overlaps,
     prime_mub,
 )
 from .zring import CrtContext
@@ -61,6 +65,51 @@ class OverlapClass:
     support_count: int
 
 
+class Region(NamedTuple):
+    """Largest, smallest and mean entry of a squared factor table over a
+    region of its (n, m) positions."""
+
+    top: float
+    bottom: float
+    mean: float
+
+
+class FactorExtrema(NamedTuple):
+    """One squared prime-dimension overlap table |b_j^dag b_i|^2, reduced to
+    what the templates read: its whole range, its diagonal range, and the
+    largest entry off the diagonal."""
+
+    whole: Region
+    diag: Region
+    off_top: float
+
+
+def _slot(lam: int | None) -> int:
+    """Position in `prime_mub` order of the factor basis with sweep value lam."""
+    return 0 if lam is None else 1 + lam
+
+
+def _regions(sq: np.ndarray, axis: int | tuple[int, ...]) -> list:
+    """Nested lists of [max, min, mean] of `sq` reduced over `axis`."""
+    return np.stack([sq.max(axis=axis), sq.min(axis=axis), sq.mean(axis=axis)], axis=-1).tolist()
+
+
+def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> tuple[tuple[FactorExtrema, ...], ...]:
+    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, indexed [j][i]."""
+    diagonal = np.eye(mubs[0].dim, dtype=bool)
+    rows = []
+    for bj in mubs:
+        sq = np.stack([overlaps(bj, bi) for bi in mubs]) ** 2  # [i, n, m]
+        whole = _regions(sq, (1, 2))
+        diag = _regions(np.diagonal(sq, axis1=1, axis2=2), 1)
+        # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
+        off_top = np.where(diagonal, 0.0, sq).max(axis=(1, 2)).tolist()
+        rows.append(
+            tuple(FactorExtrema(Region(*w), Region(*g), o) for w, g, o in zip(whole, diag, off_top))
+        )
+    return tuple(rows)
+
+
 @dataclass(frozen=True, eq=False)
 class WmubSet:
     """The indexed family of weak mutually unbiased bases over C^d.
@@ -71,12 +120,15 @@ class WmubSet:
     sweep value of each factor (None for the position basis); the
     symplectic labels are the entries of the catalog's sweep matrix with
     the same index, which each assembled basis must realize.
+    `factor_mubs` holds the two prime-dimension families the bases were
+    assembled from, in `prime_mub` order.
     """
 
     ctx: CrtContext
     bases: tuple[OrthonormalBasis, ...]
     factor_labels: tuple[tuple[int | None, int | None], ...]
     symplectic_labels: tuple[tuple[int, int, int, int], ...]
+    factor_mubs: tuple[tuple[OrthonormalBasis, ...], tuple[OrthonormalBasis, ...]]
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -90,6 +142,13 @@ class WmubSet:
     def symplectic_label(self, j: int) -> tuple[int, int, int, int]:
         return self.symplectic_labels[j - 1]
 
+    @cached_property
+    def factor_extrema(self) -> tuple[tuple[tuple[FactorExtrema, ...], ...], ...]:
+        """[factor][j][i]: the squared tables |b_j^dag b_i|^2 of both
+        prime-dimension families, computed once per set and reduced to their
+        extrema; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
+        return tuple(_factor_extrema(mubs) for mubs in self.factor_mubs)
+
 
 def build_wmub(ctx: CrtContext) -> WmubSet:
     """Assemble the dedekind_psi(d) weak mutually unbiased bases.
@@ -100,61 +159,74 @@ def build_wmub(ctx: CrtContext) -> WmubSet:
         raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
     mubs1 = tuple(prime_mub(ctx.d1))
     mubs2 = tuple(prime_mub(ctx.d2))
-
-    def factor(mubs: tuple[OrthonormalBasis, ...], lam: int | None) -> OrthonormalBasis:
-        return mubs[0] if lam is None else mubs[1 + lam]
-
     slots: list[tuple[OrthonormalBasis, tuple[int | None, int | None], tuple[int, int, int, int]] | None]
     slots = [None] * ((ctx.d1 + 1) * (ctx.d2 + 1))
     for i1, lam1 in enumerate((None, *range(ctx.d1))):
         for i2, lam2 in enumerate((None, *range(ctx.d2))):
             j = catalog_index(ctx, i1, i2)
-            assembled = assemble_tensor_basis(factor(mubs1, lam1), factor(mubs2, lam2), ctx)
+            assembled = assemble_tensor_basis(mubs1[_slot(lam1)], mubs2[_slot(lam2)], ctx)
             slots[j - 1] = (assembled, (lam1, lam2), sweep_matrix(ctx, lam1, lam2).entries)
     bases, labels, symps = zip(*slots)
-    return WmubSet(ctx, tuple(bases), tuple(labels), tuple(symps))
+    return WmubSet(ctx, tuple(bases), tuple(labels), tuple(symps), (mubs1, mubs2))
+
+
+def _check_indices(s: WmubSet, i: int, j: int) -> None:
+    if not (1 <= i <= len(s) and 1 <= j <= len(s)):
+        raise IndexError(f"basis indices ({i}, {j}) out of range 1..{len(s)}")
 
 
 def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
-    """Magnitudes |<B_j; n | B_i; m>| for the pair (i, j), as an (n, m) table."""
-    size = len(s)
-    if not (1 <= i <= size and 1 <= j <= size):
-        raise IndexError(f"basis indices ({i}, {j}) out of range 1..{size}")
+    """Magnitudes |<B_j; n | B_i; m>| for the pair (i, j), as an (n, m) table.
+
+    The dense d x d product; `classify_pair` does not read it, so it stands
+    as the independent route for tests.
+    """
+    _check_indices(s, i, j)
     return np.abs(s.basis(j).matrix.conj().T @ s.basis(i).matrix)
 
 
-def _congruence_mask(d: int, modulus: int) -> np.ndarray:
-    idx = np.arange(d)
-    return (idx[:, None] % modulus) == (idx[None, :] % modulus)
-
-
 def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapClass:
-    """Match the full overlap table of a pair against the three templates.
+    """Match the overlap table of a pair against the three templates.
 
-    Squared magnitudes are compared entry by entry; the matched category is
-    returned with the measured on-support magnitude and the number of
-    nonzero entries.  A table fitting no template raises NotWeaklyUnbiased,
-    which signals a construction bug rather than a user error.
+    B_j^dag B_i is the CRT re-indexing of (b1_j^dag b1_i) (x) (b2_j^dag b2_i),
+    and n = m (mod d2) exactly when the second residues agree (likewise for
+    d1), so the squared table is T1[n1, m1] * T2[n2, m2] with the template
+    support a product region.  Every entry-wise `<= tol` test of a template
+    then reduces to products of factor-table extrema (`factor_extrema`):
+    e.g. the d1**-0.5 template holds iff max T1 * max diag T2 - 1/d1,
+    1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
+    No d x d table is formed; the stored d x d matrices are tied to their
+    labels by the unitarity and conjugation checks.
+
+    The matched category is returned with the on-support magnitude (from
+    the factor means) and the template's support, d^2, d*d1 or d*d2 --
+    the number of dense entries above `tol` for any tol < 1/(2d), since
+    matched on-support entries are at least 1/d - tol and the rest at
+    most tol.  A table fitting no template raises NotWeaklyUnbiased, which
+    signals a construction bug rather than a user error.
     """
+    _check_indices(s, i, j)
     if i == j:
         raise ValueError("pair classification needs two distinct bases")
     ctx = s.ctx
-    sq = overlap_table(s, i, j) ** 2
+    (i1, i2), (j1, j2) = s.factor_label(i), s.factor_label(j)
+    table1, table2 = s.factor_extrema
+    t1 = table1[_slot(j1)][_slot(i1)]
+    t2 = table2[_slot(j2)][_slot(i2)]
     templates = (
-        (OverlapCategory.FULL, np.ones_like(sq, dtype=bool), 1.0 / ctx.d),
-        (OverlapCategory.SUB_D1, _congruence_mask(ctx.d, ctx.d2), 1.0 / ctx.d1),
-        (OverlapCategory.SUB_D2, _congruence_mask(ctx.d, ctx.d1), 1.0 / ctx.d2),
+        (OverlapCategory.FULL, t1.whole, t2.whole, 0.0, 1.0 / ctx.d, ctx.d * ctx.d),
+        (OverlapCategory.SUB_D1, t1.whole, t2.diag, t1.whole.top * t2.off_top, 1.0 / ctx.d1, ctx.d * ctx.d1),
+        (OverlapCategory.SUB_D2, t1.diag, t2.whole, t1.off_top * t2.whole.top, 1.0 / ctx.d2, ctx.d * ctx.d2),
     )
-    for category, mask, value in templates:
-        on = np.abs(sq[mask] - value) <= tol
-        off = sq[~mask] <= tol
-        if on.all() and off.all():
-            return OverlapClass(
-                category=category,
-                value=float(np.sqrt(sq[mask].mean())),
-                support_count=int(np.count_nonzero(sq > tol)),
-            )
-    worst = float(np.abs(sq - 1.0 / ctx.d).max())
+    for category, on1, on2, off_top, value, support in templates:
+        if (
+            on1.top * on2.top - value <= tol
+            and value - on1.bottom * on2.bottom <= tol
+            and off_top <= tol
+        ):
+            return OverlapClass(category, math.sqrt(on1.mean * on2.mean), support)
+    flat = 1.0 / ctx.d
+    worst = max(t1.whole.top * t2.whole.top - flat, flat - t1.whole.bottom * t2.whole.bottom)
     raise NotWeaklyUnbiased(
         f"bases ({i}, {j}) fit no overlap template within {tol} "
         f"(flat-template residual {worst:.3e})"
@@ -199,18 +271,8 @@ def symplectic_label_defect(s: WmubSet, j: int) -> float:
 
 
 @dataclass(frozen=True)
-class PairDuality:
-    i: int
-    j: int
-    intersection_size: int
-    shared_component: SharedComponent
-    category: OverlapCategory
-
-
-@dataclass(frozen=True)
 class DualityReport:
     ctx: CrtContext
-    pairs: tuple[PairDuality, ...]
     line_census: dict[int, int]
     overlap_census: dict[OverlapCategory, int]
     redundancy: Fraction
@@ -232,7 +294,6 @@ def duality_report(
     if catalog.ctx != ctx:
         raise ValueError("catalog and basis set were built from different contexts")
     expected = {ctx.d2: OverlapCategory.SUB_D1, ctx.d1: OverlapCategory.SUB_D2, 1: OverlapCategory.FULL}
-    pairs = []
     line_census = {ctx.d2: 0, ctx.d1: 0, 1: 0}
     overlap_census = {category: 0 for category in OverlapCategory}
     mismatch = None
@@ -245,7 +306,6 @@ def duality_report(
             )
         line_census[lc.intersection_size] += 1
         overlap_census[oc.category] += 1
-        pairs.append(PairDuality(i, j, lc.intersection_size, lc.shared_component, oc.category))
     if mismatch is not None:
         raise DualityViolation(mismatch, overlap_census)
-    return DualityReport(ctx, tuple(pairs), line_census, overlap_census, redundancy(ctx.d))
+    return DualityReport(ctx, line_census, overlap_census, redundancy(ctx.d))

@@ -34,6 +34,13 @@ class UsageError(ValueError):
     """A command-line value outside the range the command accepts."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing the usage block and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @dataclass
 class Document:
     """A renderable table with a stable JSON shape."""
@@ -205,11 +212,21 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     v = Verification(d1, d2, ctx.d)
     psi = dedekind_psi(ctx.d)
 
-    catalog = maximal_line_catalog(ctx)
+    # The catalog and the line classifier cross-check two routes each and
+    # raise RuntimeError on disagreement; that fails the check by name.
+    try:
+        catalog = maximal_line_catalog(ctx)
+    except RuntimeError as err:
+        v.record("catalog", False, str(err))
+        return v
     if not v.record("catalog", len(catalog) == psi, f"{len(catalog)} maximal lines"):
         return v
 
-    counts = pair_census(ctx, catalog)
+    try:
+        counts = pair_census(ctx, catalog)
+    except RuntimeError as err:
+        v.record("line-census", False, str(err))
+        return v
     want = {ctx.d2: ctx.d1 * psi // 2, ctx.d1: ctx.d2 * psi // 2, 1: ctx.d * psi // 2}
     detail = f"{counts[ctx.d2]}/{counts[ctx.d1]}/{counts[1]} by intersection {ctx.d2}/{ctx.d1}/1"
     if not v.record("line-census", counts == want, detail):
@@ -275,7 +292,7 @@ def _add_dims(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wmub",
         description=(
             "Tables and checks for the phase-plane line geometry and the weak "
@@ -305,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "lines":
             print(lines_document(args.d1, args.d2).render(args.format))
         elif args.command == "wmub":

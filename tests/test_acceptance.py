@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from wmub.bases import (
     OverlapCategory,
@@ -31,7 +30,6 @@ from wmub.geometry import (
     lines_through_origin,
     maximal_line_catalog,
     pair_census,
-    partition_lines,
     redundancy,
 )
 from wmub.hilbert import conjugation_defect, overlaps, prime_mub, symplectic_unitary

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from wmub.bases import (
     DualityViolation,
     NotWeaklyUnbiased,
     OverlapCategory,
-    WmubSet,
+    OverlapClass,
+    build_wmub,
     classify_pair,
     duality_report,
     overlap_table,
@@ -19,8 +21,8 @@ from wmub.bases import (
     wmub_census,
 )
 from wmub.geometry import SharedComponent
-from wmub.hilbert import OrthonormalBasis
-from wmub.zring import dedekind_psi
+from wmub.hilbert import MAX_DIM, OrthonormalBasis
+from wmub.zring import crt_context, dedekind_psi, is_prime
 
 # Symplectic labels of the d = 15 set in index order; same data as the
 # second column of tests/golden/bases_3_5.txt.
@@ -108,6 +110,10 @@ def test_classify_pair_examples(wmub15):
     assert got.support_count == 225
     with pytest.raises(ValueError):
         classify_pair(wmub15, 3, 3)
+    with pytest.raises(IndexError):
+        classify_pair(wmub15, 0, 5)
+    with pytest.raises(IndexError):
+        classify_pair(wmub15, 1, 25)
 
 
 def test_classify_pair_rejects_impossible_tolerance(wmub15):
@@ -197,7 +203,8 @@ def test_duality_report(catalogs, wmub_sets):
     for d in (15, 21, 33):
         report = duality_report(catalogs[d], wmub_sets[d])
         psi = dedekind_psi(d)
-        assert len(report.pairs) == psi * (psi - 1) // 2
+        assert len(catalogs[d].pair_classes) == psi * (psi - 1) // 2
+        assert sum(report.overlap_census.values()) == psi * (psi - 1) // 2
         d1, d2 = report.ctx.d1, report.ctx.d2
         assert report.line_census == {d2: d1 * psi // 2, d1: d2 * psi // 2, 1: d * psi // 2}
         assert report.overlap_census[OverlapCategory.SUB_D1] == d1 * psi // 2
@@ -205,25 +212,47 @@ def test_duality_report(catalogs, wmub_sets):
         assert report.overlap_census[OverlapCategory.FULL] == d * psi // 2
 
 
+def generic_unitary(dim: int, seed: int = 2024) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
 def test_generic_basis_fits_no_template(wmub15):
-    rng = np.random.default_rng(2024)
-    random_unitary, _ = np.linalg.qr(
-        rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
-    )
-    tampered_bases = (
-        wmub15.bases[0],
-        OrthonormalBasis(15, random_unitary, "generic"),
-        *wmub15.bases[2:],
-    )
-    tampered = replace(wmub15, bases=tampered_bases)
-    with pytest.raises(NotWeaklyUnbiased):
+    # `classify_pair` reads the factor families, not the stored d x d
+    # matrices; in `verify` the conjugation check catches this set
+    # (tests/test_cli.py).
+    generic = OrthonormalBasis(15, generic_unitary(15), "generic")
+    tampered = replace(wmub15, bases=(wmub15.bases[0], generic, *wmub15.bases[2:]))
+    sq = overlap_table(tampered, 1, 2) ** 2
+    assert dense_classify(sq, wmub15.ctx, 1e-9) is None
+    assert dense_classify(overlap_table(wmub15, 1, 2) ** 2, wmub15.ctx, 1e-9) is not None
+
+
+def test_generic_factor_basis_fits_no_template(wmub15):
+    # Basis 2 is position (x) the first swept basis of the second factor.
+    mubs1, mubs2 = wmub15.factor_mubs
+    generic = OrthonormalBasis(5, generic_unitary(5), "generic")
+    tampered = replace(wmub15, factor_mubs=(mubs1, (mubs2[0], generic, *mubs2[2:])))
+    with pytest.raises(NotWeaklyUnbiased, match=r"bases \(1, 2\) fit no overlap template"):
         classify_pair(tampered, 1, 2)
+    assert classify_pair(tampered, 1, 3) == classify_pair(wmub15, 1, 3)
 
 
 def test_duality_violation_on_index_drift(catalogs, wmub15):
-    bases = list(wmub15.bases)
-    bases[1], bases[6] = bases[6], bases[1]
-    drifted = replace(wmub15, bases=tuple(bases))
+    # Move basis 2 and basis 7 together with their labels: every basis keeps
+    # its own labels but sits at the index of the other line.
+    def swapped(values):
+        values = list(values)
+        values[1], values[6] = values[6], values[1]
+        return tuple(values)
+
+    drifted = replace(
+        wmub15,
+        bases=swapped(wmub15.bases),
+        factor_labels=swapped(wmub15.factor_labels),
+        symplectic_labels=swapped(wmub15.symplectic_labels),
+    )
     with pytest.raises(DualityViolation, match=r"pair \(1, 2\)") as raised:
         duality_report(catalogs[15], drifted)
     # The pass still counts every pair; a permutation keeps the census.
@@ -236,16 +265,102 @@ def test_duality_rejects_mismatched_context(catalogs, wmub_sets):
 
 
 def test_duality_pairwise_dictionary(catalogs, wmub_sets):
-    report = duality_report(catalogs[15], wmub_sets[15])
-    by_pair = {(p.i, p.j): p for p in report.pairs}
-    p17 = by_pair[(1, 7)]
-    assert p17.intersection_size == 5
-    assert p17.shared_component is SharedComponent.SECOND
-    assert p17.category is OverlapCategory.SUB_D1
-    for p in report.pairs:
-        expected = {
-            report.ctx.d2: OverlapCategory.SUB_D1,
-            report.ctx.d1: OverlapCategory.SUB_D2,
-            1: OverlapCategory.FULL,
-        }[p.intersection_size]
-        assert p.category is expected
+    catalog, s = catalogs[15], wmub_sets[15]
+    by_pair = dict(catalog.pair_classes)
+    assert by_pair[(1, 7)].intersection_size == 5
+    assert by_pair[(1, 7)].shared_component is SharedComponent.SECOND
+    assert classify_pair(s, 1, 7).category is OverlapCategory.SUB_D1
+    expected = {
+        s.ctx.d2: OverlapCategory.SUB_D1,
+        s.ctx.d1: OverlapCategory.SUB_D2,
+        1: OverlapCategory.FULL,
+    }
+    for (i, j), lc in catalog.pair_classes:
+        assert classify_pair(s, i, j).category is expected[lc.intersection_size]
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: the template check on the full d x d table
+# ---------------------------------------------------------------------------
+
+SUPPORTED_DIMS = [
+    (d1, d2)
+    for d1 in range(3, MAX_DIM)
+    for d2 in range(d1 + 2, MAX_DIM // d1 + 1)
+    if is_prime(d1) and is_prime(d2)
+]
+
+
+@lru_cache(maxsize=None)
+def supported_set(d1: int, d2: int):
+    return build_wmub(crt_context(d1, d2))
+
+
+def dense_classify(sq: np.ndarray, ctx, tol: float) -> OverlapClass | None:
+    """Match the squared d x d overlap table entry by entry against the
+    three templates; None when it fits none."""
+    idx = np.arange(ctx.d)
+
+    def congruent(modulus: int) -> np.ndarray:
+        return (idx[:, None] % modulus) == (idx[None, :] % modulus)
+
+    templates = (
+        (OverlapCategory.FULL, np.ones_like(sq, dtype=bool), 1.0 / ctx.d),
+        (OverlapCategory.SUB_D1, congruent(ctx.d2), 1.0 / ctx.d1),
+        (OverlapCategory.SUB_D2, congruent(ctx.d1), 1.0 / ctx.d2),
+    )
+    for category, mask, value in templates:
+        if (np.abs(sq[mask] - value) <= tol).all() and (sq[~mask] <= tol).all():
+            return OverlapClass(
+                category, float(np.sqrt(sq[mask].mean())), int(np.count_nonzero(sq > tol))
+            )
+    return None
+
+
+def factored_classify(s, i: int, j: int, tol: float) -> OverlapClass | None:
+    try:
+        return classify_pair(s, i, j, tol)
+    except NotWeaklyUnbiased:
+        return None
+
+
+def assert_routes_agree(s, pairs, tols) -> None:
+    for i, j in pairs:
+        sq = overlap_table(s, i, j) ** 2
+        for tol in tols:
+            dense, factored = dense_classify(sq, s.ctx, tol), factored_classify(s, i, j, tol)
+            assert (dense is None) == (factored is None), (s.ctx.d, i, j, tol)
+            if dense is not None:
+                assert factored.category is dense.category, (s.ctx.d, i, j, tol)
+                assert factored.support_count == dense.support_count, (s.ctx.d, i, j, tol)
+                assert factored.value == pytest.approx(dense.value, abs=1e-12)
+
+
+def dims_id(dims: tuple[int, int]) -> str:
+    return f"d={dims[0] * dims[1]}"
+
+
+def test_supported_dims_listed():
+    assert len(SUPPORTED_DIMS) == 16
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (3, 7), (3, 11), (5, 7)], ids=dims_id)
+def test_factored_route_matches_dense_oracle_on_every_pair(dims):
+    s = supported_set(*dims)
+    pairs = [(i, j) for i in range(1, len(s) + 1) for j in range(i + 1, len(s) + 1)]
+    assert_routes_agree(s, pairs, (1e-15, 1e-9, 0.5 / s.ctx.d))
+    for i, j in pairs:
+        sq = overlap_table(s, i, j) ** 2
+        assert dense_classify(sq, s.ctx, 0.0) is None
+        assert factored_classify(s, i, j, 0.0) is None
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_factored_route_matches_dense_oracle_at_every_supported_d(dims):
+    # Pairs with basis 1 or basis psi cover all three categories.
+    s = supported_set(*dims)
+    last = len(s)
+    pairs = [(1, j) for j in range(2, last + 1)] + [(i, last) for i in range(2, last)]
+    assert_routes_agree(s, pairs, (1e-9,))
+    categories = {classify_pair(s, i, j).category for i, j in pairs}
+    assert categories == set(OverlapCategory)

@@ -4,16 +4,22 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wmub.bases
+import wmub.cli
 import wmub.geometry
-from wmub.bases import OverlapCategory, OverlapClass
+from wmub.bases import OverlapCategory, OverlapClass, build_wmub
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
+from wmub.hilbert import OrthonormalBasis
+from wmub.zring import crt_context
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -142,12 +148,26 @@ def test_verify_over_tight_tolerance_fails_with_named_check(capsys):
         ["verify", "--d1", "3", "--d2", "37"],
         ["wmub", "--d1", "3", "--d2", "37"],
         ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"],
+        # rejected by the argument parser
+        ["verify", "--d1", "3", "--d2", "5", "--tolerance", "-1e-5"],
+        ["verify", "--d2", "5"],
+        ["verify", "--d1", "three", "--d2", "5"],
+        ["transform", "--d1", "3", "--d2", "5"],
+        ["lines", "--d1", "3", "--d2", "5", "--format", "xml"],
+        [],
     ],
 )
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["verify", "--help"])
+    assert raised.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wmub verify")
 
 
 def test_geometry_side_is_not_capped_at_105(capsys):
@@ -211,6 +231,41 @@ def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypat
     assert out.strip() == (
         "FAIL duality: pair (1, 7): intersection 5 against overlap class d^{-1/2}"
     )
+
+
+def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
+    # The overlap census reads the factor families, so a stored d x d basis
+    # that was not assembled from them is caught by the conjugation check.
+    s = build_wmub(crt_context(3, 5))
+    rng = np.random.default_rng(2024)
+    q, _ = np.linalg.qr(rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15)))
+    tampered = replace(s, bases=(s.bases[0], OrthonormalBasis(15, q, "generic"), *s.bases[2:]))
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: tampered)
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.startswith("FAIL conjugation: max residual ")
+
+
+def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
+    monkeypatch.setattr(wmub.geometry, "product_points", lambda *args: frozenset())
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5", "--json"])
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert rows[0] == {
+        "check": "catalog",
+        "ok": False,
+        "detail": "catalog entry 1: product route disagrees",
+    }
+    assert rows[-1]["detail"] == "FAIL catalog: catalog entry 1: product route disagrees"
+
+
+def test_verify_names_line_census_on_a_failed_cross_check(capsys, monkeypatch):
+    # Every line claims the vertical components, so the component rule
+    # disagrees with the determinant route on the first pair.
+    monkeypatch.setattr(wmub.geometry, "factorize_line", lambda l, ctx: ((0, 1), (0, 1)))
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.startswith("FAIL line-census: component rule predicts 5 common points")
 
 
 VALID_PAIRS = [(3, 5), (3, 7), (5, 7)]

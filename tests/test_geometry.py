@@ -8,7 +8,6 @@ import pytest
 
 from wmub.geometry import (
     DetNotOne,
-    Line,
     LineRelation,
     ModulusMismatch,
     NotMaximal,
@@ -28,7 +27,7 @@ from wmub.geometry import (
     redundancy,
     split_generator,
 )
-from wmub.zring import crt_context, dedekind_psi, is_prime, jordan_j2
+from wmub.zring import crt_context, dedekind_psi, jordan_j2
 
 # The d = 15 catalog, row by row: display generator, matrix entries,
 # component generators.  Same data as tests/golden/lines_3_5.txt, kept here
