@@ -12,9 +12,6 @@ import numpy as np
 from .geometry import ModulusMismatch, SymplecticMatrix
 from .zring import CrtContext, is_prime, mod_inverse
 
-# Unitarity / conjugation tolerance; all verified overlap values are
-# separated by far more than this at the supported dimensions.
-ATOL = 1e-10
 MAX_DIM = 105
 
 
@@ -31,7 +28,8 @@ class UnsupportedMatrix(ValueError):
 
 
 class DimMismatch(ValueError):
-    """Factor dimensions do not match the CRT context."""
+    """Dimensions or matrix shapes do not match: factors against the CRT
+    context, two bases, or a matrix against its dimension."""
 
 
 class DimTooLarge(ValueError):
@@ -129,14 +127,33 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 def conjugation_defect(d: int, matrix: np.ndarray, label: tuple[int, int, int, int]) -> float:
     """How far U is from realizing the symplectic matrix (k, l | m, n).
 
-    Returns the larger max-norm residual of the two defining relations
-    U X U^dag = D(l, k) and U Z U^dag = D(n, m).  Insensitive to a global
-    phase of U but sensitive to column phases and ordering.
+    Checks U X = D(l, k) U and U Z = D(n, m) U, the defining relations
+    U X U^dag = D(l, k) and U Z U^dag = D(n, m) multiplied by U on the
+    right, with no matrix product: X cycles the columns of U, Z scales
+    column c by omega(c), and D(a, b) moves row r - b to row r and scales
+    it by omega(a*r - 2^-1*a*b).  Returns the larger of the two largest row
+    2-norms of U X - D U and U Z - D U.  Entry (r, c) of U X U^dag - D is
+    the inner product of row r of U X - D U with row c of U, so for unitary
+    U this bounds the max-norm residual of U X U^dag = D from above.
+    Insensitive to a global phase of U but sensitive to column phases and
+    ordering.
     """
+    _check_dim(d)
+    if d % 2 == 0:
+        raise EvenDimension(f"conjugation needs odd dimension, got {d}")
+    if matrix.shape != (d, d):
+        raise DimMismatch(f"matrix of shape {matrix.shape} in dimension {d}")
     k, l, m, n = label
-    u_dag = matrix.conj().T
-    dx = np.abs(matrix @ x_op(d) @ u_dag - displacement(d, l, k)).max()
-    dz = np.abs(matrix @ z_op(d) @ u_dag - displacement(d, n, m)).max()
+    half = mod_inverse(2, d)
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    rows = np.arange(d)
+
+    def displaced(alpha: int, beta: int) -> np.ndarray:
+        phases = roots[((alpha % d) * rows - half * alpha * beta % d) % d]
+        return phases[:, None] * np.roll(matrix, beta, axis=0)
+
+    dx = np.linalg.norm(np.roll(matrix, -1, axis=1) - displaced(l, k), axis=1).max()
+    dz = np.linalg.norm(matrix * roots - displaced(n, m), axis=1).max()
     return float(max(dx, dz))
 
 

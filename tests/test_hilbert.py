@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from wmub.bases import build_wmub
 from wmub.geometry import SymplecticMatrix
 from wmub.hilbert import (
-    ATOL,
     DimMismatch,
     EvenDimension,
     NotOddPrime,
@@ -27,6 +27,9 @@ from wmub.hilbert import (
     z_op,
 )
 from wmub.zring import crt_context, mod_inverse
+
+# Tolerance of the exact constructions checked below.
+ATOL = 1e-10
 
 
 def test_omega():
@@ -116,6 +119,77 @@ def test_symplectic_unitary_conjugation_contract(d, lam):
     u = symplectic_unitary(d, g)
     assert unitarity_defect(u) < ATOL
     assert conjugation_defect(d, u, g.entries) < 1e-12
+
+
+def dense_conjugation_defect(d: int, u: np.ndarray, label: tuple[int, int, int, int]) -> float:
+    """Max-norm residual of U X U^dag = D(l, k) and U Z U^dag = D(n, m),
+    from dense operators and matrix products."""
+    k, l, m, n = label
+    u_dag = u.conj().T
+    dx = np.abs(u @ x_op(d) @ u_dag - displacement(d, l, k)).max()
+    dz = np.abs(u @ z_op(d) @ u_dag - displacement(d, n, m)).max()
+    return float(max(dx, dz))
+
+
+ORACLE_PAIRS = ((3, 5), (3, 7), (3, 11), (5, 7))
+
+
+@pytest.mark.parametrize("d1,d2", ORACLE_PAIRS)
+def test_conjugation_routes_agree_on_every_basis(d1, d2):
+    s = build_wmub(crt_context(d1, d2))
+    for j in range(1, len(s) + 1):
+        u, label = s.basis(j).matrix, s.symplectic_label(j)
+        assert conjugation_defect(s.ctx.d, u, label) < 1e-12
+        assert dense_conjugation_defect(s.ctx.d, u, label) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "d1,d2,stride", [(d1, d2, 1) for d1, d2 in ORACLE_PAIRS] + [(7, 13, 7), (5, 19, 7)]
+)
+def test_conjugation_residual_bounds_the_dense_residual(d1, d2, stride):
+    # For unitary U, entry (r, c) of U X U^dag - D is the inner product of
+    # row r of U X - D U with row c of U, so the largest row 2-norm of
+    # U X - D U bounds the dense max-norm residual.  A global phase passes;
+    # swapped columns, random column phases, a generic unitary and a wrong
+    # label all land above 1/(2d), the largest tolerance that `verify`
+    # admits.  At d = 91 and 95 every 7th basis.
+    s = build_wmub(crt_context(d1, d2))
+    d = s.ctx.d
+    rng = np.random.default_rng(d)
+
+    def random_complex(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    generic, _ = np.linalg.qr(random_complex(d, d))
+    for j in range(1, len(s) + 1, stride):
+        u, label = s.basis(j).matrix, s.symplectic_label(j)
+        near, _ = np.linalg.qr(np.eye(d) + 1e-6 * random_complex(d, d))
+        phases = np.exp(2j * np.pi * rng.random(d))
+        swapped = u[:, [1, 0, *range(2, d)]]
+        inputs = [
+            (u @ near, label, False),
+            (omega(d, j) * u, label, False),
+            (swapped, label, True),
+            (u * phases, label, True),
+            (generic, label, True),
+        ]
+        if j < len(s):
+            inputs.append((u, s.symplectic_label(j + 1), True))
+        for matrix, lab, fails in inputs:
+            structured = conjugation_defect(d, matrix, lab)
+            assert dense_conjugation_defect(d, matrix, lab) <= structured * (1 + 1e-6) + 1e-12
+            assert (structured > 0.5 / d) is fails
+
+
+def test_conjugation_defect_rejects_even_dimension():
+    with pytest.raises(EvenDimension):
+        conjugation_defect(4, np.eye(4, dtype=complex), (1, 0, 0, 1))
+
+
+def test_conjugation_defect_rejects_wrong_shape():
+    for shape in ((14, 14), (15, 14), (225,)):
+        with pytest.raises(DimMismatch):
+            conjugation_defect(15, np.zeros(shape, dtype=complex), (1, 0, 0, 1))
 
 
 def test_symplectic_unitary_closed_form_entries():
