@@ -17,6 +17,7 @@ from .bases import (
     classify_pair,
     duality_report,
     overlap_table,
+    pair_categories,
     partition_bases,
     symplectic_label_defect,
     wmub_census,
@@ -26,6 +27,7 @@ from .geometry import (
     DetNotOne,
     Line,
     LinePairClass,
+    LinePairs,
     LineRelation,
     MaximalLineCatalog,
     ModulusMismatch,
@@ -67,6 +69,7 @@ from .hilbert import (
 from .zring import (
     CrtContext,
     InvalidDims,
+    ModulusTooLarge,
     NotAUnit,
     crt_context,
     dedekind_psi,

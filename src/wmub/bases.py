@@ -58,6 +58,10 @@ class OverlapCategory(Enum):
     FULL = "d^{-1/2}"      # flat table, the mutually unbiased case
 
 
+# The pair passes report a category as its position in this tuple.
+_CATEGORIES = tuple(OverlapCategory)
+
+
 @dataclass(frozen=True)
 class OverlapClass:
     category: OverlapCategory
@@ -66,22 +70,29 @@ class OverlapClass:
 
 
 class Region(NamedTuple):
-    """Largest, smallest and mean entry of a squared factor table over a
-    region of its (n, m) positions."""
+    """Largest, smallest and mean entry of squared factor tables over a
+    region of their (n, m) positions."""
 
-    top: float
-    bottom: float
-    mean: float
+    top: np.ndarray
+    bottom: np.ndarray
+    mean: np.ndarray
 
 
 class FactorExtrema(NamedTuple):
-    """One squared prime-dimension overlap table |b_j^dag b_i|^2, reduced to
-    what the templates read: its whole range, its diagonal range, and the
-    largest entry off the diagonal."""
+    """Squared prime-dimension overlap tables |b_j^dag b_i|^2, reduced to
+    what the templates read: their whole range, their diagonal range, and
+    their largest entry off the diagonal; each field is an array over pairs."""
 
     whole: Region
     diag: Region
-    off_top: float
+    off_top: np.ndarray
+
+    def take(self, j: np.ndarray, i: np.ndarray) -> FactorExtrema:
+        """The extrema at positions [j[k], i[k]] of every field."""
+        pick = lambda field: field[j, i]
+        return FactorExtrema(
+            Region(*map(pick, self.whole)), Region(*map(pick, self.diag)), pick(self.off_top)
+        )
 
 
 def _slot(lam: int | None) -> int:
@@ -89,25 +100,19 @@ def _slot(lam: int | None) -> int:
     return 0 if lam is None else 1 + lam
 
 
-def _regions(sq: np.ndarray, axis: int | tuple[int, ...]) -> list:
-    """Nested lists of [max, min, mean] of `sq` reduced over `axis`."""
-    return np.stack([sq.max(axis=axis), sq.min(axis=axis), sq.mean(axis=axis)], axis=-1).tolist()
-
-
-def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> tuple[tuple[FactorExtrema, ...], ...]:
-    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, indexed [j][i]."""
+def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> FactorExtrema:
+    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, fields indexed [j, i]."""
     diagonal = np.eye(mubs[0].dim, dtype=bool)
     rows = []
     for bj in mubs:
         sq = np.stack([overlaps(bj, bi) for bi in mubs]) ** 2  # [i, n, m]
-        whole = _regions(sq, (1, 2))
-        diag = _regions(np.diagonal(sq, axis1=1, axis2=2), 1)
+        diag = np.diagonal(sq, axis1=1, axis2=2)
         # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
-        off_top = np.where(diagonal, 0.0, sq).max(axis=(1, 2)).tolist()
-        rows.append(
-            tuple(FactorExtrema(Region(*w), Region(*g), o) for w, g, o in zip(whole, diag, off_top))
-        )
-    return tuple(rows)
+        off_top = np.where(diagonal, 0.0, sq).max(axis=(1, 2))
+        rows.append((sq.max(axis=(1, 2)), sq.min(axis=(1, 2)), sq.mean(axis=(1, 2)),
+                     diag.max(axis=1), diag.min(axis=1), diag.mean(axis=1), off_top))
+    fields = [np.stack(column) for column in zip(*rows)]
+    return FactorExtrema(Region(*fields[0:3]), Region(*fields[3:6]), fields[6])
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,11 +148,16 @@ class WmubSet:
         return self.symplectic_labels[j - 1]
 
     @cached_property
-    def factor_extrema(self) -> tuple[tuple[tuple[FactorExtrema, ...], ...], ...]:
-        """[factor][j][i]: the squared tables |b_j^dag b_i|^2 of both
-        prime-dimension families, computed once per set and reduced to their
-        extrema; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
+    def factor_extrema(self) -> tuple[FactorExtrema, FactorExtrema]:
+        """Per factor, the squared tables |b_j^dag b_i|^2 of its
+        prime-dimension family, computed once per set and reduced to their
+        extrema, indexed [j, i]; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
         return tuple(_factor_extrema(mubs) for mubs in self.factor_mubs)
+
+    @cached_property
+    def factor_slots(self) -> np.ndarray:
+        """[j - 1, factor]: the position in `factor_mubs` of each factor of basis j."""
+        return np.array([[_slot(lam1), _slot(lam2)] for lam1, lam2 in self.factor_labels])
 
 
 def build_wmub(ctx: CrtContext) -> WmubSet:
@@ -185,6 +195,33 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
     return np.abs(s.basis(j).matrix.conj().T @ s.basis(i).matrix)
 
 
+def _match(s: WmubSet, i, j, tol: float):
+    """Match the pairs (i[k], j[k]) against the three templates at once
+    (or the one pair (i, j), given two ints).
+
+    Returns the templates, each (category, on1, on2, off_top, value,
+    support) with arrays over the pairs, in matching order, and for each
+    pair the position of the first template it fits, -1 if none.
+    """
+    ctx = s.ctx
+    slots = s.factor_slots
+    table1, table2 = s.factor_extrema
+    t1 = table1.take(slots[j - 1, 0], slots[i - 1, 0])
+    t2 = table2.take(slots[j - 1, 1], slots[i - 1, 1])
+    templates = (
+        (OverlapCategory.FULL, t1.whole, t2.whole, 0.0, 1.0 / ctx.d, ctx.d * ctx.d),
+        (OverlapCategory.SUB_D1, t1.whole, t2.diag, t1.whole.top * t2.off_top, 1.0 / ctx.d1, ctx.d * ctx.d1),
+        (OverlapCategory.SUB_D2, t1.diag, t2.whole, t1.off_top * t2.whole.top, 1.0 / ctx.d2, ctx.d * ctx.d2),
+    )
+    fits = [
+        (on1.top * on2.top - value <= tol)
+        & (value - on1.bottom * on2.bottom <= tol)
+        & (off_top <= tol)
+        for _, on1, on2, off_top, value, _ in templates
+    ]
+    return templates, np.select(fits, range(len(templates)), default=-1)
+
+
 def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapClass:
     """Match the overlap table of a pair against the three templates.
 
@@ -196,7 +233,8 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     e.g. the d1**-0.5 template holds iff max T1 * max diag T2 - 1/d1,
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
     No d x d table is formed; the stored d x d matrices are tied to their
-    labels by the unitarity and conjugation checks.
+    labels by the unitarity and conjugation checks.  `pair_categories`
+    runs the same test on many pairs at once.
 
     The matched category is returned with the on-support magnitude (from
     the factor means) and the template's support, d^2, d*d1 or d*d2 --
@@ -208,38 +246,53 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     _check_indices(s, i, j)
     if i == j:
         raise ValueError("pair classification needs two distinct bases")
-    ctx = s.ctx
-    (i1, i2), (j1, j2) = s.factor_label(i), s.factor_label(j)
-    table1, table2 = s.factor_extrema
-    t1 = table1[_slot(j1)][_slot(i1)]
-    t2 = table2[_slot(j2)][_slot(i2)]
-    templates = (
-        (OverlapCategory.FULL, t1.whole, t2.whole, 0.0, 1.0 / ctx.d, ctx.d * ctx.d),
-        (OverlapCategory.SUB_D1, t1.whole, t2.diag, t1.whole.top * t2.off_top, 1.0 / ctx.d1, ctx.d * ctx.d1),
-        (OverlapCategory.SUB_D2, t1.diag, t2.whole, t1.off_top * t2.whole.top, 1.0 / ctx.d2, ctx.d * ctx.d2),
-    )
-    for category, on1, on2, off_top, value, support in templates:
-        if (
-            on1.top * on2.top - value <= tol
-            and value - on1.bottom * on2.bottom <= tol
-            and off_top <= tol
-        ):
-            return OverlapClass(category, math.sqrt(on1.mean * on2.mean), support)
-    flat = 1.0 / ctx.d
-    worst = max(t1.whole.top * t2.whole.top - flat, flat - t1.whole.bottom * t2.whole.bottom)
+    templates, fit = _match(s, i, j, tol)
+    if fit >= 0:
+        category, on1, on2, _, _, support = templates[fit]
+        return OverlapClass(category, math.sqrt(on1.mean * on2.mean), support)
+    _, whole1, whole2, _, flat, _ = templates[0]
+    worst = max(whole1.top * whole2.top - flat, flat - whole1.bottom * whole2.bottom)
     raise NotWeaklyUnbiased(
         f"bases ({i}, {j}) fit no overlap template within {tol} "
         f"(flat-template residual {worst:.3e})"
     )
 
 
+def pair_categories(
+    s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float = OVERLAP_ATOL
+) -> np.ndarray:
+    """Category of each pair of distinct bases (i[k], j[k]), 1-based, as its
+    position in `OverlapCategory` order, or -1 where no template fits.
+
+    The template test of `classify_pair`, run on all pairs in one array pass.
+    """
+    i, j = np.asarray(i), np.asarray(j)
+    if i.size and not (1 <= min(i.min(), j.min()) and max(i.max(), j.max()) <= len(s)):
+        raise IndexError(f"basis indices out of range 1..{len(s)}")
+    templates, fit = _match(s, i, j, tol)
+    codes = [_CATEGORIES.index(category) for category, *_ in templates]
+    return np.array([*codes, -1])[fit]  # fit -1 picks the trailing -1
+
+
+def _census(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
+    """Categories of the pairs (i[k], j[k]) and their counts per category.
+
+    The first pair in the given order that fits no template raises
+    NotWeaklyUnbiased with the message of `classify_pair`.
+    """
+    codes = pair_categories(s, i, j, tol)
+    unfit = np.flatnonzero(codes < 0)
+    if unfit.size:
+        k = unfit[0]
+        classify_pair(s, int(i[k]), int(j[k]), tol)
+    counts = np.bincount(codes, minlength=len(_CATEGORIES)).tolist()
+    return codes, dict(zip(_CATEGORIES, counts))
+
+
 def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, int]:
     """Count unordered basis pairs per overlap category."""
-    counts = {category: 0 for category in OverlapCategory}
-    for i in range(1, len(s) + 1):
-        for j in range(i + 1, len(s) + 1):
-            counts[classify_pair(s, i, j, tol).category] += 1
-    return counts
+    i, j = np.triu_indices(len(s), k=1)
+    return _census(s, i + 1, j + 1, tol)[1]
 
 
 def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
@@ -283,29 +336,30 @@ def duality_report(
 ) -> DualityReport:
     """Certify the pairwise dictionary between lines and bases in one pass.
 
-    Each basis pair is classified once and compared with the catalog's
-    stored class of the line pair with the same indices: an intersection of
-    size d2 must meet the d1**-0.5 overlap template, size d1 the d2**-0.5
-    template, and size 1 the flat template.  A table that fits no template
-    raises NotWeaklyUnbiased at once; the first mismatch raises
-    DualityViolation once the pass has counted every pair.
+    Every basis pair is classified once, in one array pass over the
+    catalog's pairs, and compared with the intersection size of the line
+    pair with the same indices: size d2 must meet the d1**-0.5 overlap
+    template, size d1 the d2**-0.5 template, and size 1 the flat template.
+    The first pair in row-major order that fits no template raises
+    NotWeaklyUnbiased; the first mismatch raises DualityViolation, carrying
+    the census of every pair.
     """
     ctx = s.ctx
     if catalog.ctx != ctx:
         raise ValueError("catalog and basis set were built from different contexts")
+    pairs = catalog.pair_classes
+    codes, overlap_census = _census(s, pairs.i, pairs.j, tol)
     expected = {ctx.d2: OverlapCategory.SUB_D1, ctx.d1: OverlapCategory.SUB_D2, 1: OverlapCategory.FULL}
-    line_census = {ctx.d2: 0, ctx.d1: 0, 1: 0}
-    overlap_census = {category: 0 for category in OverlapCategory}
-    mismatch = None
-    for (i, j), lc in catalog.pair_classes:
-        oc = classify_pair(s, i, j, tol)
-        if mismatch is None and expected[lc.intersection_size] is not oc.category:
-            mismatch = (
-                f"pair ({i}, {j}): intersection {lc.intersection_size} "
-                f"against overlap class {oc.category.value}"
-            )
-        line_census[lc.intersection_size] += 1
-        overlap_census[oc.category] += 1
-    if mismatch is not None:
-        raise DualityViolation(mismatch, overlap_census)
-    return DualityReport(ctx, line_census, overlap_census, redundancy(ctx.d))
+    want = np.select(
+        [pairs.size == size for size in expected],
+        [_CATEGORIES.index(category) for category in expected.values()],
+    )
+    mismatched = np.flatnonzero(codes != want)
+    if mismatched.size:
+        k = mismatched[0]
+        raise DualityViolation(
+            f"pair ({pairs.i[k]}, {pairs.j[k]}): intersection {pairs.size[k]} "
+            f"against overlap class {_CATEGORIES[codes[k]].value}",
+            overlap_census,
+        )
+    return DualityReport(ctx, pairs.census(ctx), overlap_census, redundancy(ctx.d))

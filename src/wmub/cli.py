@@ -24,7 +24,7 @@ from .bases import (
 )
 from .geometry import maximal_line_catalog, pair_census, partition_lines, redundancy
 from .hilbert import DimTooLarge, unitarity_defect
-from .zring import InvalidDims, crt_context, dedekind_psi
+from .zring import InvalidDims, ModulusTooLarge, crt_context, dedekind_psi
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -339,11 +339,11 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(v.summary())
             return 0 if v.ok else VERIFY_ERROR
+    except (ModulusTooLarge, DimTooLarge, UsageError) as err:
+        print(err, file=sys.stderr)
+        return USAGE_ERROR
     except InvalidDims:
         print("d1 and d2 must be distinct odd primes with d1<d2", file=sys.stderr)
-        return USAGE_ERROR
-    except (DimTooLarge, UsageError) as err:
-        print(err, file=sys.stderr)
         return USAGE_ERROR
     return 0
 

@@ -10,6 +10,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .zring import CrtContext, dedekind_psi, mod_inverse
 
@@ -320,14 +323,12 @@ class MaximalLineCatalog:
         return iter(self.entries)
 
     @cached_property
-    def pair_classes(self) -> tuple[tuple[tuple[int, int], LinePairClass], ...]:
-        """((i, j), class) for every unordered index pair i < j, in
-        row-major order; each pair is classified once per catalog."""
-        return tuple(
-            ((a.index, b.index), classify_line_pair(a.line, b.line, self.ctx))
-            for k, a in enumerate(self.entries)
-            for b in self.entries[k + 1:]
-        )
+    def pair_classes(self) -> LinePairs:
+        """Every unordered index pair i < j in row-major order with its
+        intersection size, classified once per catalog in one array pass."""
+        i, j = np.triu_indices(len(self.entries), k=1)
+        sizes = _intersection_sizes([e.line for e in self.entries], i, j, self.ctx)
+        return LinePairs(i + 1, j + 1, sizes)
 
 
 def catalog_index(ctx: CrtContext, i1: int, i2: int) -> int:
@@ -356,8 +357,11 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     Every entry is verified on construction in both of its guises: the
     attached matrix must map the vertical line onto it, and its point set
     must equal the product of its component lines under the point map.
+    The matrix route compares generators: over squarefree d two maximal
+    lines are equal iff det[a; b] = 0 (mod d), and the image g*(0, 1) of the
+    vertical line is maximal because g is invertible (the entry line is
+    maximal once the product route matches its d points).
     """
-    base = line(ctx.d, 0, 1)
     comp_lines = {
         1: {lam: line(ctx.d1, *component_generator(ctx.d1, lam)) for lam in (None, *range(ctx.d1))},
         2: {lam: line(ctx.d2, *component_generator(ctx.d2, lam)) for lam in (None, *range(ctx.d2))},
@@ -371,7 +375,8 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
             generator = product_generator(comp1, comp2, ctx)
             entry_line = line(ctx.d, *generator)
             matrix = sweep_matrix(ctx, lam1, lam2)
-            if matrix.act_line(base) != entry_line:
+            (x, y), (nu, mu) = matrix.act_point((0, 1)), entry_line.generator
+            if (x * mu - y * nu) % ctx.d:
                 raise RuntimeError(f"catalog entry {index}: matrix route disagrees")
             if product_points(comp_lines[1][lam1], comp_lines[2][lam2], ctx) != entry_line.point_set:
                 raise RuntimeError(f"catalog entry {index}: product route disagrees")
@@ -400,46 +405,62 @@ class LinePairClass:
     shared_component: SharedComponent
 
 
-def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
-    """Classify a pair of distinct maximal lines by intersection size.
+class LinePairs(NamedTuple):
+    """Index pairs (i[k], j[k]), 1-based, of maximal lines sharing size[k] points."""
+
+    i: np.ndarray
+    j: np.ndarray
+    size: np.ndarray
+
+    def census(self, ctx: CrtContext) -> dict[int, int]:
+        """Counts of the pairs keyed by intersection size: d2, d1 and 1."""
+        return {size: int(np.count_nonzero(self.size == size)) for size in (ctx.d2, ctx.d1, 1)}
+
+
+def _intersection_sizes(
+    lines: list[Line], i: np.ndarray, j: np.ndarray, ctx: CrtContext
+) -> np.ndarray:
+    """Common-point counts of the distinct maximal lines lines[i[k]] and lines[j[k]].
 
     The size is computed twice, as gcd(det[a;b], d) of the two generators
     (squarefree d: the lines coincide modulo exactly the primes dividing the
     determinant) and by the component rule (d2 common points iff the second
-    components coincide, d1 iff the first do, 1 otherwise); disagreement
-    means a bug and raises.
+    components coincide, d1 iff the first do, 1 otherwise), with one
+    factorization per line; the first disagreeing pair means a bug and raises.
     """
+    nu, mu = np.array([l.generator for l in lines], dtype=np.int64).T
+    comps = np.array([factorize_line(l, ctx) for l in lines], dtype=np.int64)  # [line, factor, 2]
+    sizes = np.gcd((nu[i] * mu[j] - mu[i] * nu[j]) % ctx.d, ctx.d)
+    same = (comps[i] == comps[j]).all(axis=-1)
+    expected = np.where(same[:, 1], ctx.d2, np.where(same[:, 0], ctx.d1, 1))
+    wrong = np.flatnonzero(sizes != expected)
+    if wrong.size:
+        k = wrong[0]
+        raise RuntimeError(
+            f"component rule predicts {expected[k]} common points, determinant gives {sizes[k]}"
+        )
+    return sizes
+
+
+def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
+    """Classify a pair of distinct maximal lines by intersection size, with
+    the two cross-checked routes of the catalog's pair pass."""
     if a.d != ctx.d or b.d != ctx.d:
         raise ModulusMismatch("lines and context use different moduli")
     if not (a.is_maximal and b.is_maximal):
         raise NotMaximal("pair classification needs two maximal lines")
     if a == b:
         raise ValueError("pair classification needs two distinct lines")
-    (nu_a, mu_a), (nu_b, mu_b) = a.generator, b.generator
-    size = math.gcd((nu_a * mu_b - mu_a * nu_b) % ctx.d, ctx.d)
-    a1, a2 = factorize_line(a, ctx)
-    b1, b2 = factorize_line(b, ctx)
-    if a2 == b2:
-        shared, expected = SharedComponent.SECOND, ctx.d2
-    elif a1 == b1:
-        shared, expected = SharedComponent.FIRST, ctx.d1
-    else:
-        shared, expected = SharedComponent.NONE, 1
-    if size != expected:
-        raise RuntimeError(
-            f"component rule predicts {expected} common points, determinant gives {size}"
-        )
-    return LinePairClass(size, shared)
+    size = int(_intersection_sizes([a, b], np.array([0]), np.array([1]), ctx)[0])
+    shared = {ctx.d2: SharedComponent.SECOND, ctx.d1: SharedComponent.FIRST, 1: SharedComponent.NONE}
+    return LinePairClass(size, shared[size])
 
 
 def pair_census(ctx: CrtContext, catalog: MaximalLineCatalog | None = None) -> dict[int, int]:
     """Counts of unordered maximal-line pairs keyed by intersection size."""
     if catalog is None:
         catalog = maximal_line_catalog(ctx)
-    counts = {ctx.d2: 0, ctx.d1: 0, 1: 0}
-    for _, pair in catalog.pair_classes:
-        counts[pair.intersection_size] += 1
-    return counts
+    return catalog.pair_classes.census(ctx)
 
 
 def redundancy(d: int) -> Fraction:

@@ -20,6 +20,10 @@ class InvalidDims(ValueError):
     """(d1, d2) is not a pair of distinct odd primes with d1 < d2."""
 
 
+class ModulusTooLarge(InvalidDims):
+    """d1*d2 is above MAX_MODULUS, though d1 < d2 are distinct odd primes."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -150,7 +154,7 @@ def crt_context(d1: int, d2: int) -> CrtContext:
         raise InvalidDims(f"need d1 < d2, got d1={d1}, d2={d2}")
     d = d1 * d2
     if d > MAX_MODULUS:
-        raise InvalidDims(f"d1*d2 = {d} exceeds the supported cap {MAX_MODULUS}")
+        raise ModulusTooLarge(f"d1*d2 = {d} exceeds the supported cap {MAX_MODULUS}")
     r1, r2 = d2, d1
     t1 = mod_inverse(r1, d1)
     t2 = mod_inverse(r2, d2)

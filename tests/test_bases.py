@@ -16,12 +16,13 @@ from wmub.bases import (
     classify_pair,
     duality_report,
     overlap_table,
+    pair_categories,
     partition_bases,
     symplectic_label_defect,
     wmub_census,
 )
-from wmub.geometry import SharedComponent
-from wmub.hilbert import MAX_DIM, OrthonormalBasis
+from wmub.geometry import SharedComponent, classify_line_pair
+from wmub.hilbert import MAX_DIM, OrthonormalBasis, assemble_tensor_basis
 from wmub.zring import crt_context, dedekind_psi, is_prime
 
 # Symplectic labels of the d = 15 set in index order; same data as the
@@ -114,6 +115,10 @@ def test_classify_pair_examples(wmub15):
         classify_pair(wmub15, 0, 5)
     with pytest.raises(IndexError):
         classify_pair(wmub15, 1, 25)
+    with pytest.raises(IndexError):
+        pair_categories(wmub15, np.array([1, 0]), np.array([2, 5]))
+    with pytest.raises(IndexError):
+        pair_categories(wmub15, np.array([1]), np.array([25]))
 
 
 def test_classify_pair_rejects_impossible_tolerance(wmub15):
@@ -203,7 +208,7 @@ def test_duality_report(catalogs, wmub_sets):
     for d in (15, 21, 33):
         report = duality_report(catalogs[d], wmub_sets[d])
         psi = dedekind_psi(d)
-        assert len(catalogs[d].pair_classes) == psi * (psi - 1) // 2
+        assert len(catalogs[d].pair_classes.size) == psi * (psi - 1) // 2
         assert sum(report.overlap_census.values()) == psi * (psi - 1) // 2
         d1, d2 = report.ctx.d1, report.ctx.d2
         assert report.line_census == {d2: d1 * psi // 2, d1: d2 * psi // 2, 1: d * psi // 2}
@@ -239,6 +244,41 @@ def test_generic_factor_basis_fits_no_template(wmub15):
     assert classify_pair(tampered, 1, 3) == classify_pair(wmub15, 1, 3)
 
 
+def test_pair_pass_names_the_first_unfit_pair(catalogs, wmub15):
+    # The tampered family of the test above: every pair with basis 2 as one
+    # side and a basis of another second factor fits no template, and (1, 2)
+    # is the first of them in row-major order.
+    mubs1, mubs2 = wmub15.factor_mubs
+    generic = OrthonormalBasis(5, generic_unitary(5), "generic")
+    tampered = replace(wmub15, factor_mubs=(mubs1, (mubs2[0], generic, *mubs2[2:])))
+    with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(1, 2\) fit no overlap template"):
+        duality_report(catalogs[15], tampered)
+    with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(1, 2\) fit no overlap template"):
+        wmub_census(tampered)
+    codes = pair_categories(tampered, np.array([1, 2, 1]), np.array([2, 3, 3]))
+    assert codes[:2].tolist() == [-1, -1] and codes[2] >= 0
+
+
+def test_off_support_weight_fits_no_template(wmub15):
+    # A second-factor position "basis" with unit but non-orthogonal columns:
+    # pair (1, 7) keeps the on-support values of the d1**-0.5 template
+    # (diagonal 1 in the second factor) but carries weight off the support.
+    mubs1, mubs2 = wmub15.factor_mubs
+    skewed = np.eye(5, dtype=complex)
+    skewed[:2, 0] = math.cos(0.5), math.sin(0.5)
+    leaning = OrthonormalBasis(5, skewed, "skewed")
+    tampered = replace(wmub15, factor_mubs=(mubs1, (leaning, *mubs2[1:])))
+    ctx = wmub15.ctx
+    b1 = assemble_tensor_basis(mubs1[0], leaning, ctx)
+    b7 = assemble_tensor_basis(mubs1[1], leaning, ctx)
+    sq = np.abs(b7.matrix.conj().T @ b1.matrix) ** 2
+    for tol in (1e-9, 0.5 / ctx.d):
+        assert dense_classify(sq, ctx, tol) is None
+        assert pair_categories(tampered, np.array([1]), np.array([7]), tol).tolist() == [-1]
+        with pytest.raises(NotWeaklyUnbiased, match=r"bases \(1, 7\)"):
+            classify_pair(tampered, 1, 7, tol)
+
+
 def test_duality_violation_on_index_drift(catalogs, wmub15):
     # Move basis 2 and basis 7 together with their labels: every basis keeps
     # its own labels but sits at the index of the other line.
@@ -266,17 +306,19 @@ def test_duality_rejects_mismatched_context(catalogs, wmub_sets):
 
 def test_duality_pairwise_dictionary(catalogs, wmub_sets):
     catalog, s = catalogs[15], wmub_sets[15]
-    by_pair = dict(catalog.pair_classes)
-    assert by_pair[(1, 7)].intersection_size == 5
-    assert by_pair[(1, 7)].shared_component is SharedComponent.SECOND
+    pairs = catalog.pair_classes
+    by_pair = dict(zip(zip(pairs.i.tolist(), pairs.j.tolist()), pairs.size.tolist()))
+    assert by_pair[(1, 7)] == 5
+    lc = classify_line_pair(catalog.entry(1).line, catalog.entry(7).line, s.ctx)
+    assert lc.shared_component is SharedComponent.SECOND
     assert classify_pair(s, 1, 7).category is OverlapCategory.SUB_D1
     expected = {
         s.ctx.d2: OverlapCategory.SUB_D1,
         s.ctx.d1: OverlapCategory.SUB_D2,
         1: OverlapCategory.FULL,
     }
-    for (i, j), lc in catalog.pair_classes:
-        assert classify_pair(s, i, j).category is expected[lc.intersection_size]
+    for (i, j), size in by_pair.items():
+        assert classify_pair(s, i, j).category is expected[size]
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +367,20 @@ def factored_classify(s, i: int, j: int, tol: float) -> OverlapClass | None:
 
 
 def assert_routes_agree(s, pairs, tols) -> None:
-    for i, j in pairs:
+    # Both factored routes, one pair at a time and the array pass, against
+    # the dense oracle.
+    first, second = (np.array(side) for side in zip(*pairs))
+    codes = {tol: pair_categories(s, first, second, tol) for tol in tols}
+    categories = tuple(OverlapCategory)
+    for k, (i, j) in enumerate(pairs):
         sq = overlap_table(s, i, j) ** 2
         for tol in tols:
             dense, factored = dense_classify(sq, s.ctx, tol), factored_classify(s, i, j, tol)
             assert (dense is None) == (factored is None), (s.ctx.d, i, j, tol)
+            assert (dense is None) == (codes[tol][k] == -1), (s.ctx.d, i, j, tol)
             if dense is not None:
                 assert factored.category is dense.category, (s.ctx.d, i, j, tol)
+                assert categories[codes[tol][k]] is dense.category, (s.ctx.d, i, j, tol)
                 assert factored.support_count == dense.support_count, (s.ctx.d, i, j, tol)
                 assert factored.value == pytest.approx(dense.value, abs=1e-12)
 
@@ -353,6 +402,8 @@ def test_factored_route_matches_dense_oracle_on_every_pair(dims):
         sq = overlap_table(s, i, j) ** 2
         assert dense_classify(sq, s.ctx, 0.0) is None
         assert factored_classify(s, i, j, 0.0) is None
+    first, second = (np.array(side) for side in zip(*pairs))
+    assert (pair_categories(s, first, second, 0.0) == -1).all()
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)

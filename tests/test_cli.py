@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import wmub.bases
 import wmub.cli
 import wmub.geometry
-from wmub.bases import OverlapCategory, OverlapClass, build_wmub
+from wmub.bases import OverlapCategory, build_wmub
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.hilbert import OrthonormalBasis
 from wmub.zring import crt_context
@@ -116,6 +116,14 @@ def test_invalid_dims_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["lines", "wmub", "partitions", "verify"])
+def test_dims_above_the_modulus_cap_exit_2_naming_the_cap(capsys, command):
+    # 3 and 349529 are distinct odd primes; their product is above 2**20.
+    code, out, err = run_cli(capsys, [command, "--d1", "3", "--d2", "349529"])
+    assert code == 2 and out == ""
+    assert err == "d1*d2 = 1048587 exceeds the supported cap 1048576\n"
+
+
 def test_verify_success(capsys):
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 0
@@ -197,23 +205,33 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def test_verify_classifies_each_pair_once(capsys, monkeypatch):
-    basis_calls = count_calls(monkeypatch, wmub.bases.classify_pair)
-    line_calls = count_calls(monkeypatch, wmub.geometry.classify_line_pair)
+    # One factorization per catalog line, one array pass per side, and no
+    # per-pair call.
+    factorizations = count_calls(monkeypatch, wmub.geometry.factorize_line)
+    line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
+    basis_passes = count_calls(monkeypatch, wmub.bases.pair_categories)
+    single = count_calls(monkeypatch, wmub.bases.classify_pair)
+    single += count_calls(monkeypatch, wmub.geometry.classify_line_pair)
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 0
-    assert len(basis_calls) == len(line_calls) == 24 * 23 // 2
+    assert len(factorizations) == 24
+    assert len(line_passes) == len(basis_passes) == 1
+    assert len(line_passes[0][1]) == len(basis_passes[0][1]) == 24 * 23 // 2
+    assert single == []
 
 
 def relabel_pairs(monkeypatch, relabel: dict) -> None:
-    """Make classify_pair report the given categories for some pairs."""
-    real = wmub.bases.classify_pair
+    """Make the basis pair pass report the given categories for some pairs."""
+    real = wmub.bases.pair_categories
+    categories = tuple(OverlapCategory)
 
     def patched(s, i, j, tol=wmub.bases.OVERLAP_ATOL):
-        got = real(s, i, j, tol)
-        category = relabel.get((i, j), got.category)
-        return OverlapClass(category, got.value, got.support_count)
+        codes = real(s, i, j, tol).copy()
+        for (a, b), category in relabel.items():
+            codes[(i == a) & (j == b)] = categories.index(category)
+        return codes
 
-    monkeypatch.setattr(wmub.bases, "classify_pair", patched)
+    monkeypatch.setattr(wmub.bases, "pair_categories", patched)
 
 
 def test_verify_names_overlap_census_on_wrong_counts(capsys, monkeypatch):
@@ -257,6 +275,22 @@ def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
         "detail": "catalog entry 1: product route disagrees",
     }
     assert rows[-1]["detail"] == "FAIL catalog: catalog entry 1: product route disagrees"
+
+
+def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):
+    # Entry 7 (components (0, None)) gets the identity, which keeps the
+    # vertical line: the matrix route fails while the product route holds.
+    real = wmub.geometry.sweep_matrix
+
+    def patched(ctx, lam1, lam2):
+        if (lam1, lam2) == (0, None):
+            return wmub.geometry.SymplecticMatrix.identity(ctx.d)
+        return real(ctx, lam1, lam2)
+
+    monkeypatch.setattr(wmub.geometry, "sweep_matrix", patched)
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == "FAIL catalog: catalog entry 7: matrix route disagrees"
 
 
 def test_verify_names_line_census_on_a_failed_cross_check(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import wmub.geometry
 from wmub.geometry import (
     DetNotOne,
     LineRelation,
@@ -377,9 +378,36 @@ def test_classify_pair_examples(catalog15, ctx15):
 def test_classify_line_pair_matches_point_set_intersection(catalogs):
     # Brute-force oracle for the determinant route: count common points.
     for d, catalog in catalogs.items():
-        for (i, j), got in catalog.pair_classes:
+        pairs = catalog.pair_classes
+        for i, j, size in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.size.tolist()):
             a, b = catalog.entry(i).line, catalog.entry(j).line
-            assert got.intersection_size == len(a.point_set & b.point_set)
+            assert size == len(a.point_set & b.point_set)
+
+
+def test_pair_classes_cover_every_pair_in_row_major_order(catalogs):
+    for d, catalog in catalogs.items():
+        n = len(catalog)
+        pairs = catalog.pair_classes
+        expected = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        assert list(zip(pairs.i.tolist(), pairs.j.tolist())) == expected
+        assert len(pairs.size) == len(expected)
+
+
+def test_pair_pass_raises_at_the_first_disagreeing_pair(ctx15, monkeypatch):
+    # Line 24 claims the components of line 1, and line 3 those of line 2.
+    # Pair (1, 24) comes first in row-major order (predicted 5, actual 1);
+    # pair (2, 3) would come first by column (predicted 5, actual 3).
+    catalog = maximal_line_catalog(ctx15)
+    real = {e.line: factorize_line(e.line, ctx15) for e in catalog}
+    claimed = {catalog.entry(24).line: real[catalog.entry(1).line],
+               catalog.entry(3).line: real[catalog.entry(2).line]}
+    monkeypatch.setattr(
+        wmub.geometry, "factorize_line", lambda l, ctx: claimed.get(l, real[l])
+    )
+    with pytest.raises(
+        RuntimeError, match=r"^component rule predicts 5 common points, determinant gives 1$"
+    ):
+        catalog.pair_classes
 
 
 def test_pair_census(contexts, catalogs):
