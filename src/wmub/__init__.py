@@ -15,11 +15,13 @@ from .bases import (
     WmubSet,
     build_wmub,
     classify_pair,
+    conjugation_bound,
     duality_report,
     overlap_table,
     pair_categories,
     partition_bases,
     symplectic_label_defect,
+    unitarity_bound,
     wmub_census,
 )
 from .geometry import (
@@ -55,7 +57,9 @@ from .hilbert import (
     OrthonormalBasis,
     UnsupportedMatrix,
     assemble_tensor_basis,
+    check_crt_relabelling,
     conjugation_defect,
+    crt_index_maps,
     displacement,
     fourier,
     omega,

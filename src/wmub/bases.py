@@ -15,15 +15,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MaximalLineCatalog, catalog_index, redundancy, sweep_matrix
+from .geometry import (
+    MaximalLineCatalog,
+    SymplecticMatrix,
+    catalog_index,
+    matrix_factorize,
+    redundancy,
+    sweep_matrix,
+)
 from .hilbert import (
     MAX_DIM,
     DimTooLarge,
     OrthonormalBasis,
     assemble_tensor_basis,
+    check_crt_relabelling,
     conjugation_defect,
     overlaps,
     prime_mub,
+    unitarity_defect,
 )
 from .zring import CrtContext
 
@@ -124,19 +133,29 @@ class WmubSet:
     first-factor sweep, and the double sweep.  `factor_labels` holds the
     sweep value of each factor (None for the position basis); the
     symplectic labels are the entries of the catalog's sweep matrix with
-    the same index, which each assembled basis must realize.
-    `factor_mubs` holds the two prime-dimension families the bases were
-    assembled from, in `prime_mub` order.
+    the same index, which each basis must realize.  `factor_mubs` holds the
+    two prime-dimension families the bases are tensor products of, in
+    `prime_mub` order.  The d x d bases themselves are assembled only when
+    `bases` or `basis` is first read.
     """
 
     ctx: CrtContext
-    bases: tuple[OrthonormalBasis, ...]
     factor_labels: tuple[tuple[int | None, int | None], ...]
     symplectic_labels: tuple[tuple[int, int, int, int], ...]
     factor_mubs: tuple[tuple[OrthonormalBasis, ...], tuple[OrthonormalBasis, ...]]
 
     def __len__(self) -> int:
-        return len(self.bases)
+        return len(self.factor_labels)
+
+    @cached_property
+    def bases(self) -> tuple[OrthonormalBasis, ...]:
+        """The d x d bases in index order, each assembled from its two
+        factor bases; read by `overlap_table` and `symplectic_label_defect`."""
+        mubs1, mubs2 = self.factor_mubs
+        return tuple(
+            assemble_tensor_basis(mubs1[slot1], mubs2[slot2], self.ctx)
+            for slot1, slot2 in self.factor_slots
+        )
 
     def basis(self, j: int) -> OrthonormalBasis:
         return self.bases[j - 1]
@@ -161,7 +180,8 @@ class WmubSet:
 
 
 def build_wmub(ctx: CrtContext) -> WmubSet:
-    """Assemble the dedekind_psi(d) weak mutually unbiased bases.
+    """The dedekind_psi(d) weak mutually unbiased bases, as their labels and
+    the two prime-dimension factor families; no d x d matrix is formed.
 
     Raises DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM.
     """
@@ -169,15 +189,67 @@ def build_wmub(ctx: CrtContext) -> WmubSet:
         raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
     mubs1 = tuple(prime_mub(ctx.d1))
     mubs2 = tuple(prime_mub(ctx.d2))
-    slots: list[tuple[OrthonormalBasis, tuple[int | None, int | None], tuple[int, int, int, int]] | None]
+    slots: list[tuple[tuple[int | None, int | None], tuple[int, int, int, int]] | None]
     slots = [None] * ((ctx.d1 + 1) * (ctx.d2 + 1))
     for i1, lam1 in enumerate((None, *range(ctx.d1))):
         for i2, lam2 in enumerate((None, *range(ctx.d2))):
             j = catalog_index(ctx, i1, i2)
-            assembled = assemble_tensor_basis(mubs1[_slot(lam1)], mubs2[_slot(lam2)], ctx)
-            slots[j - 1] = (assembled, (lam1, lam2), sweep_matrix(ctx, lam1, lam2).entries)
-    bases, labels, symps = zip(*slots)
-    return WmubSet(ctx, tuple(bases), tuple(labels), tuple(symps), (mubs1, mubs2))
+            slots[j - 1] = ((lam1, lam2), sweep_matrix(ctx, lam1, lam2).entries)
+    labels, symps = zip(*slots)
+    return WmubSet(ctx, tuple(labels), tuple(symps), (mubs1, mubs2))
+
+
+def unitarity_bound(s: WmubSet) -> float:
+    """Upper bound on the max-norm unitarity defect of every basis, from the
+    factor families alone.
+
+    B^dag B is the CRT relabelling of (I + E1) (x) (I + E2) for the factor
+    defects E1 and E2, so with e_i the largest defect over the d_i+1 bases
+    of factor i, every |B^dag B - I| entry is at most e1 + e2 + e1*e2.
+    """
+    e1, e2 = (max(unitarity_defect(b.matrix) for b in mubs) for mubs in s.factor_mubs)
+    return e1 + e2 + e1 * e2
+
+
+def conjugation_bound(s: WmubSet) -> float:
+    """Upper bound on `symplectic_label_defect` over every basis, from the
+    factor families alone.
+
+    `check_crt_relabelling` certifies that the relabelling the bases are
+    assembled with turns X_d into X_d1^t1 (x) X_d2^t2, Z_d into
+    Z_d1 (x) Z_d2 and D_d(a, b) into D_d1(a, b*t1) (x) D_d2(a, b*t2).  So for
+    B = U1 (x) U2 relabelled, B X - D B is the relabelling of
+    (U1 X^t1 - D1^t1 U1) (x) U2 X^t2 + D1^t1 U1 (x) (U2 X^t2 - D2^t2 U2)
+    with (D1, D2) = `matrix_factorize` of the label, and likewise for Z
+    with power 1.  Row norms of a Kronecker product multiply, and
+    D^s (U X - D U) X^k has the row norms of U X - D U, so with r_i the
+    residual `conjugation_defect` of factor i against its component label
+    and c_i the largest row norm of U_i, the residual of B is at most
+    q1*r1*c2 + c1*q2*r2, where q_i = min(t_i, d_i - t_i) bounds the growth
+    of the X residual from X to X^t_i (X^t is also X^-(d_i - t_i)).  Each
+    (factor, factor basis, component label) is checked once.
+
+    Raises RuntimeError when the relabelling check fails.
+    """
+    ctx = s.ctx
+    check_crt_relabelling(ctx)
+    powers = (min(ctx.t1, ctx.d1 - ctx.t1), min(ctx.t2, ctx.d2 - ctx.t2))
+    terms: dict[tuple[int, int, tuple[int, int, int, int]], tuple[float, float]] = {}
+
+    def factor_terms(factor: int, slot: int, g: SymplecticMatrix) -> tuple[float, float]:
+        key = (factor, slot, g.entries)
+        if key not in terms:
+            u = s.factor_mubs[factor][slot].matrix
+            residual = conjugation_defect(g.d, u, g.entries)
+            terms[key] = powers[factor] * residual, float(np.linalg.norm(u, axis=1).max())
+        return terms[key]
+
+    worst = 0.0
+    for label, (slot1, slot2) in zip(s.symplectic_labels, s.factor_slots.tolist()):
+        g1, g2 = matrix_factorize(SymplecticMatrix(ctx.d, *label), ctx)
+        (r1, c1), (r2, c2) = factor_terms(0, slot1, g1), factor_terms(1, slot2, g2)
+        worst = max(worst, r1 * c2 + c1 * r2)
+    return worst
 
 
 def _check_indices(s: WmubSet, i: int, j: int) -> None:
@@ -232,8 +304,8 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     then reduces to products of factor-table extrema (`factor_extrema`):
     e.g. the d1**-0.5 template holds iff max T1 * max diag T2 - 1/d1,
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
-    No d x d table is formed; the stored d x d matrices are tied to their
-    labels by the unitarity and conjugation checks.  `pair_categories`
+    No d x d table is formed; `unitarity_bound` and `conjugation_bound`
+    tie the same factor families to the labels.  `pair_categories`
     runs the same test on many pairs at once.
 
     The matched category is returned with the on-support magnitude (from
@@ -319,7 +391,8 @@ def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
 
 
 def symplectic_label_defect(s: WmubSet, j: int) -> float:
-    """Conjugation residual of basis j against its d-dimensional label."""
+    """Conjugation residual of the assembled basis j against its
+    d-dimensional label; the dense route that `conjugation_bound` bounds."""
     return conjugation_defect(s.ctx.d, s.basis(j).matrix, s.symplectic_label(j))
 
 

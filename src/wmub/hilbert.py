@@ -190,21 +190,56 @@ def prime_mub(p: int) -> list[OrthonormalBasis]:
     return bases
 
 
+def crt_index_maps(ctx: CrtContext) -> tuple[np.ndarray, np.ndarray]:
+    """The index maps n -> n*t1 mod d1 and n -> n*t2 mod d2 (map2) of
+    C^d -> C^d1 (x) C^d2, as arrays over n in 0..d-1."""
+    idx = np.arange(ctx.d)
+    return idx * ctx.t1 % ctx.d1, idx * ctx.t2 % ctx.d2
+
+
+def check_crt_relabelling(ctx: CrtContext) -> None:
+    """Certify that the relabelling of `crt_index_maps` factorizes the
+    displacement operators: X_d becomes X_d1^t1 (x) X_d2^t2, Z_d becomes
+    Z_d1 (x) Z_d2, and the phase of D_d(a, b) splits, so that D_d(a, b)
+    becomes D_d1(a, b*t1) (x) D_d2(a, b*t2), the split `matrix_factorize`
+    encodes.
+
+    Each identity is one O(d) integer check on exponents of roots of unity:
+    omega_d^e = omega_d1^e1 * omega_d2^e2 exactly when e = e1*d2 + e2*d1
+    (mod d).  The Z identity also makes the relabelling a bijection.
+    Raises RuntimeError naming the first identity that fails.
+    """
+    d, d1, d2 = ctx.d, ctx.d1, ctx.d2
+    n = np.arange(d)
+    i1, i2 = crt_index_maps(ctx)
+
+    def joined(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+        return (e1 * d2 + e2 * d1) % d
+
+    for i, di, ti in ((i1, d1, ctx.t1), (i2, d2, ctx.t2)):
+        if not ((np.roll(i, -1) - i) % di == ti).all():
+            raise RuntimeError("CRT relabelling: X_d is not X_d1^t1 (x) X_d2^t2")
+    if not (joined(i1, i2) == n).all():
+        raise RuntimeError("CRT relabelling: Z_d is not Z_d1 (x) Z_d2")
+    # The phase of D(a, b) is omega(-2^-1*a*b); n runs over every value of a*b.
+    halves = (-mod_inverse(2, d1) * n * ctx.t1 % d1, -mod_inverse(2, d2) * n * ctx.t2 % d2)
+    if not (joined(*halves) == -mod_inverse(2, d) * n % d).all():
+        raise RuntimeError("CRT relabelling: the phase of D_d does not split")
+
+
 def assemble_tensor_basis(
     b1: OrthonormalBasis, b2: OrthonormalBasis, ctx: CrtContext
 ) -> OrthonormalBasis:
     """Tensor two factor bases into a basis of C^d, d = d1*d2.
 
-    Row and column labels both split through map2, so entry (n, m) is the
-    product of the factor entries at the scaled residues of n and m.  The
-    result is unitary whenever the factors are.
+    Row and column labels both split through `crt_index_maps`, so entry
+    (n, m) is the product of the factor entries at the scaled residues of n
+    and m.  The result is unitary whenever the factors are.
     """
     if b1.dim != ctx.d1 or b2.dim != ctx.d2:
         raise DimMismatch(
             f"factors of dimension {b1.dim}, {b2.dim} for d1={ctx.d1}, d2={ctx.d2}"
         )
-    idx = np.arange(ctx.d)
-    i1 = idx * ctx.t1 % ctx.d1
-    i2 = idx * ctx.t2 % ctx.d2
+    i1, i2 = crt_index_maps(ctx)
     matrix = b1.matrix[np.ix_(i1, i1)] * b2.matrix[np.ix_(i2, i2)]
     return OrthonormalBasis(ctx.d, matrix, f"[{b1.label}]x[{b2.label}]")

@@ -21,7 +21,7 @@ class InvalidDims(ValueError):
 
 
 class ModulusTooLarge(InvalidDims):
-    """d1*d2 is above MAX_MODULUS, though d1 < d2 are distinct odd primes."""
+    """d1, d2 or d1*d2 is above MAX_MODULUS."""
 
 
 def is_prime(n: int) -> bool:
@@ -147,6 +147,11 @@ class CrtContext:
 
 def crt_context(d1: int, d2: int) -> CrtContext:
     """Build the CRT context for d = d1*d2, distinct odd primes with d1 < d2."""
+    # Trial division takes sqrt(x) steps, so each factor meets the cap
+    # first; below it the primality test takes at most 1024 steps.
+    for name, x in (("d1", d1), ("d2", d2)):
+        if x > MAX_MODULUS:
+            raise ModulusTooLarge(f"{name} = {x} exceeds the supported cap {MAX_MODULUS}")
     for x in (d1, d2):
         if x == 2 or not is_prime(x):
             raise InvalidDims(f"{x} is not an odd prime")

@@ -14,16 +14,26 @@ from wmub.bases import (
     OverlapClass,
     build_wmub,
     classify_pair,
+    conjugation_bound,
     duality_report,
     overlap_table,
     pair_categories,
     partition_bases,
     symplectic_label_defect,
+    unitarity_bound,
     wmub_census,
 )
 from wmub.geometry import SharedComponent, classify_line_pair
-from wmub.hilbert import MAX_DIM, OrthonormalBasis, assemble_tensor_basis
+from wmub.hilbert import (
+    MAX_DIM,
+    OrthonormalBasis,
+    assemble_tensor_basis,
+    conjugation_defect,
+    unitarity_defect,
+)
 from wmub.zring import crt_context, dedekind_psi, is_prime
+
+from test_hilbert import dense_conjugation_defect
 
 # Symplectic labels of the d = 15 set in index order; same data as the
 # second column of tests/golden/bases_3_5.txt.
@@ -224,12 +234,12 @@ def generic_unitary(dim: int, seed: int = 2024) -> np.ndarray:
 
 
 def test_generic_basis_fits_no_template(wmub15):
-    # `classify_pair` reads the factor families, not the stored d x d
-    # matrices; in `verify` the conjugation check catches this set
-    # (tests/test_cli.py).
-    generic = OrthonormalBasis(15, generic_unitary(15), "generic")
-    tampered = replace(wmub15, bases=(wmub15.bases[0], generic, *wmub15.bases[2:]))
-    sq = overlap_table(tampered, 1, 2) ** 2
+    # A generic d x d unitary in place of basis 2 overlaps basis 1 in no
+    # template; a WmubSet holds only factor families, and a generic factor
+    # basis is caught by `classify_pair` (below) and by the conjugation
+    # check (tests/test_cli.py).
+    generic = generic_unitary(15)
+    sq = np.abs(generic.conj().T @ wmub15.basis(1).matrix) ** 2
     assert dense_classify(sq, wmub15.ctx, 1e-9) is None
     assert dense_classify(overlap_table(wmub15, 1, 2) ** 2, wmub15.ctx, 1e-9) is not None
 
@@ -289,7 +299,6 @@ def test_duality_violation_on_index_drift(catalogs, wmub15):
 
     drifted = replace(
         wmub15,
-        bases=swapped(wmub15.bases),
         factor_labels=swapped(wmub15.factor_labels),
         symplectic_labels=swapped(wmub15.symplectic_labels),
     )
@@ -415,3 +424,105 @@ def test_factored_route_matches_dense_oracle_at_every_supported_d(dims):
     assert_routes_agree(s, pairs, (1e-9,))
     categories = {classify_pair(s, i, j).category for i, j in pairs}
     assert categories == set(OverlapCategory)
+
+
+# ---------------------------------------------------------------------------
+# factored unitarity and conjugation bounds against the dense residuals
+# ---------------------------------------------------------------------------
+
+# The dense residuals sum d terms per entry where the factor residuals sum
+# d1 or d2, so on exact bases they may exceed the bounds by rounding alone
+# (by about 1e-15 at the supported d).
+BOUND_SLACK = 1e-13
+
+
+def tampered_factor(s, factor: int, slot: int, matrix: np.ndarray):
+    """The set with factor basis `slot` of factor `factor` replaced by `matrix`."""
+    mubs = list(s.factor_mubs)
+    family = list(mubs[factor])
+    family[slot] = OrthonormalBasis(family[slot].dim, matrix, "tampered")
+    mubs[factor] = tuple(family)
+    return replace(s, factor_mubs=tuple(mubs))
+
+
+def assembled(s, j: int) -> np.ndarray:
+    """Basis j alone; `s.basis(j)` would assemble the whole set."""
+    mubs1, mubs2 = s.factor_mubs
+    slot1, slot2 = s.factor_slots[j - 1]
+    return assemble_tensor_basis(mubs1[slot1], mubs2[slot2], s.ctx).matrix
+
+
+def assert_bounds_hold(s, indices) -> None:
+    # Each dense residual of the assembled bases, both conjugation routes.
+    unitarity, conjugation = unitarity_bound(s), conjugation_bound(s)
+    d = s.ctx.d
+    for j in indices:
+        u, label = assembled(s, j), s.symplectic_label(j)
+        assert unitarity_defect(u) <= unitarity + BOUND_SLACK, (d, j)
+        assert conjugation_defect(d, u, label) <= conjugation + BOUND_SLACK, (d, j)
+        assert dense_conjugation_defect(d, u, label) <= conjugation + BOUND_SLACK, (d, j)
+
+
+def using_slot(s, factor: int, slot: int) -> list[int]:
+    """Indices of the bases whose factor `factor` is factor basis `slot`."""
+    return [j + 1 for j in np.flatnonzero(s.factor_slots[:, factor] == slot)]
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_factored_bounds_hold_over_dense_residuals(dims):
+    s = supported_set(*dims)
+    assert unitarity_bound(s) < 1e-13 and conjugation_bound(s) < 1e-13
+    assert_bounds_hold(s, range(1, len(s) + 1))
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_factored_bounds_hold_under_small_factor_faults(dims):
+    # Faults far above rounding, so the bounds are tested, not the slack:
+    # small column phases on every factor basis, and every factor basis
+    # scaled by 1.1, which makes the term e1*e2 of the unitarity bound tight.
+    s = supported_set(*dims)
+    rng = np.random.default_rng(s.ctx.d)
+    phased, scaled = s, s
+    for factor, mubs in enumerate(s.factor_mubs):
+        for slot, b in enumerate(mubs):
+            phases = np.exp(1e-6j * (np.arange(b.dim) + rng.random(b.dim)))
+            phased = tampered_factor(phased, factor, slot, b.matrix * phases)
+            scaled = tampered_factor(scaled, factor, slot, 1.1 * b.matrix)
+    assert conjugation_bound(phased) > 1e-8
+    assert unitarity_bound(scaled) > 0.4
+    indices = range(1, len(s) + 1, max(1, len(s) // 24))
+    assert_bounds_hold(phased, indices)
+    # The dense conjugation route bounds nothing for a non-unitary basis.
+    for j in indices:
+        assert unitarity_defect(assembled(scaled, j)) <= unitarity_bound(scaled) + BOUND_SLACK
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_factored_conjugation_rejects_factor_faults(dims):
+    # Each fault in one factor basis, or a basis checked against its
+    # neighbour's label, lands above 1/(2d), the largest tolerance `verify`
+    # admits, and still bounds the dense residuals of the bases it touches.
+    # Under random column phases those exceed r1*c2 + c1*r2 at every d:
+    # the powers q_i in `conjugation_bound` are needed.
+    s = supported_set(*dims)
+    ceiling = 0.5 / s.ctx.d
+    rng = np.random.default_rng(s.ctx.d)
+    assert conjugation_bound(s) <= ceiling
+    for factor, mubs in enumerate(s.factor_mubs):
+        u = mubs[1].matrix
+        dim = len(u)
+        faults = {
+            "swapped columns": u[:, [1, 0, *range(2, dim)]],
+            "column phases": u * np.exp(2j * np.pi * rng.random(dim)),
+            "generic unitary": generic_unitary(dim, seed=s.ctx.d),
+        }
+        for name, matrix in faults.items():
+            tampered = tampered_factor(s, factor, 1, matrix)
+            assert conjugation_bound(tampered) > ceiling, (s.ctx.d, factor, name)
+            assert_bounds_hold(tampered, using_slot(s, factor, 1)[:3])
+    labels = list(s.symplectic_labels)
+    for j in (2, len(s) - 1):
+        labels[j - 1] = s.symplectic_labels[j]
+    neighbour = replace(s, symplectic_labels=tuple(labels))
+    assert conjugation_bound(neighbour) > ceiling
+    assert_bounds_hold(neighbour, (2, len(s) - 1))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import wmub.bases
 import wmub.cli
 import wmub.geometry
+import wmub.hilbert
 from wmub.bases import OverlapCategory, build_wmub
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.hilbert import OrthonormalBasis
@@ -156,6 +158,9 @@ def test_verify_over_tight_tolerance_fails_with_named_check(capsys):
         ["verify", "--d1", "3", "--d2", "37"],
         ["wmub", "--d1", "3", "--d2", "37"],
         ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"],
+        # above the 2**20 cap, rejected before the primality test
+        ["lines", "--d1", "3", "--d2", "1000000000000000003"],
+        ["verify", "--d1", "1000000000000000003", "--d2", "0"],
         # rejected by the argument parser
         ["verify", "--d1", "3", "--d2", "5", "--tolerance", "-1e-5"],
         ["verify", "--d2", "5"],
@@ -220,6 +225,19 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     assert single == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["wmub"], ["partitions", "--side", "bases"]],
+    ids=lambda argv: " ".join(argv),
+)
+def test_basis_commands_assemble_no_dense_basis(capsys, monkeypatch, argv):
+    # Every gate and table reads the prime-dimension factor families.
+    assembled = count_calls(monkeypatch, wmub.hilbert.assemble_tensor_basis)
+    code, _, _ = run_cli(capsys, [argv[0], "--d1", "3", "--d2", "5", *argv[1:]])
+    assert code == 0
+    assert assembled == []
+
+
 def relabel_pairs(monkeypatch, relabel: dict) -> None:
     """Make the basis pair pass report the given categories for some pairs."""
     real = wmub.bases.pair_categories
@@ -252,16 +270,29 @@ def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypat
 
 
 def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
-    # The overlap census reads the factor families, so a stored d x d basis
-    # that was not assembled from them is caught by the conjugation check.
+    # A generic unitary in place of a factor basis passes unitarity; the
+    # conjugation check, on the factor against its component label, fails.
     s = build_wmub(crt_context(3, 5))
     rng = np.random.default_rng(2024)
-    q, _ = np.linalg.qr(rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15)))
-    tampered = replace(s, bases=(s.bases[0], OrthonormalBasis(15, q, "generic"), *s.bases[2:]))
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    mubs1, mubs2 = s.factor_mubs
+    tampered = replace(s, factor_mubs=(mubs1, (mubs2[0], OrthonormalBasis(5, q, "generic"), *mubs2[2:])))
     monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: tampered)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.startswith("FAIL conjugation: max residual ")
+
+
+def test_verify_names_conjugation_on_a_wrong_crt_relabelling(capsys, monkeypatch):
+    # With t1 = 1 the index maps no longer turn X_d into X_d1^t1 (x) X_d2^t2
+    # (t1 = 2 at d = 15); the factor checks alone would not see it.
+    real = wmub.hilbert.crt_index_maps
+    monkeypatch.setattr(
+        wmub.hilbert, "crt_index_maps", lambda ctx: (np.arange(ctx.d) % ctx.d1, real(ctx)[1])
+    )
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == "FAIL conjugation: CRT relabelling: X_d is not X_d1^t1 (x) X_d2^t2"
 
 
 def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
@@ -344,3 +375,29 @@ def test_module_entry_point_matches_golden():
     )
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "lines_3_5.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["-m", "wmub"], ["-c", "import sys; from wmub.__main__ import run; sys.exit(run())"]],
+    ids=["python -m wmub", "wmub command"],
+)
+def test_entry_points_on_a_closed_pipe_exit_141_without_traceback(entry):
+    # As `python -m wmub ... | head -3` when the reader exits before the
+    # write: the read end is closed before the process starts.  The second
+    # entry is what the `wmub` console script runs.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *entry, "partitions", "--d1", "3", "--d2", "5",
+             "--side", "bases", "--format", "json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

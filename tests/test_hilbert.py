@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import wmub.hilbert
 from wmub.bases import build_wmub
 from wmub.geometry import SymplecticMatrix
 from wmub.hilbert import (
@@ -14,7 +15,9 @@ from wmub.hilbert import (
     NotOddPrime,
     UnsupportedMatrix,
     assemble_tensor_basis,
+    check_crt_relabelling,
     conjugation_defect,
+    crt_index_maps,
     displacement,
     fourier,
     omega,
@@ -260,6 +263,41 @@ def test_assemble_random_mub_factors_unitary():
             b2 = mubs2[rng.randrange(len(mubs2))]
             assembled = assemble_tensor_basis(b1, b2, ctx)
             assert unitarity_defect(assembled.matrix) < ATOL
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 5), (3, 7), (5, 19), (7, 13), (3, 31)])
+def test_crt_index_maps_factorize_the_displacements(d1, d2):
+    # The identities `check_crt_relabelling` certifies in O(d), against
+    # dense operators: P X P^dag = X^t1 (x) X^t2 and P D(a, b) P^dag =
+    # D(a, b*t1) (x) D(a, b*t2), with P|n> = |i1(n)> (x) |i2(n)>.
+    ctx = crt_context(d1, d2)
+    check_crt_relabelling(ctx)
+    i1, i2 = crt_index_maps(ctx)
+    p = np.zeros((ctx.d, ctx.d))
+    p[i1 * d2 + i2, np.arange(ctx.d)] = 1.0
+    x = np.kron(np.linalg.matrix_power(x_op(d1), ctx.t1), np.linalg.matrix_power(x_op(d2), ctx.t2))
+    assert np.abs(p @ x_op(ctx.d) @ p.T - x).max() < ATOL
+    for a, b in ((1, 0), (0, 1), (2, 3), (ctx.d - 1, 5)):
+        split = np.kron(displacement(d1, a, b * ctx.t1), displacement(d2, a, b * ctx.t2))
+        assert np.abs(p @ displacement(ctx.d, a, b) @ p.T - split).max() < ATOL
+
+
+def test_crt_relabelling_check_names_the_broken_identity(monkeypatch):
+    ctx = crt_context(3, 5)
+    real_maps, real_inverse = crt_index_maps, wmub.hilbert.mod_inverse
+    cases = [
+        # n -> n mod d1 (t1 = 1) turns X_d into X_d1 (x) X_d2^t2
+        ("crt_index_maps", lambda c: (np.arange(c.d) % c.d1, real_maps(c)[1]), "X_d is not"),
+        # a shifted first map keeps the steps but not the Z phases
+        ("crt_index_maps", lambda c: ((real_maps(c)[0] + 1) % c.d1, real_maps(c)[1]), "Z_d is not"),
+        # a wrong 2^-1 mod d in the D_d phase
+        ("mod_inverse", lambda a, m: real_inverse(a, m) + (m == ctx.d), "phase of D_d"),
+    ]
+    for name, fake, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(wmub.hilbert, name, fake)
+            with pytest.raises(RuntimeError, match=f"^CRT relabelling: .*{message}"):
+                check_crt_relabelling(ctx)
 
 
 def test_assemble_rejects_wrong_dimensions():
