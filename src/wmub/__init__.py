@@ -30,18 +30,15 @@ from .geometry import (
     Line,
     LinePairClass,
     LinePairs,
-    LineRelation,
     MaximalLineCatalog,
     ModulusMismatch,
     NotMaximal,
     SharedComponent,
     SymplecticMatrix,
+    catalog_layout,
     classify_line_pair,
     factorize_line,
-    intersection,
     line,
-    line_relation,
-    lines_through_origin,
     matrix_factorize,
     maximal_line_catalog,
     pair_census,

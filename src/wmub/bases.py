@@ -6,8 +6,9 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -18,10 +19,13 @@ import numpy as np
 from .geometry import (
     MaximalLineCatalog,
     SymplecticMatrix,
-    catalog_index,
+    catalog_layout,
+    component_index,
     matrix_factorize,
+    partition_lines,
     redundancy,
     sweep_matrix,
+    sweep_value,
 )
 from .hilbert import (
     MAX_DIM,
@@ -104,11 +108,6 @@ class FactorExtrema(NamedTuple):
         )
 
 
-def _slot(lam: int | None) -> int:
-    """Position in `prime_mub` order of the factor basis with sweep value lam."""
-    return 0 if lam is None else 1 + lam
-
-
 def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> FactorExtrema:
     """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, fields indexed [j, i]."""
     diagonal = np.eye(mubs[0].dim, dtype=bool)
@@ -128,15 +127,13 @@ def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> FactorExtrema:
 class WmubSet:
     """The indexed family of weak mutually unbiased bases over C^d.
 
-    Indexing is 1-based and identical to the maximal-line catalog layout:
-    position (x) position first, then the second-factor sweep, the
-    first-factor sweep, and the double sweep.  `factor_labels` holds the
-    sweep value of each factor (None for the position basis); the
-    symplectic labels are the entries of the catalog's sweep matrix with
-    the same index, which each basis must realize.  `factor_mubs` holds the
-    two prime-dimension families the bases are tensor products of, in
-    `prime_mub` order.  The d x d bases themselves are assembled only when
-    `bases` or `basis` is first read.
+    Indexing is 1-based and follows `catalog_layout`.  `factor_labels`
+    holds the sweep value of each factor (None for the position basis);
+    the symplectic labels are the entries of the catalog's sweep matrix
+    with the same index, which each basis must realize.  `factor_mubs`
+    holds the two prime-dimension families the bases are tensor products
+    of, in `prime_mub` order.  The d x d bases themselves are assembled
+    only when `bases` or `basis` is first read.
     """
 
     ctx: CrtContext
@@ -176,7 +173,7 @@ class WmubSet:
     @cached_property
     def factor_slots(self) -> np.ndarray:
         """[j - 1, factor]: the position in `factor_mubs` of each factor of basis j."""
-        return np.array([[_slot(lam1), _slot(lam2)] for lam1, lam2 in self.factor_labels])
+        return np.array([[component_index(lam) for lam in label] for label in self.factor_labels])
 
 
 def build_wmub(ctx: CrtContext) -> WmubSet:
@@ -189,14 +186,9 @@ def build_wmub(ctx: CrtContext) -> WmubSet:
         raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
     mubs1 = tuple(prime_mub(ctx.d1))
     mubs2 = tuple(prime_mub(ctx.d2))
-    slots: list[tuple[tuple[int | None, int | None], tuple[int, int, int, int]] | None]
-    slots = [None] * ((ctx.d1 + 1) * (ctx.d2 + 1))
-    for i1, lam1 in enumerate((None, *range(ctx.d1))):
-        for i2, lam2 in enumerate((None, *range(ctx.d2))):
-            j = catalog_index(ctx, i1, i2)
-            slots[j - 1] = ((lam1, lam2), sweep_matrix(ctx, lam1, lam2).entries)
-    labels, symps = zip(*slots)
-    return WmubSet(ctx, tuple(labels), tuple(symps), (mubs1, mubs2))
+    labels = tuple(tuple(map(sweep_value, c)) for c in catalog_layout(ctx).components.tolist())
+    symps = tuple(sweep_matrix(ctx, *label).entries for label in labels)
+    return WmubSet(ctx, labels, symps, (mubs1, mubs2))
 
 
 def unitarity_bound(s: WmubSet) -> float:
@@ -368,26 +360,9 @@ def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, 
 
 
 def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
-    """Partition the set into d2+1 groups of d1+1 pairwise unbiased bases.
-
-    Group l collects the bases with factor sweep indices (i, i+l), the
-    second index cyclic over the d2+1 factor bases; same layout as the
-    line partition.  Membership is resolved from the stored factor labels.
-    """
-    ctx = s.ctx
-    by_label = {s.factor_label(j): j for j in range(1, len(s) + 1)}
-
-    def label(i: int) -> int | None:
-        return None if i == 0 else i - 1
-
-    sets = []
-    for l in range(ctx.d2 + 1):
-        members = sorted(
-            by_label[(label(i), label((i + l) % (ctx.d2 + 1)))]
-            for i in range(ctx.d1 + 1)
-        )
-        sets.append(tuple(members))
-    return sets
+    """Partition the set into d2+1 groups of d1+1 pairwise unbiased bases,
+    as sorted indices: the sets of `catalog_layout`, as for the lines."""
+    return catalog_layout(s.ctx).sets
 
 
 def symplectic_label_defect(s: WmubSet, j: int) -> float:
@@ -398,10 +373,14 @@ def symplectic_label_defect(s: WmubSet, j: int) -> float:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """The two censuses, and the category code of every basis pair in the
+    row-major order of the catalog's `pair_classes` (as `pair_categories`)."""
+
     ctx: CrtContext
     line_census: dict[int, int]
     overlap_census: dict[OverlapCategory, int]
     redundancy: Fraction
+    categories: np.ndarray = field(compare=False)
 
 
 def duality_report(
@@ -435,4 +414,22 @@ def duality_report(
             f"against overlap class {_CATEGORIES[codes[k]].value}",
             overlap_census,
         )
-    return DualityReport(ctx, pairs.census(ctx), overlap_census, redundancy(ctx.d))
+    return DualityReport(ctx, pairs.census(ctx), overlap_census, redundancy(ctx.d), codes)
+
+
+def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, report: DualityReport) -> bool:
+    """What the paper claims of the partition grids, read from the two pair
+    passes: each covers 1..psi exactly once, the lines of each set meet
+    pairwise only at the origin, and the bases of each group are unbiased."""
+    psi = len(catalog)
+    for sets, fits in (
+        (partition_lines(catalog.ctx), catalog.pair_classes.size == 1),
+        (partition_bases(s), report.categories == _CATEGORIES.index(OverlapCategory.FULL)),
+    ):
+        if sorted(itertools.chain(*sets)) != list(range(1, psi + 1)):
+            return False
+        a, b = np.array([p for group in sets for p in itertools.combinations(sorted(group), 2)]).T
+        # (a, b) sits at this position in the row-major order of the pair passes.
+        if not fits[(a - 1) * psi - (a - 1) * a // 2 + (b - a - 1)].all():
+            return False
+    return True

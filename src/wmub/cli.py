@@ -21,6 +21,7 @@ from .bases import (
     conjugation_bound,
     duality_report,
     partition_bases,
+    partitions_hold,
     unitarity_bound,
 )
 from .geometry import maximal_line_catalog, pair_census, partition_lines, redundancy
@@ -278,8 +279,8 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     if not v.record("duality", violation is None, detail):
         return v
 
-    grids_equal = partition_lines(ctx, catalog) == partition_bases(s)
-    if not v.record("partitions", grids_equal, "line and basis grids compared"):
+    holds = partitions_hold(catalog, s, report)
+    if not v.record("partitions", holds, "line and basis grids compared"):
         return v
 
     r = redundancy(ctx.d)

@@ -1,7 +1,7 @@
-"""Lines through the origin of Z(d) x Z(d), the symplectic group acting on
-them, and the combinatorics special to d = d1*d2 (distinct odd primes):
-component-line factorization, the indexed catalog of maximal lines, pair
-classification by intersection size, and the origin-only partition."""
+"""Lines through the origin of Z(d) x Z(d) as generators, the symplectic
+group acting on them, and the combinatorics special to d = d1*d2 (distinct
+odd primes): component-line factorization, the one catalog layout and the
+catalog of maximal lines, pair classification, and the partition."""
 
 from __future__ import annotations
 
@@ -40,29 +40,29 @@ def units(d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Line:
-    """The cyclic module {(a*nu, a*mu) : a in Z(d)}.
+    """The cyclic module {(a*nu, a*mu) : a in Z(d)}, kept as its generator.
 
-    Two generators give the same line exactly when they differ by a unit
-    factor, so equality and hashing go through `canonical`, the
-    lexicographically smallest unit multiple of the generator.
+    It has d / gcd(nu, mu, d) points.  Two generators give the same line
+    exactly when they differ by a unit factor, so equality and hashing go
+    through `canonical`, the lexicographically smallest unit multiple of
+    the generator, found on first use.
     """
 
     d: int
     generator: tuple[int, int]
-    canonical: tuple[int, int]
-    points: tuple[tuple[int, int], ...]
 
     @cached_property
-    def point_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.points)
+    def canonical(self) -> tuple[int, int]:
+        nu, mu = self.generator
+        return min((nu * u % self.d, mu * u % self.d) for u in units(self.d))
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.d // math.gcd(*self.generator, self.d)
 
     @property
     def is_maximal(self) -> bool:
-        return len(self.points) == self.d
+        return self.size == self.d
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Line):
@@ -72,75 +72,13 @@ class Line:
     def __hash__(self) -> int:
         return hash((self.d, self.canonical))
 
-    def __repr__(self) -> str:
-        return f"Line(d={self.d}, generator={self.generator})"
-
 
 def line(d: int, nu: int, mu: int) -> Line:
-    """Materialize the line through the origin generated by (nu, mu).
-
-    Coordinates are reduced to [0, d).  The point count is
-    d / gcd(nu, mu, d); the all-zero generator yields the one-point line.
-    """
+    """The line through the origin generated by (nu, mu), with coordinates
+    reduced to [0, d); the all-zero generator yields the one-point line."""
     if d < 2:
         raise ValueError(f"modulus must be >= 2, got {d}")
-    nu %= d
-    mu %= d
-    pts = sorted({(nu * a % d, mu * a % d) for a in range(d)})
-    canonical = min(((nu * u % d, mu * u % d) for u in units(d)))
-    return Line(d, (nu, mu), canonical, tuple(pts))
-
-
-class LineRelation(Enum):
-    EQUAL = "equal"
-    A_SUB_B = "a-inside-b"
-    B_SUB_A = "b-inside-a"
-    NEITHER = "neither"
-
-
-def _same_modulus(a: Line, b: Line) -> None:
-    if a.d != b.d:
-        raise ModulusMismatch(f"lines over Z({a.d}) and Z({b.d})")
-
-
-def line_relation(a: Line, b: Line) -> LineRelation:
-    """Compare two lines over the same ring as point sets."""
-    _same_modulus(a, b)
-    if a.canonical == b.canonical:
-        return LineRelation.EQUAL
-    if a.point_set < b.point_set:
-        return LineRelation.A_SUB_B
-    if b.point_set < a.point_set:
-        return LineRelation.B_SUB_A
-    return LineRelation.NEITHER
-
-
-def intersection(a: Line, b: Line) -> tuple[tuple[int, int], ...]:
-    """Common points of two lines, sorted; always contains the origin."""
-    _same_modulus(a, b)
-    return tuple(sorted(a.point_set & b.point_set))
-
-
-def lines_through_origin(d: int) -> dict[int, list[Line]]:
-    """All lines through the origin with more than one point, keyed by size.
-
-    Found by sweeping every generator and deduplicating on the canonical
-    form.  For each divisor k > 1 of d there are dedekind_psi(k) lines of
-    size k.
-    """
-    seen: dict[tuple[int, int], Line] = {}
-    for nu in range(d):
-        for mu in range(d):
-            found = line(d, nu, mu)
-            seen.setdefault(found.canonical, found)
-    by_size: dict[int, list[Line]] = {}
-    for found in seen.values():
-        if found.size > 1:
-            by_size.setdefault(found.size, []).append(found)
-    return {
-        size: sorted(group, key=lambda l: l.canonical)
-        for size, group in sorted(by_size.items())
-    }
+    return Line(d, (nu % d, mu % d))
 
 
 # ---------------------------------------------------------------------------
@@ -175,29 +113,9 @@ class SymplecticMatrix:
     def entries(self) -> tuple[int, int, int, int]:
         return self.kappa, self.lam, self.mu, self.nu
 
-    def compose(self, other: SymplecticMatrix) -> SymplecticMatrix:
-        if self.d != other.d:
-            raise ModulusMismatch(f"matrices over Z({self.d}) and Z({other.d})")
-        return SymplecticMatrix(
-            self.d,
-            self.kappa * other.kappa + self.lam * other.mu,
-            self.kappa * other.lam + self.lam * other.nu,
-            self.mu * other.kappa + self.nu * other.mu,
-            self.mu * other.lam + self.nu * other.nu,
-        )
-
-    def inverse(self) -> SymplecticMatrix:
-        return SymplecticMatrix(self.d, self.nu, -self.lam, -self.mu, self.kappa)
-
     def act_point(self, point: tuple[int, int]) -> tuple[int, int]:
         x, y = point
         return (self.kappa * x + self.lam * y) % self.d, (self.mu * x + self.nu * y) % self.d
-
-    def act_line(self, l: Line) -> Line:
-        """Image line; same point count as the input (the action permutes lines)."""
-        if l.d != self.d:
-            raise ModulusMismatch(f"matrix over Z({self.d}), line over Z({l.d})")
-        return line(self.d, *self.act_point(l.generator))
 
     def token(self) -> str:
         return f"g({self.kappa},{self.lam}|{self.mu},{self.nu})"
@@ -247,15 +165,23 @@ def product_generator(
     return ctx.map1_join(comp1[0], comp2[0]), ctx.map2_join(comp1[1], comp2[1])
 
 
-def product_points(
-    comp1: Line, comp2: Line, ctx: CrtContext
-) -> frozenset[tuple[int, int]]:
-    """Point set of the product of two component lines under the point map."""
-    return frozenset(
-        ctx.point_unmap(m1, m2, n1, n2)
-        for (m1, n1) in comp1.points
-        for (m2, n2) in comp2.points
-    )
+def check_point_map(ctx: CrtContext) -> None:
+    """Certify in one pass over Z(d) that each CRT join undoes its split
+    (map1 on the first coordinate, map2 on the second), or raise RuntimeError.
+    Both sides have d elements, so the linear point map is then an
+    isomorphism Z(d)^2 -> Z(d1)^2 x Z(d2)^2: it sends the line of (nu, mu)
+    onto the product of the component lines of `split_generator(nu, mu)`."""
+    m = np.arange(ctx.d)
+    for name, split, join in (("map1", ctx.map1_split, ctx.map1_join),
+                              ("map2", ctx.map2_split, ctx.map2_join)):
+        if not (join(*split(m)) == m).all():
+            raise RuntimeError(f"CRT point map: {name}_join does not invert {name}_split")
+
+
+def _same_prime_line(a: tuple[int, int], b: tuple[int, int], p: int) -> bool:
+    """Whether a and b span the same line over Z(p): a zero determinant, and both or neither zero."""
+    zero = lambda v: v[0] % p == 0 and v[1] % p == 0
+    return (a[0] * b[1] - a[1] * b[0]) % p == 0 and zero(a) == zero(b)
 
 
 # ---------------------------------------------------------------------------
@@ -331,59 +257,78 @@ class MaximalLineCatalog:
         return LinePairs(i + 1, j + 1, sizes)
 
 
-def catalog_index(ctx: CrtContext, i1: int, i2: int) -> int:
-    """1-based catalog index of the entry with component indices (i1, i2).
+class CatalogLayout(NamedTuple):
+    """The one index layout of the catalog and the basis set.
 
-    Component index 0 means the vertical line, index k >= 1 the sweep value
-    lam = k - 1.  The layout is: the all-vertical entry first, then the
-    second-component sweep, then the first-component sweep, then the double
-    sweep in row-major order.
+    `components[index - 1]` holds the component indices (i1, i2) of each
+    1-based index: the all-vertical entry first, then the second-component
+    sweep, the first-component sweep, and the double sweep in row-major
+    order.  `sets[n]` holds the sorted indices of the components
+    (i, i+n mod d2+1) for i = 0..d1: the origin-only partition.
     """
+
+    components: np.ndarray
+    sets: list[tuple[int, ...]]
+
+
+def catalog_layout(ctx: CrtContext) -> CatalogLayout:
     d1, d2 = ctx.d1, ctx.d2
-    if not (0 <= i1 <= d1 and 0 <= i2 <= d2):
-        raise ValueError(f"component indices ({i1}, {i2}) out of range")
-    if i1 == 0 and i2 == 0:
-        return 1
-    if i1 == 0:
-        return 2 + (i2 - 1)
-    if i2 == 0:
-        return 2 + d2 + (i1 - 1)
-    return 2 + d1 + d2 + (i2 - 1) + (i1 - 1) * d2
+    components = np.array(
+        [(0, 0)]
+        + [(0, k2) for k2 in range(1, d2 + 1)]
+        + [(k1, 0) for k1 in range(1, d1 + 1)]
+        + [(k1, k2) for k1 in range(1, d1 + 1) for k2 in range(1, d2 + 1)]
+    )
+    index = np.empty((d1 + 1, d2 + 1), dtype=np.int64)
+    index[components[:, 0], components[:, 1]] = np.arange(1, len(components) + 1)
+    i = np.arange(d1 + 1)
+    grid = index[i, (i + np.arange(d2 + 1)[:, None]) % (d2 + 1)]  # [n, i]
+    return CatalogLayout(components, [tuple(row) for row in np.sort(grid, axis=1).tolist()])
+
+
+def partition_lines(ctx: CrtContext) -> list[tuple[int, ...]]:
+    """Partition the catalog into d2+1 sets of d1+1 lines meeting only at 0,
+    as sorted catalog indices: the sets of `catalog_layout`."""
+    return catalog_layout(ctx).sets
+
+
+def sweep_value(k: int) -> int | None:
+    """Component index 0 is the vertical line (the position basis), index
+    k >= 1 the sweep value k - 1 (also its position in `prime_mub` order)."""
+    return None if k == 0 else k - 1
+
+
+def component_index(lam: int | None) -> int:
+    return 0 if lam is None else lam + 1
 
 
 def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
-    """Enumerate all dedekind_psi(d) maximal lines in the standard order.
+    """Enumerate all dedekind_psi(d) maximal lines in `catalog_layout` order.
 
-    Every entry is verified on construction in both of its guises: the
-    attached matrix must map the vertical line onto it, and its point set
-    must equal the product of its component lines under the point map.
-    The matrix route compares generators: over squarefree d two maximal
-    lines are equal iff det[a; b] = 0 (mod d), and the image g*(0, 1) of the
-    vertical line is maximal because g is invertible (the entry line is
-    maximal once the product route matches its d points).
+    Every entry is verified on construction in both of its guises, from
+    generators alone.  Product route: with the point map certified once
+    per context, the entry line is the product of its component lines iff
+    its split generator spans comp1 over Z(d1) and comp2 over Z(d2), and
+    gcd(nu, mu, d) = 1 makes it maximal.  Matrix route: the attached matrix
+    must map the vertical line onto it; over squarefree d two maximal lines
+    are equal iff det[a; b] = 0 (mod d).
     """
-    comp_lines = {
-        1: {lam: line(ctx.d1, *component_generator(ctx.d1, lam)) for lam in (None, *range(ctx.d1))},
-        2: {lam: line(ctx.d2, *component_generator(ctx.d2, lam)) for lam in (None, *range(ctx.d2))},
-    }
+    check_point_map(ctx)
     entries = []
-    for i1, lam1 in enumerate((None, *range(ctx.d1))):
-        for i2, lam2 in enumerate((None, *range(ctx.d2))):
-            index = catalog_index(ctx, i1, i2)
-            comp1 = component_generator(ctx.d1, lam1)
-            comp2 = component_generator(ctx.d2, lam2)
-            generator = product_generator(comp1, comp2, ctx)
-            entry_line = line(ctx.d, *generator)
-            matrix = sweep_matrix(ctx, lam1, lam2)
-            (x, y), (nu, mu) = matrix.act_point((0, 1)), entry_line.generator
-            if (x * mu - y * nu) % ctx.d:
-                raise RuntimeError(f"catalog entry {index}: matrix route disagrees")
-            if product_points(comp_lines[1][lam1], comp_lines[2][lam2], ctx) != entry_line.point_set:
-                raise RuntimeError(f"catalog entry {index}: product route disagrees")
-            entries.append(
-                CatalogEntry(index, entry_line, generator, matrix, comp1, comp2, lam1, lam2)
-            )
-    entries.sort(key=lambda e: e.index)
+    for index, (i1, i2) in enumerate(catalog_layout(ctx).components.tolist(), start=1):
+        lam1, lam2 = sweep_value(i1), sweep_value(i2)
+        comp1, comp2 = component_generator(ctx.d1, lam1), component_generator(ctx.d2, lam2)
+        nu, mu = generator = product_generator(comp1, comp2, ctx)
+        raw1, raw2 = split_generator(generator, ctx)
+        if math.gcd(nu, mu, ctx.d) != 1 or not (
+            _same_prime_line(raw1, comp1, ctx.d1) and _same_prime_line(raw2, comp2, ctx.d2)
+        ):
+            raise RuntimeError(f"catalog entry {index}: product route disagrees")
+        matrix = sweep_matrix(ctx, lam1, lam2)
+        x, y = matrix.act_point((0, 1))
+        if (x * mu - y * nu) % ctx.d:
+            raise RuntimeError(f"catalog entry {index}: matrix route disagrees")
+        entries.append(CatalogEntry(index, line(ctx.d, nu, mu), generator, matrix, comp1, comp2, lam1, lam2))
     if len(entries) != dedekind_psi(ctx.d):
         raise RuntimeError("catalog size does not match the maximal-line count")
     return MaximalLineCatalog(ctx, tuple(entries))
@@ -456,10 +401,8 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
     return LinePairClass(size, shared[size])
 
 
-def pair_census(ctx: CrtContext, catalog: MaximalLineCatalog | None = None) -> dict[int, int]:
+def pair_census(ctx: CrtContext, catalog: MaximalLineCatalog) -> dict[int, int]:
     """Counts of unordered maximal-line pairs keyed by intersection size."""
-    if catalog is None:
-        catalog = maximal_line_catalog(ctx)
     return catalog.pair_classes.census(ctx)
 
 
@@ -495,32 +438,3 @@ def matrix_factorize(
         SymplecticMatrix(ctx.d1, k1, l1 * ctx.r1, m1, n1),
         SymplecticMatrix(ctx.d2, k2, l2 * ctx.r2, m2, n2),
     )
-
-
-# ---------------------------------------------------------------------------
-# origin-only partition
-# ---------------------------------------------------------------------------
-
-def partition_lines(
-    ctx: CrtContext, catalog: MaximalLineCatalog | None = None
-) -> list[tuple[int, ...]]:
-    """Partition the catalog into d2+1 sets of d1+1 lines meeting only at 0.
-
-    Set n collects the entries whose component indices are (i, i+n) with the
-    second index cyclic over the d2+1 component lines; membership is found by
-    matching component generators, and each set is reported as sorted
-    catalog indices.
-    """
-    if catalog is None:
-        catalog = maximal_line_catalog(ctx)
-    by_components = {(e.comp1, e.comp2): e.index for e in catalog.entries}
-    first = [component_generator(ctx.d1, lam) for lam in (None, *range(ctx.d1))]
-    second = [component_generator(ctx.d2, lam) for lam in (None, *range(ctx.d2))]
-    sets = []
-    for n in range(ctx.d2 + 1):
-        members = sorted(
-            by_components[(first[i], second[(i + n) % (ctx.d2 + 1)])]
-            for i in range(ctx.d1 + 1)
-        )
-        sets.append(tuple(members))
-    return sets

@@ -110,7 +110,7 @@ class CrtContext:
     with the orthogonal idempotents s1, s2.  The second map scales the
     residues by t_i = r_i^{-1} mod d_i and rebuilds with r1 = d2, r2 = d1.
     Positions and line slopes factor through the second map, momenta and
-    line "x-coordinates" through the first.
+    line "x-coordinates" through the first.  Both also map integer arrays.
     """
 
     d1: int
@@ -134,15 +134,6 @@ class CrtContext:
 
     def map2_join(self, mbar1: int, mbar2: int) -> int:
         return (mbar1 * self.r1 + mbar2 * self.r2) % self.d
-
-    def point_map(self, m: int, n: int) -> tuple[int, int, int, int]:
-        """Split a phase-plane point: first coordinate by map1, second by map2."""
-        m1, m2 = self.map1_split(m)
-        n1, n2 = self.map2_split(n)
-        return m1, m2, n1, n2
-
-    def point_unmap(self, m1: int, m2: int, nbar1: int, nbar2: int) -> tuple[int, int]:
-        return self.map1_join(m1, m2), self.map2_join(nbar1, nbar2)
 
 
 def crt_context(d1: int, d2: int) -> CrtContext:

@@ -342,7 +342,8 @@ SUPPORTED_DIMS = [
 ]
 
 
-@lru_cache(maxsize=None)
+# One set at a time: the dense-oracle tests assemble its d x d bases.
+@lru_cache(maxsize=1)
 def supported_set(d1: int, d2: int):
     return build_wmub(crt_context(d1, d2))
 

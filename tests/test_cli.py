@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -296,7 +297,9 @@ def test_verify_names_conjugation_on_a_wrong_crt_relabelling(capsys, monkeypatch
 
 
 def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
-    monkeypatch.setattr(wmub.geometry, "product_points", lambda *args: frozenset())
+    # Every entry generator splits into zero component generators, so the
+    # product route fails on the first entry.
+    monkeypatch.setattr(wmub.geometry, "split_generator", lambda generator, ctx: ((0, 0), (0, 0)))
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5", "--json"])
     assert code == 1
     rows = json.loads(out)["rows"]
@@ -306,6 +309,68 @@ def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
         "detail": "catalog entry 1: product route disagrees",
     }
     assert rows[-1]["detail"] == "FAIL catalog: catalog entry 1: product route disagrees"
+
+
+def test_verify_names_catalog_on_a_wrong_component_generator(capsys, monkeypatch):
+    # Entry 7 records the components L1(1,0) and L2(0,1) but its generator is
+    # joined from L1(1,2): the matrix route would fail too, but the product
+    # route runs first.
+    real = wmub.geometry.product_generator
+
+    def patched(comp1, comp2, ctx):
+        if (comp1, comp2) == ((1, 0), (0, 1)):
+            comp1 = (1, 2)
+        return real(comp1, comp2, ctx)
+
+    monkeypatch.setattr(wmub.geometry, "product_generator", patched)
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == "FAIL catalog: catalog entry 7: product route disagrees"
+
+
+def test_verify_names_catalog_on_a_wrong_crt_idempotent(capsys, monkeypatch):
+    # With s1 = 11 instead of 10 at d = 15, map1_join no longer inverts
+    # map1_split.  The sweep matrices would lose their unit determinant on
+    # such a context, so the basis set comes from the right one.
+    ctx = crt_context(3, 5)
+    s = build_wmub(ctx)
+    monkeypatch.setattr(wmub.cli, "crt_context", lambda d1, d2: replace(ctx, s1=ctx.s1 + 1))
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: s)
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == "FAIL catalog: CRT point map: map1_join does not invert map1_split"
+
+
+def swap_members(sets):
+    """Members 1 and 2 trade places between the first two sets."""
+    sets = [list(group) for group in sets]
+    sets[0][sets[0].index(1)], sets[1][sets[1].index(2)] = 2, 1
+    return [tuple(sorted(group)) for group in sets]
+
+
+def duplicate_member(sets):
+    """The last member of the first set repeats the last of the second."""
+    sets = list(sets)
+    sets[0] = (*sets[0][:-1], sets[1][-1])
+    return sets
+
+
+@pytest.mark.parametrize("grid", ["partition_lines", "partition_bases"])
+@pytest.mark.parametrize("fault", [swap_members, duplicate_member])
+def test_verify_names_partitions_on_a_wrong_grid(capsys, monkeypatch, grid, fault):
+    real = getattr(wmub.bases, grid)
+    monkeypatch.setattr(wmub.bases, grid, lambda arg: fault(real(arg)))
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1
+    assert out.strip() == "FAIL partitions: line and basis grids compared"
+
+
+def test_lines_table_at_d_3007_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, ["lines", "--d1", "31", "--d2", "97"])
+    assert code == 0 and len(out.splitlines()) == 32 * 98
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b0c3347c8d9b5a28da05908c7835f69f73e82f4afb31190300de54e30e018dd6"
+    )
 
 
 def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,26 +11,36 @@ import pytest
 import wmub.geometry
 from wmub.geometry import (
     DetNotOne,
-    LineRelation,
     ModulusMismatch,
     NotMaximal,
     SharedComponent,
     SymplecticMatrix,
+    catalog_layout,
+    check_point_map,
     classify_line_pair,
     factorize_line,
-    intersection,
     line,
-    line_relation,
-    lines_through_origin,
     matrix_factorize,
     maximal_line_catalog,
     pair_census,
     partition_lines,
-    product_points,
     redundancy,
     split_generator,
 )
 from wmub.zring import crt_context, dedekind_psi, jordan_j2
+
+from oracles import (
+    LineRelation,
+    act_line,
+    compose,
+    intersection,
+    inverse,
+    line_relation,
+    lines_through_origin,
+    point_set,
+    points,
+    product_points,
+)
 
 # The d = 15 catalog, row by row: display generator, matrix entries,
 # component generators.  Same data as tests/golden/lines_3_5.txt, kept here
@@ -97,15 +109,26 @@ def test_line_examples():
     assert maximal.size == 15 and maximal.is_maximal
     small = line(15, 5, 10)
     assert small.size == 3
-    assert small.point_set == {(0, 0), (5, 10), (10, 5)}
-    assert line(15, 0, 0).points == ((0, 0),)
+    assert point_set(small) == {(0, 0), (5, 10), (10, 5)}
+    assert points(line(15, 0, 0)) == ((0, 0),)
+    assert line(15, -12, 22).generator == (3, 7)
+
+
+def test_line_canonical_form_is_found_on_first_comparison():
+    l = line(15, 6, 14)
+    assert "canonical" not in vars(l)
+    assert l == line(15, 3, 7)
+    assert l.canonical == (3, 2)
+    assert hash(l) == hash(line(15, 3, 2))
 
 
 def test_line_cardinality_formula():
+    # Line.size is the formula; the oracle counts the points.
     for d in (6, 9, 15, 21):
         for nu in range(d):
             for mu in range(d):
-                assert line(d, nu, mu).size == d // math.gcd(nu, mu, d)
+                l = line(d, nu, mu)
+                assert l.size == len(points(l)) == d // math.gcd(nu, mu, d)
 
 
 def test_line_relation_examples():
@@ -143,7 +166,7 @@ def test_lines_through_origin_matches_brute_force_and_psi():
         assert {s: len(g) for s, g in found.items()} == {s: len(g) for s, g in brute.items()}
         for size, group in found.items():
             assert len(group) == dedekind_psi(size)
-            assert {l.point_set for l in group} == brute[size]
+            assert {point_set(l) for l in group} == brute[size]
 
 
 def test_small_line_coordinates_live_in_subgroup():
@@ -152,7 +175,7 @@ def test_small_line_coordinates_live_in_subgroup():
         for size, group in lines_through_origin(d).items():
             step = d // size
             for l in group:
-                assert all(x % step == 0 and y % step == 0 for x, y in l.points)
+                assert all(x % step == 0 and y % step == 0 for x, y in points(l))
 
 
 def test_prime_dimension_geometry_is_near_linear():
@@ -162,11 +185,11 @@ def test_prime_dimension_geometry_is_near_linear():
         all_lines = groups[p]
         for i, a in enumerate(all_lines):
             for b in all_lines[i + 1:]:
-                assert len(a.point_set & b.point_set) == 1
+                assert len(point_set(a) & point_set(b)) == 1
         # sweeping the vertical line through the standard matrices finds all
         swept = {line(p, 0, 1)}
         for lam in range(p):
-            swept.add(SymplecticMatrix(p, 0, 1, -1, -lam).act_line(line(p, 0, 1)))
+            swept.add(act_line(SymplecticMatrix(p, 0, 1, -1, -lam), line(p, 0, 1)))
         assert swept == set(all_lines)
 
 
@@ -182,14 +205,14 @@ def test_symplectic_constructor_checks_det():
 
 def test_symplectic_inverse_and_compose():
     g = SymplecticMatrix(15, 10, 12, 12, 13)
-    assert g.inverse().entries == (13, 3, 3, 10)
-    assert g.compose(g.inverse()) == SymplecticMatrix.identity(15)
-    assert g.inverse().compose(g) == SymplecticMatrix.identity(15)
+    assert inverse(g).entries == (13, 3, 3, 10)
+    assert compose(g, inverse(g)) == SymplecticMatrix.identity(15)
+    assert compose(inverse(g), g) == SymplecticMatrix.identity(15)
     rng = random.Random(11)
     for _ in range(25):
         a = random_symplectic(15, rng)
         b = random_symplectic(15, rng)
-        assert a.compose(b).inverse() == b.inverse().compose(a.inverse())
+        assert inverse(compose(a, b)) == compose(inverse(b), inverse(a))
 
 
 def test_symplectic_group_order_d3():
@@ -202,17 +225,17 @@ def test_symplectic_group_order_d3():
     group = set(found)
     for a in found:
         for b in found:
-            assert a.compose(b) in group
+            assert compose(a, b) in group
 
 
 def test_act_on_line_examples():
-    assert SymplecticMatrix(15, 10, 12, 12, 10).act_line(line(15, 0, 1)) == line(15, 6, 5)
+    assert act_line(SymplecticMatrix(15, 10, 12, 12, 10), line(15, 0, 1)) == line(15, 6, 5)
     ident = SymplecticMatrix.identity(15)
     for gen in [(0, 1), (3, 7), (1, 8)]:
-        assert ident.act_line(line(15, *gen)) == line(15, *gen)
-    assert SymplecticMatrix(5, 0, 1, -1, -2).act_line(line(5, 0, 1)) == line(5, 1, 3)
+        assert act_line(ident, line(15, *gen)) == line(15, *gen)
+    assert act_line(SymplecticMatrix(5, 0, 1, -1, -2), line(5, 0, 1)) == line(5, 1, 3)
     with pytest.raises(ModulusMismatch):
-        SymplecticMatrix.identity(15).act_line(line(21, 0, 1))
+        act_line(SymplecticMatrix.identity(15), line(21, 0, 1))
 
 
 def test_action_preserves_cardinality_and_permutes_maximal_lines():
@@ -223,18 +246,18 @@ def test_action_preserves_cardinality_and_permutes_maximal_lines():
             g = random_symplectic(d, rng)
             nu, mu = generators[rng.randrange(len(generators))]
             l = line(d, nu, mu)
-            assert g.act_line(l).size == l.size
+            assert act_line(g, l).size == l.size
         maximal = set(lines_through_origin(d).get(d, []))
         for _ in range(20):
             g = random_symplectic(d, rng)
-            assert {g.act_line(l) for l in maximal} == maximal
+            assert {act_line(g, l) for l in maximal} == maximal
 
 
 def test_intersection_examples():
     got = intersection(line(15, 0, 1), line(15, 6, 5))
     assert set(got) == {(0, 0), (0, 5), (0, 10)}
     full = line(15, 1, 8)
-    assert set(intersection(full, full)) == full.point_set
+    assert set(intersection(full, full)) == point_set(full)
     assert intersection(line(15, 0, 1), line(15, 1, 0)) == ((0, 0),)
     with pytest.raises(ModulusMismatch):
         intersection(line(15, 0, 1), line(21, 0, 1))
@@ -286,7 +309,31 @@ def test_line_equals_product_of_its_components(ctx15):
                 continue
             c1, c2 = factorize_line(l, ctx15)
             prod = product_points(line(3, *c1), line(5, *c2), ctx15)
-            assert prod == l.point_set
+            assert prod == point_set(l)
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 5), (3, 7), (3, 11), (5, 7)])
+def test_catalog_entries_equal_the_product_of_their_components(d1, d2):
+    # The point-set oracle for the catalog's product route, on every entry.
+    ctx = crt_context(d1, d2)
+    for e in maximal_line_catalog(ctx):
+        assert len(points(e.line)) == ctx.d
+        prod = product_points(line(d1, *e.comp1), line(d2, *e.comp2), ctx)
+        assert prod == point_set(e.line)
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 5), (3, 7), (5, 7)])
+def test_point_map_check_rejects_a_wrong_idempotent(d1, d2):
+    ctx = crt_context(d1, d2)
+    check_point_map(ctx)
+    for s1 in range(ctx.d):
+        if s1 != ctx.s1:
+            with pytest.raises(RuntimeError, match="^CRT point map: map1_join does not invert map1_split$"):
+                check_point_map(replace(ctx, s1=s1))
+    with pytest.raises(RuntimeError, match="^CRT point map: map2_join does not invert map2_split$"):
+        check_point_map(replace(ctx, r1=ctx.r1 + 1))
+    with pytest.raises(RuntimeError, match="^CRT point map: map1_join"):
+        maximal_line_catalog(replace(ctx, s1=ctx.s1 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +363,51 @@ def test_catalog_lines_are_distinct_and_complete(catalog15):
 def test_catalog_matrices_reproduce_lines_from_the_vertical_line(catalog15):
     base = line(15, 0, 1)
     for e in catalog15:
-        assert e.matrix.act_line(base) == e.line
+        assert act_line(e.matrix, base) == e.line
+
+
+def test_catalog_layout_reference(ctx15, catalog15):
+    layout = catalog_layout(ctx15)
+    expected = (
+        [(0, 0)]
+        + [(0, k) for k in range(1, 6)]
+        + [(k, 0) for k in range(1, 4)]
+        + [(k1, k2) for k1 in range(1, 4) for k2 in range(1, 6)]
+    )
+    assert [tuple(c) for c in layout.components.tolist()] == expected
+    assert layout.sets == PARTITION_15
+    # component index 0 is the vertical line, k >= 1 the sweep value k - 1
+    to_index = lambda lam: 0 if lam is None else lam + 1
+    assert [(to_index(e.lambda1), to_index(e.lambda2)) for e in catalog15] == expected
+
+
+def test_catalog_layout_covers_the_component_grid(contexts):
+    for d, ctx in contexts.items():
+        layout = catalog_layout(ctx)
+        comps = [tuple(c) for c in layout.components.tolist()]
+        assert sorted(comps) == [
+            (i1, i2) for i1 in range(ctx.d1 + 1) for i2 in range(ctx.d2 + 1)
+        ]
+        assert len(layout.sets) == ctx.d2 + 1
+        for n, group in enumerate(layout.sets):
+            assert list(group) == sorted(group)
+            assert sorted(comps[k - 1] for k in group) == [
+                (i, (i + n) % (ctx.d2 + 1)) for i in range(ctx.d1 + 1)
+            ]
+
+
+def test_catalog_keeps_no_point_sets():
+    # Building the d points of every entry and of its component product as
+    # tuples peaks at 173 MB here; generators alone need a few MB.
+    ctx = crt_context(11, 97)
+    tracemalloc.start()
+    try:
+        catalog = maximal_line_catalog(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(catalog) == dedekind_psi(ctx.d)
+    assert peak < 20 * 2**20
 
 
 @pytest.mark.parametrize("d1,d2", [(3, 7), (3, 11), (5, 7)])
@@ -339,8 +430,8 @@ def test_matrix_factorize_identity(ctx15):
 
 def test_matrix_factorize_component_action_example(ctx15):
     g1, g2 = matrix_factorize(SymplecticMatrix(15, 10, 12, 12, 10), ctx15)
-    assert g1.act_line(line(3, 0, 1)) == line(3, 0, 1)
-    assert g2.act_line(line(5, 0, 1)) == line(5, 1, 0)
+    assert act_line(g1, line(3, 0, 1)) == line(3, 0, 1)
+    assert act_line(g2, line(5, 0, 1)) == line(5, 1, 0)
 
 
 def test_matrix_factorize_commutes_with_line_factorization(ctx15, catalog15):
@@ -352,9 +443,9 @@ def test_matrix_factorize_commutes_with_line_factorization(ctx15, catalog15):
         for gen in maximal_generators:
             l = line(15, *gen)
             c1, c2 = factorize_line(l, ctx15)
-            image1, image2 = factorize_line(g.act_line(l), ctx15)
-            assert line(3, *image1) == g1.act_line(line(3, *c1))
-            assert line(5, *image2) == g2.act_line(line(5, *c2))
+            image1, image2 = factorize_line(act_line(g, l), ctx15)
+            assert line(3, *image1) == act_line(g1, line(3, *c1))
+            assert line(5, *image2) == act_line(g2, line(5, *c2))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +472,7 @@ def test_classify_line_pair_matches_point_set_intersection(catalogs):
         pairs = catalog.pair_classes
         for i, j, size in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.size.tolist()):
             a, b = catalog.entry(i).line, catalog.entry(j).line
-            assert size == len(a.point_set & b.point_set)
+            assert size == len(point_set(a) & point_set(b))
 
 
 def test_pair_classes_cover_every_pair_in_row_major_order(catalogs):
@@ -440,14 +531,14 @@ def test_redundancy_identity_exact():
         assert r * (d * d - 1) + (d * d - 1) == dedekind_psi(d) * (d - 1)
 
 
-def test_partition_reference_grid(ctx15, catalog15):
-    assert partition_lines(ctx15, catalog15) == PARTITION_15
+def test_partition_reference_grid(ctx15):
+    assert partition_lines(ctx15) == PARTITION_15
 
 
 def test_partition_sets_intersect_only_at_origin(contexts, catalogs):
     for d, ctx in contexts.items():
         catalog = catalogs[d]
-        sets = partition_lines(ctx, catalog)
+        sets = partition_lines(ctx)
         assert len(sets) == ctx.d2 + 1
         assert sorted(i for group in sets for i in group) == list(range(1, len(catalog) + 1))
         for group in sets:
@@ -455,4 +546,4 @@ def test_partition_sets_intersect_only_at_origin(contexts, catalogs):
             members = [catalog.entry(i).line for i in group]
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
-                    assert len(a.point_set & b.point_set) == 1
+                    assert len(point_set(a) & point_set(b)) == 1
