@@ -18,12 +18,11 @@ import numpy as np
 
 from .geometry import (
     MaximalLineCatalog,
-    SymplecticMatrix,
     catalog_layout,
     component_index,
-    matrix_factorize,
     partition_lines,
     redundancy,
+    split_entries,
     sweep_matrix,
     sweep_value,
 )
@@ -34,7 +33,6 @@ from .hilbert import (
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
-    overlaps,
     prime_mub,
     unitarity_defect,
 )
@@ -109,11 +107,16 @@ class FactorExtrema(NamedTuple):
 
 
 def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> FactorExtrema:
-    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, fields indexed [j, i]."""
+    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, fields indexed [j, i].
+
+    One stacked product b_j^dag [b_0, ..., b_p] per row j, so at most p+1
+    tables are alive at a time.
+    """
+    stack = np.stack([b.matrix for b in mubs])  # [i, n, m]
     diagonal = np.eye(mubs[0].dim, dtype=bool)
     rows = []
     for bj in mubs:
-        sq = np.stack([overlaps(bj, bi) for bi in mubs]) ** 2  # [i, n, m]
+        sq = np.abs(bj.matrix.conj().T @ stack) ** 2  # [i, n, m]
         diag = np.diagonal(sq, axis1=1, axis2=2)
         # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
         off_top = np.where(diagonal, 0.0, sq).max(axis=(1, 2))
@@ -176,14 +179,19 @@ class WmubSet:
         return np.array([[component_index(lam) for lam in label] for label in self.factor_labels])
 
 
+def check_hilbert_cap(ctx: CrtContext) -> None:
+    """Raise DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM."""
+    if ctx.d > MAX_DIM:
+        raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
+
+
 def build_wmub(ctx: CrtContext) -> WmubSet:
     """The dedekind_psi(d) weak mutually unbiased bases, as their labels and
     the two prime-dimension factor families; no d x d matrix is formed.
 
     Raises DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM.
     """
-    if ctx.d > MAX_DIM:
-        raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
+    check_hilbert_cap(ctx)
     mubs1 = tuple(prime_mub(ctx.d1))
     mubs2 = tuple(prime_mub(ctx.d2))
     labels = tuple(tuple(map(sweep_value, c)) for c in catalog_layout(ctx).components.tolist())
@@ -212,36 +220,45 @@ def conjugation_bound(s: WmubSet) -> float:
     Z_d1 (x) Z_d2 and D_d(a, b) into D_d1(a, b*t1) (x) D_d2(a, b*t2).  So for
     B = U1 (x) U2 relabelled, B X - D B is the relabelling of
     (U1 X^t1 - D1^t1 U1) (x) U2 X^t2 + D1^t1 U1 (x) (U2 X^t2 - D2^t2 U2)
-    with (D1, D2) = `matrix_factorize` of the label, and likewise for Z
-    with power 1.  Row norms of a Kronecker product multiply, and
-    D^s (U X - D U) X^k has the row norms of U X - D U, so with r_i the
-    residual `conjugation_defect` of factor i against its component label
-    and c_i the largest row norm of U_i, the residual of B is at most
-    q1*r1*c2 + c1*q2*r2, where q_i = min(t_i, d_i - t_i) bounds the growth
-    of the X residual from X to X^t_i (X^t is also X^-(d_i - t_i)).  Each
-    (factor, factor basis, component label) is checked once.
+    with (D1, D2) the `split_entries` components of the label (those of
+    `matrix_factorize`), and likewise for Z with power 1.  Row norms of a
+    Kronecker product multiply, and D^s (U X - D U) X^k has the row norms
+    of U X - D U, so with r_i the residual `conjugation_defect` of factor i
+    against its component label and c_i the largest row norm of U_i, the
+    residual of B is at most q1*r1*c2 + c1*q2*r2, where
+    q_i = min(t_i, d_i - t_i) bounds the growth of the X residual from X to
+    X^t_i (X^t is also X^-(d_i - t_i)).  Each (factor, factor basis,
+    component label) is checked once.
 
-    Raises RuntimeError when the relabelling check fails.
+    All labels are split in one array pass.  Each component label must have
+    determinant 1 mod d_i, which by the CRT is the unit determinant of the
+    label itself.  Raises RuntimeError when the relabelling check fails or a
+    label's determinant is not 1.
     """
     ctx = s.ctx
     check_crt_relabelling(ctx)
     powers = (min(ctx.t1, ctx.d1 - ctx.t1), min(ctx.t2, ctx.d2 - ctx.t2))
-    terms: dict[tuple[int, int, tuple[int, int, int, int]], tuple[float, float]] = {}
-
-    def factor_terms(factor: int, slot: int, g: SymplecticMatrix) -> tuple[float, float]:
-        key = (factor, slot, g.entries)
-        if key not in terms:
+    factors = tuple(zip((ctx.d1, ctx.d2), split_entries(np.array(s.symplectic_labels).T, ctx)))
+    unit = [(k * n - l * m) % di == 1 for di, (k, l, m, n) in factors]
+    bad = np.flatnonzero(~(unit[0] & unit[1]))
+    if bad.size:
+        j = int(bad[0]) + 1
+        k, l, m, n = s.symplectic_label(j)
+        raise RuntimeError(f"B_{j} label X({k},{l}|{m},{n}): determinant is not 1 (mod {ctx.d})")
+    terms = []
+    for factor, (di, comp) in enumerate(factors):
+        keys, inverse = np.unique(
+            np.column_stack([s.factor_slots[:, factor], *comp]), axis=0, return_inverse=True
+        )
+        residuals, norms = [], []
+        for slot, *label in keys.tolist():
             u = s.factor_mubs[factor][slot].matrix
-            residual = conjugation_defect(g.d, u, g.entries)
-            terms[key] = powers[factor] * residual, float(np.linalg.norm(u, axis=1).max())
-        return terms[key]
-
-    worst = 0.0
-    for label, (slot1, slot2) in zip(s.symplectic_labels, s.factor_slots.tolist()):
-        g1, g2 = matrix_factorize(SymplecticMatrix(ctx.d, *label), ctx)
-        (r1, c1), (r2, c2) = factor_terms(0, slot1, g1), factor_terms(1, slot2, g2)
-        worst = max(worst, r1 * c2 + c1 * r2)
-    return worst
+            residuals.append(powers[factor] * conjugation_defect(di, u, tuple(label)))
+            norms.append(float(np.linalg.norm(u, axis=1).max()))
+        inverse = inverse.reshape(-1)
+        terms.append((np.array(residuals)[inverse], np.array(norms)[inverse]))
+    (r1, c1), (r2, c2) = terms
+    return float((r1 * c2 + c1 * r2).max())
 
 
 def _check_indices(s: WmubSet, i: int, j: int) -> None:

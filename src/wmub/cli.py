@@ -8,6 +8,7 @@ Output goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from .bases import (
     NotWeaklyUnbiased,
     OverlapCategory,
     build_wmub,
+    check_hilbert_cap,
     conjugation_bound,
     duality_report,
     partition_bases,
@@ -210,7 +212,7 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
         raise UsageError(
             f"--tolerance must lie in [0, 1/(2d)] = [0, {ceiling:.4g}] at d={ctx.d}, got {tol:g}"
         )
-    s = build_wmub(ctx)
+    check_hilbert_cap(ctx)
     v = Verification(d1, d2, ctx.d)
     psi = dedekind_psi(ctx.d)
 
@@ -234,8 +236,11 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     if not v.record("line-census", counts == want, detail):
         return v
 
-    # Both gates read the prime-dimension factor families; each reported
-    # value bounds the residual of every d x d basis from above.
+    # Built only after the catalog check has certified the context, whose
+    # sweep matrices the labels are.  Both gates read the prime-dimension
+    # factor families; each reported value bounds the residual of every
+    # d x d basis from above.
+    s = build_wmub(ctx)
     defect = unitarity_bound(s)
     if not v.record(
         "unitarity", defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
@@ -329,9 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and
+    # building it costs about 15 times as much as parsing one argv.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "lines":
             print(lines_document(args.d1, args.d2).render(args.format))
         elif args.command == "wmub":

@@ -419,22 +419,32 @@ def redundancy(d: int) -> Fraction:
 # matrix factorization
 # ---------------------------------------------------------------------------
 
+def split_entries(entries, ctx: CrtContext):
+    """Component entries over Z(d1) and Z(d2) of (kappa, lam, mu, nu) over Z(d).
+
+    Diagonal entries and lam split by map1 (lam picking up a factor r_i),
+    mu splits by map2; each component entry is reduced mod its d_i.  The
+    entries may be ints or integer arrays of equal shape (one label per
+    position), so `matrix_factorize` and the label pass of
+    `bases.conjugation_bound` share this one rule.
+    """
+    kappa, lam, mu, nu = entries
+    k1, k2 = ctx.map1_split(kappa)
+    l1, l2 = ctx.map1_split(lam)
+    m1, m2 = ctx.map2_split(mu)
+    n1, n2 = ctx.map1_split(nu)
+    return (k1, l1 * ctx.r1 % ctx.d1, m1, n1), (k2, l2 * ctx.r2 % ctx.d2, m2, n2)
+
+
 def matrix_factorize(
     g: SymplecticMatrix, ctx: CrtContext
 ) -> tuple[SymplecticMatrix, SymplecticMatrix]:
-    """Component matrices of g over Z(d1) and Z(d2).
+    """Component matrices of g over Z(d1) and Z(d2), split by `split_entries`.
 
-    Diagonal entries and lam split by map1 (lam picking up a factor r_i),
-    mu splits by map2.  The components act on component lines exactly as g
-    acts on the product line.
+    The components act on component lines exactly as g acts on the product
+    line.
     """
     if g.d != ctx.d:
         raise ModulusMismatch(f"matrix over Z({g.d}), context for Z({ctx.d})")
-    k1, k2 = ctx.map1_split(g.kappa)
-    l1, l2 = ctx.map1_split(g.lam)
-    n1, n2 = ctx.map1_split(g.nu)
-    m1, m2 = ctx.map2_split(g.mu)
-    return (
-        SymplecticMatrix(ctx.d1, k1, l1 * ctx.r1, m1, n1),
-        SymplecticMatrix(ctx.d2, k2, l2 * ctx.r2, m2, n2),
-    )
+    c1, c2 = split_entries(g.entries, ctx)
+    return SymplecticMatrix(ctx.d1, *c1), SymplecticMatrix(ctx.d2, *c2)

@@ -177,16 +177,21 @@ def prime_mub(p: int) -> list[OrthonormalBasis]:
     """The p+1 mutually unbiased bases of C^p for an odd prime p.
 
     Entry 0 is the position basis; entry 1+lam holds the columns of the
-    unitary for the swept symplectic matrix (0, 1 | -1, -lam).  Every
-    cross-basis overlap has magnitude p**-0.5.
+    unitary for the swept symplectic matrix (0, 1 | -1, -lam), the
+    `symplectic_unitary` quadratic phase of lam times the Fourier matrix.
+    All p swept bases are formed at once: row n of the Fourier matrix is
+    scaled by omega(2^-1 * lam * n^2), read from one (lam, n) phase table.
+    Every cross-basis overlap has magnitude p**-0.5.
     """
     if p == 2 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
-    _check_dim(p)
+    f = fourier(p)
+    n = np.arange(p)
+    roots = np.exp(2j * np.pi * n / p)
+    phases = roots[mod_inverse(2, p) * np.outer(n, n * n) % p]  # [lam, n]
+    swept = phases[:, :, None] * f
     bases = [OrthonormalBasis(p, np.eye(p, dtype=complex), "X")]
-    for lam in range(p):
-        matrix = symplectic_unitary(p, SymplecticMatrix(p, 0, 1, -1, -lam))
-        bases.append(OrthonormalBasis(p, matrix, f"X(0,1|-1,{-lam})"))
+    bases += [OrthonormalBasis(p, swept[lam], f"X(0,1|-1,{-lam})") for lam in range(p)]
     return bases
 
 

@@ -23,12 +23,21 @@ from wmub.bases import (
     unitarity_bound,
     wmub_census,
 )
-from wmub.geometry import SharedComponent, classify_line_pair
+from wmub.bases import _factor_extrema
+from wmub.geometry import (
+    SharedComponent,
+    SymplecticMatrix,
+    classify_line_pair,
+    matrix_factorize,
+    split_entries,
+)
 from wmub.hilbert import (
     MAX_DIM,
     OrthonormalBasis,
     assemble_tensor_basis,
     conjugation_defect,
+    overlaps,
+    prime_mub,
     unitarity_defect,
 )
 from wmub.zring import crt_context, dedekind_psi, is_prime
@@ -425,6 +434,45 @@ def test_factored_route_matches_dense_oracle_at_every_supported_d(dims):
     assert_routes_agree(s, pairs, (1e-9,))
     categories = {classify_pair(s, i, j).category for i, j in pairs}
     assert categories == set(OverlapCategory)
+
+
+def per_pair_extrema(mubs) -> list[np.ndarray]:
+    """The fields of `FactorExtrema`, flattened, from one `overlaps` table per
+    pair (j, i), reduced as the template test reads them."""
+    diagonal = np.eye(mubs[0].dim, dtype=bool)
+    fields = np.zeros((7, len(mubs), len(mubs)))
+    for j, bj in enumerate(mubs):
+        for i, bi in enumerate(mubs):
+            sq = overlaps(bj, bi) ** 2
+            diag = np.diagonal(sq)
+            fields[:, j, i] = (sq.max(), sq.min(), sq.mean(), diag.max(), diag.min(),
+                               diag.mean(), sq[~diagonal].max())
+    return list(fields)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
+    # The prime-dimension family, and a family of generic unitaries, whose
+    # tables are far from the templates.
+    generic = tuple(OrthonormalBasis(p, generic_unitary(p, seed), "generic") for seed in range(4))
+    for mubs in (tuple(prime_mub(p)), generic):
+        got = _factor_extrema(mubs)
+        flat = [*got.whole, *got.diag, got.off_top]
+        for field, want in zip(flat, per_pair_extrema(mubs)):
+            assert field.shape == want.shape
+            assert np.abs(field - want).max() <= 1e-14, p
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_label_split_matches_matrix_factorize(dims):
+    # The array pass of `conjugation_bound` against the per-matrix route.
+    s = supported_set(*dims)
+    ctx = s.ctx
+    comp1, comp2 = split_entries(np.array(s.symplectic_labels).T, ctx)
+    for j, label in enumerate(s.symplectic_labels):
+        g1, g2 = matrix_factorize(SymplecticMatrix(ctx.d, *label), ctx)
+        assert tuple(int(entry[j]) for entry in comp1) == g1.entries, (ctx.d, j)
+        assert tuple(int(entry[j]) for entry in comp2) == g2.entries, (ctx.d, j)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,17 @@ def test_verify_names_conjugation_on_a_wrong_crt_relabelling(capsys, monkeypatch
     assert out.strip() == "FAIL conjugation: CRT relabelling: X_d is not X_d1^t1 (x) X_d2^t2"
 
 
+def test_verify_names_conjugation_on_a_label_without_unit_determinant(capsys, monkeypatch):
+    # (2, 0 | 0, 2) has determinant 4 at d = 15: a unit mod 3 but not mod 5.
+    s = build_wmub(crt_context(3, 5))
+    labels = list(s.symplectic_labels)
+    labels[7 - 1] = (2, 0, 0, 2)
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: replace(s, symplectic_labels=tuple(labels)))
+    code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1 and err == ""
+    assert out.strip() == "FAIL conjugation: B_7 label X(2,0|0,2): determinant is not 1 (mod 15)"
+
+
 def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
     # Every entry generator splits into zero component generators, so the
     # product route fails on the first entry.
@@ -330,12 +341,10 @@ def test_verify_names_catalog_on_a_wrong_component_generator(capsys, monkeypatch
 
 def test_verify_names_catalog_on_a_wrong_crt_idempotent(capsys, monkeypatch):
     # With s1 = 11 instead of 10 at d = 15, map1_join no longer inverts
-    # map1_split.  The sweep matrices would lose their unit determinant on
-    # such a context, so the basis set comes from the right one.
+    # map1_split.  The sweep matrices lose their unit determinant on such a
+    # context, so the catalog check must run before the basis set is built.
     ctx = crt_context(3, 5)
-    s = build_wmub(ctx)
     monkeypatch.setattr(wmub.cli, "crt_context", lambda d1, d2: replace(ctx, s1=ctx.s1 + 1))
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: s)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL catalog: CRT point map: map1_join does not invert map1_split"
@@ -429,6 +438,73 @@ def test_verify_json(capsys):
     checks = {row["check"]: row["ok"] for row in payload["rows"]}
     assert checks["duality"] and checks["summary"]
     assert json.dumps(payload, indent=2) + "\n" == out
+
+
+def small_mix() -> list[list[str]]:
+    """Every subcommand and format at d = 15, 21, 33 and 35."""
+    calls = []
+    for d1, d2 in ((3, 5), (3, 7), (3, 11), (5, 7)):
+        dims = ["--d1", str(d1), "--d2", str(d2)]
+        for command in (["lines"], ["wmub"], ["partitions", "--side", "lines"],
+                        ["partitions", "--side", "bases"]):
+            for fmt in ([], ["--format", "csv"], ["--format", "json"]):
+                calls.append([command[0], *dims, *command[1:], *fmt])
+        calls += [["verify", *dims], ["verify", *dims, "--json"]]
+    return calls
+
+
+# Runs each argv list read from stdin in a forked child of a process that
+# has imported the package but never called `main`, so each call meets the
+# state of a fresh process.
+FRESH_CALLS = """
+import contextlib, io, json, os, sys
+from wmub.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        with os.fdopen(write, "w") as pipe:
+            json.dump([code, out.getvalue(), err.getvalue()], pipe)
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        results.append(json.load(pipe))
+    os.waitpid(pid, 0)
+json.dump(results, sys.stdout)
+"""
+
+
+def test_one_parser_per_process_matches_fresh_processes(capsys):
+    # The parser is built once per process and reused by every call; no call
+    # may see what an earlier one parsed, whatever the order.
+    edge = [
+        ["verify", "--d1", "3", "--d2", "5", "--json"],
+        ["verify", "--d1", "3", "--d2", "5"],
+        ["partitions", "--d1", "3", "--d2", "7", "--side", "bases", "--format", "csv"],
+        ["partitions", "--d1", "3", "--d2", "7", "--format", "csv"],
+        ["verify", "--d1", "3"],
+        ["lines", "--d1", "5", "--d2", "7", "--format", "json"],
+        ["wmub", "--d1", "3", "--d2", "5", "--format", "jsn"],
+        ["verify", "--d1", "3", "--d2", "7", "--tolerance", "1e-12"],
+    ]
+    mix = small_mix()
+    calls = [argv for argv in mix if argv not in edge] + edge
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # no BLAS threads across fork
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CALLS],
+        input=json.dumps(calls), capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fresh = {tuple(argv): tuple(result) for argv, result in zip(calls, json.loads(proc.stdout))}
+    assert [fresh[tuple(argv)][0] for argv in edge] == [0, 0, 0, 0, 2, 0, 2, 0]
+    for order in (mix + edge, edge + mix[::-1]):
+        for argv in order:
+            assert run_cli(capsys, argv) == fresh[tuple(argv)], argv
 
 
 def test_module_entry_point_matches_golden():

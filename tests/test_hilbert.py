@@ -216,6 +216,18 @@ def test_prime_mub_overlaps_flat(p):
             assert np.abs(overlaps(a, b) - target).max() < ATOL
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_prime_mub_matches_symplectic_unitary(p):
+    # The one phase table against the reference route, one swept basis at a time.
+    bases = prime_mub(p)
+    assert bases[0].label == "X" and np.array_equal(bases[0].matrix, np.eye(p))
+    for lam in range(p):
+        b = bases[1 + lam]
+        assert b.label == f"X(0,1|-1,{-lam})"
+        reference = symplectic_unitary(p, SymplecticMatrix(p, 0, 1, -1, -lam))
+        assert np.abs(b.matrix - reference).max() <= 1e-12, (p, lam)
+
+
 def test_prime_mub_rejects_non_odd_primes():
     for bad in (2, 4, 9, 15):
         with pytest.raises(NotOddPrime):
