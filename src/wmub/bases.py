@@ -106,22 +106,24 @@ class FactorExtrema(NamedTuple):
         )
 
 
-def _factor_extrema(mubs: tuple[OrthonormalBasis, ...]) -> FactorExtrema:
-    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases, fields indexed [j, i].
+def _factor_extrema(stack: np.ndarray) -> FactorExtrema:
+    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases of a
+    (p+1, p, p) stack, fields indexed [j, i].
 
     One stacked product b_j^dag [b_0, ..., b_p] per row j, so at most p+1
-    tables are alive at a time.
+    tables are alive at a time; each is read flat, its diagonal the slice
+    ::p+1.
     """
-    stack = np.stack([b.matrix for b in mubs])  # [i, n, m]
-    diagonal = np.eye(mubs[0].dim, dtype=bool)
+    count, p, _ = stack.shape
     rows = []
-    for bj in mubs:
-        sq = np.abs(bj.matrix.conj().T @ stack) ** 2  # [i, n, m]
-        diag = np.diagonal(sq, axis1=1, axis2=2)
+    for bj in stack:
+        sq = (np.abs(bj.conj().T @ stack) ** 2).reshape(count, p * p)  # [i, n*p + m]
+        diag = sq[:, :: p + 1]
+        row = [sq.max(axis=1), sq.min(axis=1), sq.mean(axis=1),
+               diag.max(axis=1), diag.min(axis=1), diag.mean(axis=1)]
         # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
-        off_top = np.where(diagonal, 0.0, sq).max(axis=(1, 2))
-        rows.append((sq.max(axis=(1, 2)), sq.min(axis=(1, 2)), sq.mean(axis=(1, 2)),
-                     diag.max(axis=1), diag.min(axis=1), diag.mean(axis=1), off_top))
+        diag[:] = 0.0
+        rows.append((*row, sq.max(axis=1)))
     fields = [np.stack(column) for column in zip(*rows)]
     return FactorExtrema(Region(*fields[0:3]), Region(*fields[3:6]), fields[6])
 
@@ -167,11 +169,17 @@ class WmubSet:
         return self.symplectic_labels[j - 1]
 
     @cached_property
+    def factor_stacks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per factor, the matrices of its family in `factor_mubs` as one
+        (p+1, p, p) array, indexed by slot; what every factor gate reads."""
+        return tuple(np.stack([b.matrix for b in mubs]) for mubs in self.factor_mubs)
+
+    @cached_property
     def factor_extrema(self) -> tuple[FactorExtrema, FactorExtrema]:
         """Per factor, the squared tables |b_j^dag b_i|^2 of its
         prime-dimension family, computed once per set and reduced to their
         extrema, indexed [j, i]; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
-        return tuple(_factor_extrema(mubs) for mubs in self.factor_mubs)
+        return tuple(_factor_extrema(stack) for stack in self.factor_stacks)
 
     @cached_property
     def factor_slots(self) -> np.ndarray:
@@ -206,8 +214,9 @@ def unitarity_bound(s: WmubSet) -> float:
     B^dag B is the CRT relabelling of (I + E1) (x) (I + E2) for the factor
     defects E1 and E2, so with e_i the largest defect over the d_i+1 bases
     of factor i, every |B^dag B - I| entry is at most e1 + e2 + e1*e2.
+    One `unitarity_defect` call per family; a NaN defect propagates.
     """
-    e1, e2 = (max(unitarity_defect(b.matrix) for b in mubs) for mubs in s.factor_mubs)
+    e1, e2 = (float(np.max(unitarity_defect(stack))) for stack in s.factor_stacks)
     return e1 + e2 + e1 * e2
 
 
@@ -228,7 +237,8 @@ def conjugation_bound(s: WmubSet) -> float:
     residual of B is at most q1*r1*c2 + c1*q2*r2, where
     q_i = min(t_i, d_i - t_i) bounds the growth of the X residual from X to
     X^t_i (X^t is also X^-(d_i - t_i)).  Each (factor, factor basis,
-    component label) is checked once.
+    component label) is checked once, all of a factor in one
+    `conjugation_defect` call on the gathered factor bases.
 
     All labels are split in one array pass.  Each component label must have
     determinant 1 mod d_i, which by the CRT is the unit determinant of the
@@ -247,16 +257,17 @@ def conjugation_bound(s: WmubSet) -> float:
         raise RuntimeError(f"B_{j} label X({k},{l}|{m},{n}): determinant is not 1 (mod {ctx.d})")
     terms = []
     for factor, (di, comp) in enumerate(factors):
-        keys, inverse = np.unique(
-            np.column_stack([s.factor_slots[:, factor], *comp]), axis=0, return_inverse=True
-        )
-        residuals, norms = [], []
-        for slot, *label in keys.tolist():
-            u = s.factor_mubs[factor][slot].matrix
-            residuals.append(powers[factor] * conjugation_defect(di, u, tuple(label)))
-            norms.append(float(np.linalg.norm(u, axis=1).max()))
-        inverse = inverse.reshape(-1)
-        terms.append((np.array(residuals)[inverse], np.array(norms)[inverse]))
+        # Slots and component entries are < di + 1, so one mixed-radix
+        # integer keys each distinct (slot, component label).
+        slots = s.factor_slots[:, factor]
+        key = slots
+        for entry in comp:
+            key = key * (di + 1) + entry
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        stack = s.factor_stacks[factor][slots[first]]
+        residuals = powers[factor] * conjugation_defect(di, stack, [entry[first] for entry in comp])
+        norms = np.linalg.norm(stack, axis=2).max(axis=1)
+        terms.append((residuals[inverse], norms[inverse]))
     (r1, c1), (r2, c2) = terms
     return float((r1 * c2 + c1 * r2).max())
 

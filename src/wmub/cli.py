@@ -22,11 +22,16 @@ from .bases import (
     check_hilbert_cap,
     conjugation_bound,
     duality_report,
-    partition_bases,
     partitions_hold,
     unitarity_bound,
 )
-from .geometry import maximal_line_catalog, pair_census, partition_lines, redundancy
+from .geometry import (
+    catalog_layout,
+    maximal_line_catalog,
+    pair_census,
+    partition_lines,
+    redundancy,
+)
 from .hilbert import DimTooLarge
 from .zring import InvalidDims, ModulusTooLarge, crt_context, dedekind_psi
 
@@ -147,7 +152,9 @@ def partitions_document(d1: int, d2: int, side: str) -> Document:
         sets = partition_lines(ctx)
         set_prefix, member_prefix = "S", "L"
     else:
-        sets = partition_bases(build_wmub(ctx))
+        # The sets `partition_bases` returns; no factor family is built.
+        check_hilbert_cap(ctx)
+        sets = catalog_layout(ctx).sets
         set_prefix, member_prefix = "T", "B"
     columns = [f"{set_prefix}_{n}" for n in range(len(sets))]
     cells = [

@@ -118,13 +118,18 @@ def symplectic_unitary(d: int, g: SymplecticMatrix) -> np.ndarray:
     raise UnsupportedMatrix(f"no unitary synthesized for {g.token()}")
 
 
-def unitarity_defect(matrix: np.ndarray) -> float:
-    """Max-norm distance of U^dag U from the identity."""
-    dim = matrix.shape[0]
-    return float(np.abs(matrix.conj().T @ matrix - np.eye(dim)).max())
+def unitarity_defect(matrix: np.ndarray) -> float | np.ndarray:
+    """Max-norm distance of U^dag U from the identity.
+
+    Given a stack of shape (K, d, d), returns the K defects as an array,
+    from one batched product.
+    """
+    gram = np.swapaxes(matrix.conj(), -1, -2) @ matrix
+    defects = np.abs(gram - np.eye(matrix.shape[-1])).max(axis=(-2, -1))
+    return defects if matrix.ndim == 3 else float(defects)
 
 
-def conjugation_defect(d: int, matrix: np.ndarray, label: tuple[int, int, int, int]) -> float:
+def conjugation_defect(d: int, matrix: np.ndarray, label) -> float | np.ndarray:
     """How far U is from realizing the symplectic matrix (k, l | m, n).
 
     Checks U X = D(l, k) U and U Z = D(n, m) U, the defining relations
@@ -137,24 +142,32 @@ def conjugation_defect(d: int, matrix: np.ndarray, label: tuple[int, int, int, i
     U this bounds the max-norm residual of U X U^dag = D from above.
     Insensitive to a global phase of U but sensitive to column phases and
     ordering.
+
+    Given a stack of shape (K, d, d) and four integer arrays of length K
+    as the label, returns the K residuals as an array, in one pass.
     """
     _check_dim(d)
     if d % 2 == 0:
         raise EvenDimension(f"conjugation needs odd dimension, got {d}")
-    if matrix.shape != (d, d):
+    if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (d, d):
         raise DimMismatch(f"matrix of shape {matrix.shape} in dimension {d}")
-    k, l, m, n = label
+    stack = matrix if matrix.ndim == 3 else matrix[None]
+    k, l, m, n = (np.atleast_1d(entry)[:, None] for entry in label)  # [K, 1]
+    if k.shape[0] != len(stack):
+        raise DimMismatch(f"{k.shape[0]} labels for {len(stack)} matrices")
     half = mod_inverse(2, d)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rows = np.arange(d)
 
-    def displaced(alpha: int, beta: int) -> np.ndarray:
-        phases = roots[((alpha % d) * rows - half * alpha * beta % d) % d]
-        return phases[:, None] * np.roll(matrix, beta, axis=0)
+    def displaced(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        phases = roots[((alpha % d) * rows - half * alpha * beta % d) % d]  # [K, r]
+        shifted = np.take_along_axis(stack, ((rows - beta) % d)[:, :, None], axis=1)
+        return phases[:, :, None] * shifted
 
-    dx = np.linalg.norm(np.roll(matrix, -1, axis=1) - displaced(l, k), axis=1).max()
-    dz = np.linalg.norm(matrix * roots - displaced(n, m), axis=1).max()
-    return float(max(dx, dz))
+    dx = np.linalg.norm(np.roll(stack, -1, axis=2) - displaced(l, k), axis=2).max(axis=1)
+    dz = np.linalg.norm(stack * roots - displaced(n, m), axis=2).max(axis=1)
+    residuals = np.maximum(dx, dz)
+    return residuals if matrix.ndim == 3 else float(residuals[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -456,7 +456,7 @@ def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
     # tables are far from the templates.
     generic = tuple(OrthonormalBasis(p, generic_unitary(p, seed), "generic") for seed in range(4))
     for mubs in (tuple(prime_mub(p)), generic):
-        got = _factor_extrema(mubs)
+        got = _factor_extrema(np.stack([b.matrix for b in mubs]))
         flat = [*got.whole, *got.diag, got.off_top]
         for field, want in zip(flat, per_pair_extrema(mubs)):
             assert field.shape == want.shape
@@ -575,3 +575,22 @@ def test_factored_conjugation_rejects_factor_faults(dims):
     neighbour = replace(s, symplectic_labels=tuple(labels))
     assert conjugation_bound(neighbour) > ceiling
     assert_bounds_hold(neighbour, (2, len(s) - 1))
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (5, 7), (7, 13)], ids=dims_id)
+def test_conjugation_bound_keeps_distinct_labels_of_one_slot_apart(dims):
+    # The last basis takes the label of an earlier basis with the same
+    # second factor slot, so its second component label stays right and
+    # its first is wrong.  An earlier basis shares its first factor slot
+    # with the right component label; both (slot, label) rows must be
+    # checked, so the fault reaches the bound.
+    s = supported_set(*dims)
+    last = len(s)
+    slot1, slot2 = s.factor_slots[last - 1]
+    donor = 1 + int(np.flatnonzero((s.factor_slots[:, 1] == slot2) & (s.factor_slots[:, 0] != slot1))[0])
+    assert using_slot(s, 0, slot1)[0] < last
+    labels = list(s.symplectic_labels)
+    labels[last - 1] = s.symplectic_label(donor)
+    tampered = replace(s, symplectic_labels=tuple(labels))
+    assert conjugation_bound(tampered) > 0.5 / s.ctx.d
+    assert_bounds_hold(tampered, (last,))

@@ -239,6 +239,42 @@ def test_basis_commands_assemble_no_dense_basis(capsys, monkeypatch, argv):
     assert assembled == []
 
 
+def test_verify_certifies_each_factor_family_in_one_call(capsys, monkeypatch):
+    # One unitarity and one conjugation kernel call per factor family, each
+    # on a stack; at d = 15 every factor slot carries one component label.
+    unitarity = count_calls(monkeypatch, wmub.hilbert.unitarity_defect)
+    conjugation = count_calls(monkeypatch, wmub.hilbert.conjugation_defect)
+    code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 0
+    assert [args[0].shape for args in unitarity] == [(4, 3, 3), (6, 5, 5)]
+    assert [args[1].shape for args in conjugation] == [(4, 3, 3), (6, 5, 5)]
+
+
+def test_partitions_bases_builds_no_factor_family(capsys, monkeypatch):
+    # The basis grid is the catalog layout's; the cap still applies.
+    built = count_calls(monkeypatch, wmub.hilbert.prime_mub)
+    code, out, _ = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "5", "--side", "bases"])
+    assert code == 0 and out == (GOLDEN / "partitions_bases_3_5.txt").read_text()
+    assert built == []
+    code, _, err = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"])
+    assert code == USAGE_ERROR and "exceeds the Hilbert-space cap 105" in err
+    assert built == []
+
+
+def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeypatch):
+    # A NaN in any factor basis, not only the first of its family, fails
+    # the unitarity gate by name.
+    s = build_wmub(crt_context(3, 5))
+    mubs1, mubs2 = s.factor_mubs
+    broken = mubs1[2].matrix.copy()
+    broken[0, 0] = math.nan
+    family = (*mubs1[:2], OrthonormalBasis(3, broken, "nan"), *mubs1[3:])
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: replace(s, factor_mubs=(family, mubs2)))
+    code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 1 and err == ""
+    assert out.strip() == "FAIL unitarity: max defect nan vs tolerance 1e-09"
+
+
 def relabel_pairs(monkeypatch, relabel: dict) -> None:
     """Make the basis pair pass report the given categories for some pairs."""
     real = wmub.bases.pair_categories

@@ -187,12 +187,55 @@ def test_conjugation_residual_bounds_the_dense_residual(d1, d2, stride):
 def test_conjugation_defect_rejects_even_dimension():
     with pytest.raises(EvenDimension):
         conjugation_defect(4, np.eye(4, dtype=complex), (1, 0, 0, 1))
+    with pytest.raises(EvenDimension):
+        conjugation_defect(4, np.zeros((2, 4, 4), dtype=complex), ([1, 1], [0, 0], [0, 0], [1, 1]))
 
 
 def test_conjugation_defect_rejects_wrong_shape():
     for shape in ((14, 14), (15, 14), (225,)):
         with pytest.raises(DimMismatch):
             conjugation_defect(15, np.zeros(shape, dtype=complex), (1, 0, 0, 1))
+    # Stacks of a wrong shape, then a stack of 5 matrices with 6 labels.
+    labels = tuple(np.array([(1, 0, 0, 1)] * 6).T)
+    for shape in ((6, 15, 14), (6, 14, 14), (6, 16, 15), (1, 6, 15, 15)):
+        with pytest.raises(DimMismatch):
+            conjugation_defect(15, np.zeros(shape, dtype=complex), labels)
+    with pytest.raises(DimMismatch):
+        conjugation_defect(15, np.zeros((5, 15, 15), dtype=complex), labels)
+
+
+def factor_labels(p: int) -> np.ndarray:
+    """[slot, entry]: the label of each `prime_mub(p)` basis, the identity
+    and then the swept matrices (0, 1 | -1, -lam)."""
+    return np.array([(1, 0, 0, 1)] + [(0, 1, p - 1, -lam % p) for lam in range(p)])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_stacked_kernels_equal_the_per_matrix_loop(p):
+    # One call on a (p+1, p, p) stack gives exactly what one call per
+    # matrix gives, on the exact family and on faults that fail it.
+    rng = np.random.default_rng(p)
+    family = np.stack([b.matrix for b in prime_mub(p)])
+    labels = factor_labels(p)
+    generic = [np.linalg.qr(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))[0]
+               for _ in range(p + 1)]
+    inputs = {
+        "exact": (family, labels),
+        "column phases": (family * np.exp(2j * np.pi * rng.random((p + 1, 1, p))), labels),
+        "swapped columns": (family[:, :, [1, 0, *range(2, p)]], labels),
+        "generic unitary": (np.stack(generic), labels),
+        "wrong label": (family, np.roll(labels, 1, axis=0)),
+    }
+    for name, (stack, lab) in inputs.items():
+        defects = unitarity_defect(stack)
+        residuals = conjugation_defect(p, stack, tuple(lab.T))
+        assert defects.shape == residuals.shape == (p + 1,)
+        loop_defects = [unitarity_defect(u) for u in stack]
+        loop_residuals = [conjugation_defect(p, u, tuple(map(int, row))) for u, row in zip(stack, lab)]
+        assert all(isinstance(x, float) for x in loop_defects + loop_residuals)
+        assert (defects == loop_defects).all(), (p, name)
+        assert (residuals == loop_residuals).all(), (p, name)
+        assert bool(residuals.max() > 0.5 / p) == (name != "exact"), (p, name)
 
 
 def test_symplectic_unitary_closed_form_entries():
