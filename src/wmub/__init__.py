@@ -44,6 +44,7 @@ from .geometry import (
     pair_census,
     partition_lines,
     redundancy,
+    sweep_entries,
     sweep_matrix,
 )
 from .hilbert import (

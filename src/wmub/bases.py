@@ -23,7 +23,7 @@ from .geometry import (
     partition_lines,
     redundancy,
     split_entries,
-    sweep_matrix,
+    sweep_entries,
     sweep_value,
 )
 from .hilbert import (
@@ -202,8 +202,9 @@ def build_wmub(ctx: CrtContext) -> WmubSet:
     check_hilbert_cap(ctx)
     mubs1 = tuple(prime_mub(ctx.d1))
     mubs2 = tuple(prime_mub(ctx.d2))
-    labels = tuple(tuple(map(sweep_value, c)) for c in catalog_layout(ctx).components.tolist())
-    symps = tuple(sweep_matrix(ctx, *label).entries for label in labels)
+    components = catalog_layout(ctx).components
+    labels = tuple(tuple(map(sweep_value, c)) for c in components.tolist())
+    symps = tuple(map(tuple, sweep_entries(ctx, components).tolist()))
     return WmubSet(ctx, labels, symps, (mubs1, mubs2))
 
 

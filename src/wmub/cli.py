@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .bases import (
     DualityViolation,
     NotWeaklyUnbiased,
@@ -31,6 +33,8 @@ from .geometry import (
     pair_census,
     partition_lines,
     redundancy,
+    sweep_entries,
+    sweep_value,
 )
 from .hilbert import DimTooLarge
 from .zring import InvalidDims, ModulusTooLarge, crt_context, dedekind_psi
@@ -98,26 +102,24 @@ def _factor_token(slot: int, lam: int | None) -> str:
 def lines_document(d1: int, d2: int) -> Document:
     ctx = crt_context(d1, d2)
     catalog = maximal_line_catalog(ctx)
+    table = np.concatenate(
+        [catalog.generators, catalog.matrices, catalog.comps.reshape(-1, 4), catalog.components],
+        axis=1,
+    ).tolist()
     cells = []
     json_rows = []
-    for e in catalog:
-        row = [
-            f"L_{e.index}",
-            f"L({e.generator[0]},{e.generator[1]})",
-            e.matrix.token(),
-            f"L1({e.comp1[0]},{e.comp1[1]})",
-            f"L2({e.comp2[0]},{e.comp2[1]})",
-        ]
+    for index, (nu, mu, k, l, m, n, a1, b1, a2, b2, i1, i2) in enumerate(table, start=1):
+        row = [f"L_{index}", f"L({nu},{mu})", f"g({k},{l}|{m},{n})", f"L1({a1},{b1})", f"L2({a2},{b2})"]
         cells.append(row)
         json_rows.append(
             {
-                "index": e.index,
+                "index": index,
                 "generator": row[1],
                 "matrix": row[2],
                 "component1": row[3],
                 "component2": row[4],
-                "sweep1": e.lambda1,
-                "sweep2": e.lambda2,
+                "sweep1": sweep_value(i1),
+                "sweep2": sweep_value(i2),
             }
         )
     columns = ["index", "generator", "matrix", "component1", "component2"]
@@ -125,18 +127,19 @@ def lines_document(d1: int, d2: int) -> Document:
 
 
 def wmub_document(d1: int, d2: int) -> Document:
+    # The labels of `build_wmub`, without its prime-dimension factor families.
     ctx = crt_context(d1, d2)
-    s = build_wmub(ctx)
+    check_hilbert_cap(ctx)
+    components = catalog_layout(ctx).components
+    labels = zip(components.tolist(), sweep_entries(ctx, components).tolist())
     cells = []
     json_rows = []
-    for j in range(1, len(s) + 1):
-        k, l, m, n = s.symplectic_label(j)
-        lam1, lam2 = s.factor_label(j)
+    for j, ((i1, i2), (k, l, m, n)) in enumerate(labels, start=1):
         row = [
             f"B_{j}",
             f"X({k},{l}|{m},{n})",
-            _factor_token(1, lam1),
-            _factor_token(2, lam2),
+            _factor_token(1, sweep_value(i1)),
+            _factor_token(2, sweep_value(i2)),
         ]
         cells.append(row)
         json_rows.append(

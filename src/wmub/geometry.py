@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .zring import CrtContext, dedekind_psi, mod_inverse
+from .zring import CrtContext, dedekind_psi
 
 
 class ModulusMismatch(ValueError):
@@ -128,40 +128,64 @@ class SymplecticMatrix:
 def split_generator(
     generator: tuple[int, int], ctx: CrtContext
 ) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Raw component generators: first coordinate by map1, second by map2."""
+    """Raw component generators: first coordinate by map1, second by map2
+    (ints, or integer arrays of equal shape)."""
     nu, mu = generator
     nu1, nu2 = ctx.map1_split(nu)
     mu1, mu2 = ctx.map2_split(mu)
     return (nu1, mu1), (nu2, mu2)
 
 
-def canonical_prime_generator(generator: tuple[int, int], p: int) -> tuple[int, int]:
-    """Lexicographically smallest unit multiple of a generator over Z(p)."""
-    a, b = generator[0] % p, generator[1] % p
-    if a == 0:
-        return (0, 0) if b == 0 else (0, 1)
-    return 1, b * mod_inverse(a, p) % p
+def _inverse_mod_prime(a, p: int):
+    """a^(p-2) mod p by repeated squaring, elementwise: the inverse of every
+    unit a of the prime ring Z(p) (Fermat), and 0 for a = 0."""
+    result, base, e = 1, a % p, p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+def line_key(a, b, p: int):
+    """One integer per line through the origin of Z(p) x Z(p), spanned by a
+    nonzero (a, b): the slope b * a^-1 mod p, or p for the vertical line
+    (a = 0).  Unit multiples of (a, b) get the same key.  Elementwise on
+    integer arrays."""
+    a, b = a % p, b % p
+    return np.where(a == 0, p, b * _inverse_mod_prime(a, p) % p)
+
+
+def factor_keys(generators: np.ndarray, ctx: CrtContext) -> np.ndarray:
+    """Component-line keys [line, factor] of the maximal lines with the given
+    (n, 2) generators, in one array pass: `split_generator`, then `line_key`
+    over Z(d1) and over Z(d2)."""
+    (a1, b1), (a2, b2) = split_generator(generators.T, ctx)
+    return np.stack([line_key(a1, b1, ctx.d1), line_key(a2, b2, ctx.d2)], axis=-1)
 
 
 def factorize_line(l: Line, ctx: CrtContext) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Canonical component-line generators of a maximal line.
+    """Canonical component-line generators of a maximal line: (0, 1) for
+    the vertical component, else (1, slope), read from `factor_keys`.
 
     The result does not depend on which generator of the line was stored:
-    unit factors split into unit factors of both components, and the
-    canonicalization removes them.
+    unit factors split into unit factors of both components, and the keys
+    do not see them.
     """
     if l.d != ctx.d:
         raise ModulusMismatch(f"line over Z({l.d}), context for Z({ctx.d})")
     if not l.is_maximal:
         raise NotMaximal(f"line with {l.size} points cannot be factorized")
-    raw1, raw2 = split_generator(l.generator, ctx)
-    return canonical_prime_generator(raw1, ctx.d1), canonical_prime_generator(raw2, ctx.d2)
+    keys = factor_keys(np.array([l.generator]), ctx)[0].tolist()
+    return tuple((0, 1) if key == p else (1, key) for key, p in zip(keys, (ctx.d1, ctx.d2)))
 
 
 def product_generator(
     comp1: tuple[int, int], comp2: tuple[int, int], ctx: CrtContext
 ) -> tuple[int, int]:
-    """Generator of the product line with the given component generators."""
+    """Generator of the product line with the given component generators
+    (ints, or integer arrays of equal shape)."""
     return ctx.map1_join(comp1[0], comp2[0]), ctx.map2_join(comp1[1], comp2[1])
 
 
@@ -178,40 +202,62 @@ def check_point_map(ctx: CrtContext) -> None:
             raise RuntimeError(f"CRT point map: {name}_join does not invert {name}_split")
 
 
-def _same_prime_line(a: tuple[int, int], b: tuple[int, int], p: int) -> bool:
-    """Whether a and b span the same line over Z(p): a zero determinant, and both or neither zero."""
-    zero = lambda v: v[0] % p == 0 and v[1] % p == 0
-    return (a[0] * b[1] - a[1] * b[0]) % p == 0 and zero(a) == zero(b)
+def _same_prime_line(a, b, p: int):
+    """Whether a and b span the same line over Z(p): a zero determinant, and
+    both or neither zero.  Elementwise on integer arrays."""
+    zero = lambda v: (v[0] % p == 0) & (v[1] % p == 0)
+    return ((a[0] * b[1] - a[1] * b[0]) % p == 0) & (zero(a) == zero(b))
 
 
 # ---------------------------------------------------------------------------
 # the catalog of maximal lines
 # ---------------------------------------------------------------------------
 
-def component_generator(p: int, lam: int | None) -> tuple[int, int]:
-    """Canonical generator of the lam-indexed line over the prime ring Z(p).
+def component_generators(p: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical generators (a, b) over the prime ring Z(p) of the lines with
+    component indices k, elementwise.
 
-    `None` stands for the vertical line (0, 1); the value lam in Z(p) stands
-    for its image under g(0,1|-1,-lam), which is generated by (1, -lam).
+    Index 0 stands for the vertical line (0, 1); index k >= 1 for the image
+    of the vertical line under g(0,1|-1,-lam), lam = k - 1, which is
+    generated by (1, -lam).
     """
-    return (0, 1) if lam is None else (1, -lam % p)
+    return (k != 0).astype(np.int64), np.where(k == 0, 1, (1 - k) % p)
+
+
+def sweep_entries(ctx: CrtContext, components: np.ndarray) -> np.ndarray:
+    """Sweep matrices of the rows (i1, i2) of component indices, as a
+    (len, 4) array of entries (kappa, lam, mu, nu) reduced mod d.
+
+    The sweep matrix is the matrix over Z(d) whose action on the vertical
+    line produces the catalog entry with those components; the same matrix
+    labels the basis with factor sweep values (i1 - 1, i2 - 1).  Raises
+    DetNotOne naming the first 1-based row whose determinant is not 1.
+    """
+    d, d1, d2, s1, s2, t1, t2 = ctx.d, ctx.d1, ctx.d2, ctx.s1, ctx.s2, ctx.t1, ctx.t2
+    i1, i2 = np.asarray(components, dtype=np.int64).T
+    eta = t1 * t1 * d2 + t2 * t2 * d1
+    # One row per case: both components vertical, the first only, the
+    # second only, neither; nu then loses lam_i * s_i for each swept
+    # component i, with sweep value lam_i = i_i - 1.
+    cases = np.array([[1, 0, 0, 1], [s1, t2 * s2, -d1, s1], [s2, t1 * s1, -d2, s2], [0, eta, -d1 - d2, 0]])
+    entries = cases[2 * (i1 > 0) + (i2 > 0)]
+    entries[:, 3] -= (i1 > 0) * (i1 - 1) * s1 + (i2 > 0) * (i2 - 1) * s2
+    entries %= d
+    kappa, lam, mu, nu = entries.T
+    det = (kappa * nu - lam * mu) % d
+    bad = np.flatnonzero(det != 1)
+    if bad.size:
+        row = int(bad[0])
+        k, l, m, n = entries[row].tolist()
+        raise DetNotOne(f"sweep entry {row + 1}: det g({k},{l}|{m},{n}) = {det[row]} != 1 (mod {d})")
+    return entries
 
 
 def sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
-    """Matrix over Z(d) whose action on the vertical line produces the
-    catalog entry with component indices (lam1, lam2).
-
-    The same matrix labels the basis with factor sweep values (lam1, lam2).
-    """
-    d, s1, s2, t1, t2 = ctx.d, ctx.s1, ctx.s2, ctx.t1, ctx.t2
-    if lam1 is None and lam2 is None:
-        return SymplecticMatrix.identity(d)
-    if lam1 is None:
-        return SymplecticMatrix(d, s1, t2 * s2, -ctx.d1, s1 - lam2 * s2)
-    if lam2 is None:
-        return SymplecticMatrix(d, s2, t1 * s1, -ctx.d2, s2 - lam1 * s1)
-    eta = t1 * t1 * ctx.d2 + t2 * t2 * ctx.d1
-    return SymplecticMatrix(d, 0, eta, -ctx.d1 - ctx.d2, -lam1 * s1 - lam2 * s2)
+    """The sweep matrix with factor sweep values (lam1, lam2): one row of
+    `sweep_entries`."""
+    row = sweep_entries(ctx, np.array([[component_index(lam1), component_index(lam2)]]))[0]
+    return SymplecticMatrix(ctx.d, *row.tolist())
 
 
 @dataclass(frozen=True)
@@ -233,17 +279,38 @@ class CatalogEntry:
     lambda2: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaximalLineCatalog:
+    """The maximal lines as integer arrays, row index - 1 for each 1-based
+    index: `components` the component indices (i1, i2) of `catalog_layout`,
+    `generators` the display generators (nu, mu), `matrices` the sweep
+    matrix entries (kappa, lam, mu, nu), and `comps` the component
+    generators [row, factor, 2].  `entries`, `entry` and iteration read a
+    per-entry view built on first use."""
+
     ctx: CrtContext
-    entries: tuple[CatalogEntry, ...]
+    components: np.ndarray
+    generators: np.ndarray
+    matrices: np.ndarray
+    comps: np.ndarray
+
+    @cached_property
+    def entries(self) -> tuple[CatalogEntry, ...]:
+        d = self.ctx.d
+        rows = zip(self.generators.tolist(), self.matrices.tolist(),
+                   self.comps.tolist(), self.components.tolist())
+        return tuple(
+            CatalogEntry(index, line(d, nu, mu), (nu, mu), SymplecticMatrix(d, *matrix),
+                         tuple(comp1), tuple(comp2), sweep_value(i1), sweep_value(i2))
+            for index, ((nu, mu), matrix, (comp1, comp2), (i1, i2)) in enumerate(rows, start=1)
+        )
 
     def entry(self, index: int) -> CatalogEntry:
         """1-based lookup matching the printed index."""
         return self.entries[index - 1]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.generators)
 
     def __iter__(self):
         return iter(self.entries)
@@ -252,8 +319,8 @@ class MaximalLineCatalog:
     def pair_classes(self) -> LinePairs:
         """Every unordered index pair i < j in row-major order with its
         intersection size, classified once per catalog in one array pass."""
-        i, j = np.triu_indices(len(self.entries), k=1)
-        sizes = _intersection_sizes([e.line for e in self.entries], i, j, self.ctx)
+        i, j = np.triu_indices(len(self), k=1)
+        sizes = _intersection_sizes(self.generators, i, j, self.ctx)
         return LinePairs(i + 1, j + 1, sizes)
 
 
@@ -273,12 +340,10 @@ class CatalogLayout(NamedTuple):
 
 def catalog_layout(ctx: CrtContext) -> CatalogLayout:
     d1, d2 = ctx.d1, ctx.d2
-    components = np.array(
-        [(0, 0)]
-        + [(0, k2) for k2 in range(1, d2 + 1)]
-        + [(k1, 0) for k1 in range(1, d1 + 1)]
-        + [(k1, k2) for k1 in range(1, d1 + 1) for k2 in range(1, d2 + 1)]
-    )
+    grid = np.moveaxis(np.indices((d1 + 1, d2 + 1)), 0, -1)  # [k1, k2] -> (k1, k2)
+    # Row k1 = 0 (the all-vertical entry, then the second-component sweep),
+    # column k2 = 0 (the first-component sweep), then the double sweep.
+    components = np.concatenate([grid[0], grid[1:, 0], grid[1:, 1:].reshape(-1, 2)])
     index = np.empty((d1 + 1, d2 + 1), dtype=np.int64)
     index[components[:, 0], components[:, 1]] = np.arange(1, len(components) + 1)
     i = np.arange(d1 + 1)
@@ -306,32 +371,36 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     """Enumerate all dedekind_psi(d) maximal lines in `catalog_layout` order.
 
     Every entry is verified on construction in both of its guises, from
-    generators alone.  Product route: with the point map certified once
-    per context, the entry line is the product of its component lines iff
-    its split generator spans comp1 over Z(d1) and comp2 over Z(d2), and
-    gcd(nu, mu, d) = 1 makes it maximal.  Matrix route: the attached matrix
-    must map the vertical line onto it; over squarefree d two maximal lines
-    are equal iff det[a; b] = 0 (mod d).
+    generators alone, in one array pass over all entries.  Product route:
+    with the point map certified once per context, the entry line is the
+    product of its component lines iff its split generator spans comp1 over
+    Z(d1) and comp2 over Z(d2), and gcd(nu, mu, d) = 1 makes it maximal.
+    Matrix route: the sweep matrix must map the vertical line onto it; over
+    squarefree d two maximal lines are equal iff det[a; b] = 0 (mod d).  The
+    first entry failing a route raises RuntimeError naming it, the product
+    route first.
     """
     check_point_map(ctx)
-    entries = []
-    for index, (i1, i2) in enumerate(catalog_layout(ctx).components.tolist(), start=1):
-        lam1, lam2 = sweep_value(i1), sweep_value(i2)
-        comp1, comp2 = component_generator(ctx.d1, lam1), component_generator(ctx.d2, lam2)
-        nu, mu = generator = product_generator(comp1, comp2, ctx)
-        raw1, raw2 = split_generator(generator, ctx)
-        if math.gcd(nu, mu, ctx.d) != 1 or not (
-            _same_prime_line(raw1, comp1, ctx.d1) and _same_prime_line(raw2, comp2, ctx.d2)
-        ):
-            raise RuntimeError(f"catalog entry {index}: product route disagrees")
-        matrix = sweep_matrix(ctx, lam1, lam2)
-        x, y = matrix.act_point((0, 1))
-        if (x * mu - y * nu) % ctx.d:
-            raise RuntimeError(f"catalog entry {index}: matrix route disagrees")
-        entries.append(CatalogEntry(index, line(ctx.d, nu, mu), generator, matrix, comp1, comp2, lam1, lam2))
-    if len(entries) != dedekind_psi(ctx.d):
+    components = catalog_layout(ctx).components
+    comp1 = component_generators(ctx.d1, components[:, 0])
+    comp2 = component_generators(ctx.d2, components[:, 1])
+    nu, mu = product_generator(comp1, comp2, ctx)
+    raw1, raw2 = split_generator((nu, mu), ctx)
+    product_fails = (np.gcd(np.gcd(nu, mu), ctx.d) != 1) | ~(
+        _same_prime_line(raw1, comp1, ctx.d1) & _same_prime_line(raw2, comp2, ctx.d2)
+    )
+    matrices = sweep_entries(ctx, components)
+    # The sweep matrix sends the vertical generator (0, 1) to (lam, nu).
+    matrix_fails = (matrices[:, 1] * mu - matrices[:, 3] * nu) % ctx.d != 0
+    bad = np.flatnonzero(product_fails | matrix_fails)
+    if bad.size:
+        row = int(bad[0])
+        route = "product" if product_fails[row] else "matrix"
+        raise RuntimeError(f"catalog entry {row + 1}: {route} route disagrees")
+    if len(components) != dedekind_psi(ctx.d):
         raise RuntimeError("catalog size does not match the maximal-line count")
-    return MaximalLineCatalog(ctx, tuple(entries))
+    comps = np.stack([np.stack(comp1, axis=-1), np.stack(comp2, axis=-1)], axis=1)
+    return MaximalLineCatalog(ctx, components, np.stack([nu, mu], axis=-1), matrices, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +432,22 @@ class LinePairs(NamedTuple):
 
 
 def _intersection_sizes(
-    lines: list[Line], i: np.ndarray, j: np.ndarray, ctx: CrtContext
+    generators: np.ndarray, i: np.ndarray, j: np.ndarray, ctx: CrtContext
 ) -> np.ndarray:
-    """Common-point counts of the distinct maximal lines lines[i[k]] and lines[j[k]].
+    """Common-point counts of the distinct maximal lines with generators
+    generators[i[k]] and generators[j[k]], from an (n, 2) array.
 
     The size is computed twice, as gcd(det[a;b], d) of the two generators
     (squarefree d: the lines coincide modulo exactly the primes dividing the
     determinant) and by the component rule (d2 common points iff the second
-    components coincide, d1 iff the first do, 1 otherwise), with one
-    factorization per line; the first disagreeing pair means a bug and raises.
+    components coincide, d1 iff the first do, 1 otherwise), with one array
+    factorization (`factor_keys`) of all the lines; the first disagreeing
+    pair means a bug and raises.
     """
-    nu, mu = np.array([l.generator for l in lines], dtype=np.int64).T
-    comps = np.array([factorize_line(l, ctx) for l in lines], dtype=np.int64)  # [line, factor, 2]
+    nu, mu = generators.T
+    key1, key2 = factor_keys(generators, ctx).T
     sizes = np.gcd((nu[i] * mu[j] - mu[i] * nu[j]) % ctx.d, ctx.d)
-    same = (comps[i] == comps[j]).all(axis=-1)
-    expected = np.where(same[:, 1], ctx.d2, np.where(same[:, 0], ctx.d1, 1))
+    expected = np.where(key2[i] == key2[j], ctx.d2, np.where(key1[i] == key1[j], ctx.d1, 1))
     wrong = np.flatnonzero(sizes != expected)
     if wrong.size:
         k = wrong[0]
@@ -396,7 +466,8 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
         raise NotMaximal("pair classification needs two maximal lines")
     if a == b:
         raise ValueError("pair classification needs two distinct lines")
-    size = int(_intersection_sizes([a, b], np.array([0]), np.array([1]), ctx)[0])
+    generators = np.array([a.generator, b.generator], dtype=np.int64)
+    size = int(_intersection_sizes(generators, np.array([0]), np.array([1]), ctx)[0])
     shared = {ctx.d2: SharedComponent.SECOND, ctx.d1: SharedComponent.FIRST, 1: SharedComponent.NONE}
     return LinePairClass(size, shared[size])
 

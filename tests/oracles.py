@@ -1,17 +1,27 @@
-"""Brute-force point-set oracles for the line geometry, and the group
-operations on symplectic matrices that only the tests use.
+"""Brute-force point-set oracles for the line geometry, the scalar
+per-entry routes of the catalog, and the group operations on symplectic
+matrices that only the tests use.
 
-The library keeps a line as its generator and certifies everything else
-by arithmetic identities; these helpers enumerate points instead, so the
-tests can compare the two routes.
+The library keeps a line as its generator, certifies everything else by
+arithmetic identities, and builds the catalog in integer array passes;
+these helpers enumerate points and walk one entry at a time instead, so
+the tests can compare the two routes.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from wmub.geometry import Line, ModulusMismatch, SymplecticMatrix, line
-from wmub.zring import CrtContext
+from wmub.geometry import (
+    Line,
+    ModulusMismatch,
+    SymplecticMatrix,
+    catalog_layout,
+    line,
+    product_generator,
+    sweep_value,
+)
+from wmub.zring import CrtContext, mod_inverse
 
 
 def points(l: Line) -> tuple[tuple[int, int], ...]:
@@ -118,3 +128,45 @@ def product_points(comp1: Line, comp2: Line, ctx: CrtContext) -> frozenset[tuple
         for (m1, n1) in points(comp1)
         for (m2, n2) in points(comp2)
     )
+
+
+def canonical_prime_generator(generator: tuple[int, int], p: int) -> tuple[int, int]:
+    """Lexicographically smallest unit multiple of a generator over Z(p)."""
+    a, b = generator[0] % p, generator[1] % p
+    if a == 0:
+        return (0, 0) if b == 0 else (0, 1)
+    return 1, b * mod_inverse(a, p) % p
+
+
+def component_generator(p: int, lam: int | None) -> tuple[int, int]:
+    """Canonical generator of the lam-indexed line over the prime ring Z(p).
+
+    `None` stands for the vertical line (0, 1); the value lam in Z(p) stands
+    for its image under g(0,1|-1,-lam), which is generated by (1, -lam).
+    """
+    return (0, 1) if lam is None else (1, -lam % p)
+
+
+def scalar_sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
+    """The sweep matrix of one entry, case by case, over Z(d)."""
+    d, s1, s2, t1, t2 = ctx.d, ctx.s1, ctx.s2, ctx.t1, ctx.t2
+    if lam1 is None and lam2 is None:
+        return SymplecticMatrix.identity(d)
+    if lam1 is None:
+        return SymplecticMatrix(d, s1, t2 * s2, -ctx.d1, s1 - lam2 * s2)
+    if lam2 is None:
+        return SymplecticMatrix(d, s2, t1 * s1, -ctx.d2, s2 - lam1 * s1)
+    eta = t1 * t1 * ctx.d2 + t2 * t2 * ctx.d1
+    return SymplecticMatrix(d, 0, eta, -ctx.d1 - ctx.d2, -lam1 * s1 - lam2 * s2)
+
+
+def scalar_catalog_rows(ctx: CrtContext):
+    """Per catalog index, in order: (generator, matrix entries, comp1, comp2),
+    each entry built on its own from its sweep values."""
+    rows = []
+    for i1, i2 in catalog_layout(ctx).components.tolist():
+        lam1, lam2 = sweep_value(i1), sweep_value(i2)
+        comp1, comp2 = component_generator(ctx.d1, lam1), component_generator(ctx.d2, lam2)
+        generator = product_generator(comp1, comp2, ctx)
+        rows.append((generator, scalar_sweep_matrix(ctx, lam1, lam2).entries, comp1, comp2))
+    return rows

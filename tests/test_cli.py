@@ -211,16 +211,17 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 def test_verify_classifies_each_pair_once(capsys, monkeypatch):
-    # One factorization per catalog line, one array pass per side, and no
-    # per-pair call.
-    factorizations = count_calls(monkeypatch, wmub.geometry.factorize_line)
+    # One array factorization of the 24 catalog lines, one array pass per
+    # side, and no per-pair call.
+    factorizations = count_calls(monkeypatch, wmub.geometry.factor_keys)
     line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
     basis_passes = count_calls(monkeypatch, wmub.bases.pair_categories)
     single = count_calls(monkeypatch, wmub.bases.classify_pair)
     single += count_calls(monkeypatch, wmub.geometry.classify_line_pair)
+    single += count_calls(monkeypatch, wmub.geometry.factorize_line)
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 0
-    assert len(factorizations) == 24
+    assert [args[0].shape for args in factorizations] == [(24, 2)]
     assert len(line_passes) == len(basis_passes) == 1
     assert len(line_passes[0][1]) == len(basis_passes[0][1]) == 24 * 23 // 2
     assert single == []
@@ -258,6 +259,25 @@ def test_partitions_bases_builds_no_factor_family(capsys, monkeypatch):
     assert built == []
     code, _, err = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"])
     assert code == USAGE_ERROR and "exceeds the Hilbert-space cap 105" in err
+    assert built == []
+
+
+def test_wmub_table_builds_no_factor_family(capsys, monkeypatch):
+    # The basis table reads only the labels; the cap still applies.
+    built = count_calls(monkeypatch, wmub.hilbert.prime_mub)
+    code, out, _ = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "5"])
+    assert code == 0 and out == (GOLDEN / "bases_3_5.txt").read_text()
+    code, _, err = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "37"])
+    assert code == USAGE_ERROR and "exceeds the Hilbert-space cap 105" in err
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["lines", "verify"])
+def test_catalog_commands_build_no_line_object(capsys, monkeypatch, command):
+    # The catalog, the pair pass and the table read the catalog arrays.
+    built = count_calls(monkeypatch, wmub.geometry.line)
+    code, _, _ = run_cli(capsys, [command, "--d1", "5", "--d2", "7"])
+    assert code == 0
     assert built == []
 
 
@@ -365,9 +385,10 @@ def test_verify_names_catalog_on_a_wrong_component_generator(capsys, monkeypatch
     real = wmub.geometry.product_generator
 
     def patched(comp1, comp2, ctx):
-        if (comp1, comp2) == ((1, 0), (0, 1)):
-            comp1 = (1, 2)
-        return real(comp1, comp2, ctx)
+        a1, b1 = (column.copy() for column in comp1)
+        assert (a1[7 - 1], b1[7 - 1], comp2[0][7 - 1], comp2[1][7 - 1]) == (1, 0, 0, 1)
+        b1[7 - 1] = 2
+        return real((a1, b1), comp2, ctx)
 
     monkeypatch.setattr(wmub.geometry, "product_generator", patched)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
@@ -421,23 +442,27 @@ def test_lines_table_at_d_3007_is_pinned(capsys):
 def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):
     # Entry 7 (components (0, None)) gets the identity, which keeps the
     # vertical line: the matrix route fails while the product route holds.
-    real = wmub.geometry.sweep_matrix
+    real = wmub.geometry.sweep_entries
 
-    def patched(ctx, lam1, lam2):
-        if (lam1, lam2) == (0, None):
-            return wmub.geometry.SymplecticMatrix.identity(ctx.d)
-        return real(ctx, lam1, lam2)
+    def patched(ctx, components):
+        entries = real(ctx, components).copy()
+        assert components[7 - 1].tolist() == [1, 0]
+        entries[7 - 1] = (1, 0, 0, 1)
+        return entries
 
-    monkeypatch.setattr(wmub.geometry, "sweep_matrix", patched)
+    monkeypatch.setattr(wmub.geometry, "sweep_entries", patched)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL catalog: catalog entry 7: matrix route disagrees"
 
 
 def test_verify_names_line_census_on_a_failed_cross_check(capsys, monkeypatch):
-    # Every line claims the vertical components, so the component rule
-    # disagrees with the determinant route on the first pair.
-    monkeypatch.setattr(wmub.geometry, "factorize_line", lambda l, ctx: ((0, 1), (0, 1)))
+    # Every line claims the vertical components (key p for each factor), so
+    # the component rule disagrees with the determinant route on the first pair.
+    monkeypatch.setattr(
+        wmub.geometry, "factor_keys",
+        lambda generators, ctx: np.tile([ctx.d1, ctx.d2], (len(generators), 1)),
+    )
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.startswith("FAIL line-census: component rule predicts 5 common points")

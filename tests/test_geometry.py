@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import wmub.geometry
@@ -18,20 +19,27 @@ from wmub.geometry import (
     catalog_layout,
     check_point_map,
     classify_line_pair,
+    factor_keys,
     factorize_line,
     line,
+    line_key,
     matrix_factorize,
     maximal_line_catalog,
     pair_census,
     partition_lines,
     redundancy,
     split_generator,
+    sweep_entries,
+    sweep_matrix,
+    sweep_value,
 )
-from wmub.zring import crt_context, dedekind_psi, jordan_j2
+from wmub.hilbert import MAX_DIM
+from wmub.zring import crt_context, dedekind_psi, is_prime, jordan_j2
 
 from oracles import (
     LineRelation,
     act_line,
+    canonical_prime_generator,
     compose,
     intersection,
     inverse,
@@ -40,7 +48,16 @@ from oracles import (
     point_set,
     points,
     product_points,
+    scalar_catalog_rows,
+    scalar_sweep_matrix,
 )
+
+SUPPORTED_DIMS = [
+    (d1, d2)
+    for d1 in range(3, MAX_DIM)
+    for d2 in range(d1 + 2, MAX_DIM // d1 + 1)
+    if is_prime(d1) and is_prime(d2)
+]
 
 # The d = 15 catalog, row by row: display generator, matrix entries,
 # component generators.  Same data as tests/golden/lines_3_5.txt, kept here
@@ -336,6 +353,35 @@ def test_point_map_check_rejects_a_wrong_idempotent(d1, d2):
         maximal_line_catalog(replace(ctx, s1=ctx.s1 + 1))
 
 
+@pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
+def test_line_key_matches_the_canonical_generator_on_every_line(p):
+    a, b = (column.ravel() for column in np.mgrid[0:p, 0:p])
+    a, b = a[1:], b[1:]  # every nonzero (a, b), (0, 0) first
+    keys = line_key(a, b, p).tolist()
+    for x, y, key in zip(a.tolist(), b.tolist(), keys):
+        assert ((0, 1) if key == p else (1, key)) == canonical_prime_generator((x, y), p)
+    assert line_key(a[-1].item(), b[-1].item(), p) == keys[-1]
+
+
+def test_line_key_matches_the_canonical_generator_above_1e5():
+    p = 100003
+    assert is_prime(p)
+    rng = np.random.default_rng(10)
+    a, b = rng.integers(0, p, size=(2, 2000))
+    a[:100] = 0
+    b[:100] = rng.integers(1, p, size=100)
+    for x, y, key in zip(a.tolist(), b.tolist(), line_key(a, b, p).tolist()):
+        assert ((0, 1) if key == p else (1, key)) == canonical_prime_generator((x, y), p)
+
+
+def test_factor_keys_ignore_the_unit_multiple(ctx15):
+    generators = np.array([(nu, mu) for nu in range(15) for mu in range(15)
+                           if math.gcd(nu, mu, 15) == 1])
+    keys = factor_keys(generators, ctx15)
+    for u in (2, 4, 7, 8, 11, 13, 14):
+        assert (factor_keys(generators * u % 15, ctx15) == keys).all()
+
+
 # ---------------------------------------------------------------------------
 # the catalog
 # ---------------------------------------------------------------------------
@@ -364,6 +410,56 @@ def test_catalog_matrices_reproduce_lines_from_the_vertical_line(catalog15):
     base = line(15, 0, 1)
     for e in catalog15:
         assert act_line(e.matrix, base) == e.line
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS + [(31, 97)], ids=lambda dims: f"d={dims[0] * dims[1]}")
+def test_sweep_entries_match_the_scalar_oracle(dims):
+    ctx = crt_context(*dims)
+    components = catalog_layout(ctx).components
+    table = sweep_entries(ctx, components).tolist()
+    assert len(table) == dedekind_psi(ctx.d)
+    for (i1, i2), row in zip(components.tolist(), table):
+        lam1, lam2 = sweep_value(i1), sweep_value(i2)
+        assert tuple(row) == scalar_sweep_matrix(ctx, lam1, lam2).entries
+    assert sweep_matrix(ctx, lam1, lam2).entries == tuple(row)
+
+
+@pytest.mark.parametrize("d1,d2", [(3, 5), (5, 7)])
+@pytest.mark.parametrize("field", ["s1", "t2"])
+def test_sweep_entries_name_the_first_row_without_unit_determinant(d1, d2, field):
+    ctx = crt_context(d1, d2)
+    wrong = replace(ctx, **{field: getattr(ctx, field) + 1})
+    components = catalog_layout(ctx).components
+    first = None
+    for index, (i1, i2) in enumerate(components.tolist(), start=1):
+        try:
+            scalar_sweep_matrix(wrong, sweep_value(i1), sweep_value(i2))
+        except DetNotOne:
+            first = index
+            break
+    assert first is not None
+    with pytest.raises(DetNotOne, match=rf"^sweep entry {first}: det g\(\d+,\d+\|\d+,\d+\) = \d+ != 1 \(mod {ctx.d}\)$"):
+        sweep_entries(wrong, components)
+    with pytest.raises(DetNotOne, match=r"^sweep entry 1: "):
+        sweep_entries(wrong, components[first - 1:first])
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=lambda dims: f"d={dims[0] * dims[1]}")
+def test_catalog_arrays_match_the_scalar_route(dims):
+    ctx = crt_context(*dims)
+    catalog = maximal_line_catalog(ctx)
+    rows = scalar_catalog_rows(ctx)
+    assert catalog.generators.tolist() == [list(generator) for generator, *_ in rows]
+    assert catalog.matrices.tolist() == [list(matrix) for _, matrix, *_ in rows]
+    assert catalog.comps.tolist() == [[list(comp1), list(comp2)] for *_, comp1, comp2 in rows]
+    assert catalog.components.tolist() == catalog_layout(ctx).components.tolist()
+    # The per-entry view is built only when first read, from the same arrays.
+    catalog.pair_classes
+    assert len(catalog) == len(rows) and "entries" not in vars(catalog)
+    for e, (generator, matrix, comp1, comp2) in zip(catalog, rows):
+        assert (e.generator, e.matrix.entries, e.comp1, e.comp2) == (generator, matrix, comp1, comp2)
+        assert e.line == line(ctx.d, *generator) and e.line.is_maximal
+        assert sweep_matrix(ctx, e.lambda1, e.lambda2) == e.matrix
 
 
 def test_catalog_layout_reference(ctx15, catalog15):
@@ -489,12 +585,14 @@ def test_pair_pass_raises_at_the_first_disagreeing_pair(ctx15, monkeypatch):
     # Pair (1, 24) comes first in row-major order (predicted 5, actual 1);
     # pair (2, 3) would come first by column (predicted 5, actual 3).
     catalog = maximal_line_catalog(ctx15)
-    real = {e.line: factorize_line(e.line, ctx15) for e in catalog}
-    claimed = {catalog.entry(24).line: real[catalog.entry(1).line],
-               catalog.entry(3).line: real[catalog.entry(2).line]}
-    monkeypatch.setattr(
-        wmub.geometry, "factorize_line", lambda l, ctx: claimed.get(l, real[l])
-    )
+    real = wmub.geometry.factor_keys
+
+    def claimed(generators, ctx):
+        keys = real(generators, ctx).copy()
+        keys[24 - 1], keys[3 - 1] = keys[1 - 1], keys[2 - 1]
+        return keys
+
+    monkeypatch.setattr(wmub.geometry, "factor_keys", claimed)
     with pytest.raises(
         RuntimeError, match=r"^component rule predicts 5 common points, determinant gives 1$"
     ):
