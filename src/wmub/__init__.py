@@ -20,12 +20,10 @@ from .bases import (
     overlap_table,
     pair_categories,
     partition_bases,
-    symplectic_label_defect,
     unitarity_bound,
     wmub_census,
 )
 from .geometry import (
-    CatalogEntry,
     DetNotOne,
     Line,
     LinePairClass,
@@ -34,39 +32,27 @@ from .geometry import (
     ModulusMismatch,
     NotMaximal,
     SharedComponent,
-    SymplecticMatrix,
     catalog_layout,
     classify_line_pair,
-    factorize_line,
     line,
-    matrix_factorize,
     maximal_line_catalog,
     pair_census,
     partition_lines,
     redundancy,
     sweep_entries,
-    sweep_matrix,
 )
 from .hilbert import (
     DimMismatch,
     DimTooLarge,
     EvenDimension,
     NotOddPrime,
-    OrthonormalBasis,
-    UnsupportedMatrix,
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
     crt_index_maps,
-    displacement,
     fourier,
-    omega,
     prime_mub,
-    quadratic_phase,
-    symplectic_unitary,
     unitarity_defect,
-    x_op,
-    z_op,
 )
 from .zring import (
     CrtContext,

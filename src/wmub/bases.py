@@ -6,7 +6,6 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +28,6 @@ from .geometry import (
 from .hilbert import (
     MAX_DIM,
     DimTooLarge,
-    OrthonormalBasis,
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
@@ -99,8 +97,10 @@ class FactorExtrema(NamedTuple):
     off_top: np.ndarray
 
     def take(self, j: np.ndarray, i: np.ndarray) -> FactorExtrema:
-        """The extrema at positions [j[k], i[k]] of every field."""
-        pick = lambda field: field[j, i]
+        """The extrema at positions [j[k], i[k]] of every field, each read
+        through one flat index into the square (p+1, p+1) field."""
+        flat = j * len(self.off_top) + i
+        pick = lambda field: field.take(flat)
         return FactorExtrema(
             Region(*map(pick, self.whole)), Region(*map(pick, self.diag)), pick(self.off_top)
         )
@@ -135,44 +135,26 @@ class WmubSet:
     Indexing is 1-based and follows `catalog_layout`.  `factor_labels`
     holds the sweep value of each factor (None for the position basis);
     the symplectic labels are the entries of the catalog's sweep matrix
-    with the same index, which each basis must realize.  `factor_mubs`
+    with the same index, which each basis must realize.  `factor_stacks`
     holds the two prime-dimension families the bases are tensor products
-    of, in `prime_mub` order.  The d x d bases themselves are assembled
-    only when `bases` or `basis` is first read.
+    of, each the (p+1, p, p) stack of `prime_mub`, indexed by slot; every
+    factor gate reads them.  No d x d basis is kept: `overlap_table`
+    assembles the two it compares.
     """
 
     ctx: CrtContext
     factor_labels: tuple[tuple[int | None, int | None], ...]
     symplectic_labels: tuple[tuple[int, int, int, int], ...]
-    factor_mubs: tuple[tuple[OrthonormalBasis, ...], tuple[OrthonormalBasis, ...]]
+    factor_stacks: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.factor_labels)
-
-    @cached_property
-    def bases(self) -> tuple[OrthonormalBasis, ...]:
-        """The d x d bases in index order, each assembled from its two
-        factor bases; read by `overlap_table` and `symplectic_label_defect`."""
-        mubs1, mubs2 = self.factor_mubs
-        return tuple(
-            assemble_tensor_basis(mubs1[slot1], mubs2[slot2], self.ctx)
-            for slot1, slot2 in self.factor_slots
-        )
-
-    def basis(self, j: int) -> OrthonormalBasis:
-        return self.bases[j - 1]
 
     def factor_label(self, j: int) -> tuple[int | None, int | None]:
         return self.factor_labels[j - 1]
 
     def symplectic_label(self, j: int) -> tuple[int, int, int, int]:
         return self.symplectic_labels[j - 1]
-
-    @cached_property
-    def factor_stacks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per factor, the matrices of its family in `factor_mubs` as one
-        (p+1, p, p) array, indexed by slot; what every factor gate reads."""
-        return tuple(np.stack([b.matrix for b in mubs]) for mubs in self.factor_mubs)
 
     @cached_property
     def factor_extrema(self) -> tuple[FactorExtrema, FactorExtrema]:
@@ -183,7 +165,7 @@ class WmubSet:
 
     @cached_property
     def factor_slots(self) -> np.ndarray:
-        """[j - 1, factor]: the position in `factor_mubs` of each factor of basis j."""
+        """[j - 1, factor]: the slot in `factor_stacks` of each factor of basis j."""
         return np.array([[component_index(lam) for lam in label] for label in self.factor_labels])
 
 
@@ -200,12 +182,10 @@ def build_wmub(ctx: CrtContext) -> WmubSet:
     Raises DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM.
     """
     check_hilbert_cap(ctx)
-    mubs1 = tuple(prime_mub(ctx.d1))
-    mubs2 = tuple(prime_mub(ctx.d2))
     components = catalog_layout(ctx).components
     labels = tuple(tuple(map(sweep_value, c)) for c in components.tolist())
     symps = tuple(map(tuple, sweep_entries(ctx, components).tolist()))
-    return WmubSet(ctx, labels, symps, (mubs1, mubs2))
+    return WmubSet(ctx, labels, symps, (prime_mub(ctx.d1), prime_mub(ctx.d2)))
 
 
 def unitarity_bound(s: WmubSet) -> float:
@@ -222,20 +202,20 @@ def unitarity_bound(s: WmubSet) -> float:
 
 
 def conjugation_bound(s: WmubSet) -> float:
-    """Upper bound on `symplectic_label_defect` over every basis, from the
-    factor families alone.
+    """Upper bound on the `conjugation_defect` of every assembled d x d
+    basis against its label, from the factor families alone.
 
     `check_crt_relabelling` certifies that the relabelling the bases are
     assembled with turns X_d into X_d1^t1 (x) X_d2^t2, Z_d into
     Z_d1 (x) Z_d2 and D_d(a, b) into D_d1(a, b*t1) (x) D_d2(a, b*t2).  So for
     B = U1 (x) U2 relabelled, B X - D B is the relabelling of
     (U1 X^t1 - D1^t1 U1) (x) U2 X^t2 + D1^t1 U1 (x) (U2 X^t2 - D2^t2 U2)
-    with (D1, D2) the `split_entries` components of the label (those of
-    `matrix_factorize`), and likewise for Z with power 1.  Row norms of a
-    Kronecker product multiply, and D^s (U X - D U) X^k has the row norms
-    of U X - D U, so with r_i the residual `conjugation_defect` of factor i
-    against its component label and c_i the largest row norm of U_i, the
-    residual of B is at most q1*r1*c2 + c1*q2*r2, where
+    with (D1, D2) the `split_entries` components of the label, and
+    likewise for Z with power 1.  Row norms of a Kronecker product
+    multiply, and D^s (U X - D U) X^k has the row norms of U X - D U, so
+    with r_i the residual `conjugation_defect` of factor i against its
+    component label and c_i the largest row norm of U_i, the residual of B
+    is at most q1*r1*c2 + c1*q2*r2, where
     q_i = min(t_i, d_i - t_i) bounds the growth of the X residual from X to
     X^t_i (X^t is also X^-(d_i - t_i)).  Each (factor, factor basis,
     component label) is checked once, all of a factor in one
@@ -281,11 +261,17 @@ def _check_indices(s: WmubSet, i: int, j: int) -> None:
 def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
     """Magnitudes |<B_j; n | B_i; m>| for the pair (i, j), as an (n, m) table.
 
-    The dense d x d product; `classify_pair` does not read it, so it stands
-    as the independent route for tests.
+    The dense d x d product of the two bases, each assembled from its factor
+    slots; `classify_pair` does not read it, so it stands as the independent
+    route for tests.
     """
     _check_indices(s, i, j)
-    return np.abs(s.basis(j).matrix.conj().T @ s.basis(i).matrix)
+    stack1, stack2 = s.factor_stacks
+    bj, bi = (
+        assemble_tensor_basis(stack1[slot1], stack2[slot2], s.ctx)
+        for slot1, slot2 in s.factor_slots[[j - 1, i - 1]]
+    )
+    return np.abs(bj.conj().T @ bi)
 
 
 def _match(s: WmubSet, i, j, tol: float):
@@ -394,12 +380,6 @@ def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
     return catalog_layout(s.ctx).sets
 
 
-def symplectic_label_defect(s: WmubSet, j: int) -> float:
-    """Conjugation residual of the assembled basis j against its
-    d-dimensional label; the dense route that `conjugation_bound` bounds."""
-    return conjugation_defect(s.ctx.d, s.basis(j).matrix, s.symplectic_label(j))
-
-
 @dataclass(frozen=True)
 class DualityReport:
     """The two censuses, and the category code of every basis pair in the
@@ -448,16 +428,22 @@ def duality_report(
 
 def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, report: DualityReport) -> bool:
     """What the paper claims of the partition grids, read from the two pair
-    passes: each covers 1..psi exactly once, the lines of each set meet
-    pairwise only at the origin, and the bases of each group are unbiased."""
+    passes: each is d2+1 groups of d1+1 covering 1..psi exactly once, the
+    lines of each set meet pairwise only at the origin, and the bases of
+    each group are unbiased."""
+    ctx = catalog.ctx
     psi = len(catalog)
+    first, second = np.triu_indices(ctx.d1 + 1, k=1)
     for sets, fits in (
-        (partition_lines(catalog.ctx), catalog.pair_classes.size == 1),
+        (partition_lines(ctx), catalog.pair_classes.size == 1),
         (partition_bases(s), report.categories == _CATEGORIES.index(OverlapCategory.FULL)),
     ):
-        if sorted(itertools.chain(*sets)) != list(range(1, psi + 1)):
+        if [len(group) for group in sets] != [ctx.d1 + 1] * (ctx.d2 + 1):
             return False
-        a, b = np.array([p for group in sets for p in itertools.combinations(sorted(group), 2)]).T
+        grid = np.sort(sets, axis=1)  # [group, member]
+        if not np.array_equal(np.sort(grid, axis=None), np.arange(1, psi + 1)):
+            return False
+        a, b = grid[:, first], grid[:, second]
         # (a, b) sits at this position in the row-major order of the pair passes.
         if not fits[(a - 1) * psi - (a - 1) * a // 2 + (b - a - 1)].all():
             return False

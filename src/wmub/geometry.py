@@ -1,7 +1,8 @@
-"""Lines through the origin of Z(d) x Z(d) as generators, the symplectic
-group acting on them, and the combinatorics special to d = d1*d2 (distinct
-odd primes): component-line factorization, the one catalog layout and the
-catalog of maximal lines, pair classification, and the partition."""
+"""Lines through the origin of Z(d) x Z(d) as generators, the sweep
+matrices of the symplectic group that produce them, and the combinatorics
+special to d = d1*d2 (distinct odd primes): component-line factorization,
+the one catalog layout and the catalog of maximal lines, pair
+classification, and the partition."""
 
 from __future__ import annotations
 
@@ -82,46 +83,6 @@ def line(d: int, nu: int, mu: int) -> Line:
 
 
 # ---------------------------------------------------------------------------
-# symplectic matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """2x2 matrix (kappa, lam | mu, nu) over Z(d) with determinant 1."""
-
-    d: int
-    kappa: int
-    lam: int
-    mu: int
-    nu: int
-
-    def __post_init__(self) -> None:
-        d = self.d
-        if d < 2:
-            raise ValueError(f"modulus must be >= 2, got {d}")
-        for name in ("kappa", "lam", "mu", "nu"):
-            object.__setattr__(self, name, getattr(self, name) % d)
-        det = (self.kappa * self.nu - self.lam * self.mu) % d
-        if det != 1:
-            raise DetNotOne(f"det {self.token()} = {det} != 1 (mod {d})")
-
-    @classmethod
-    def identity(cls, d: int) -> SymplecticMatrix:
-        return cls(d, 1, 0, 0, 1)
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return self.kappa, self.lam, self.mu, self.nu
-
-    def act_point(self, point: tuple[int, int]) -> tuple[int, int]:
-        x, y = point
-        return (self.kappa * x + self.lam * y) % self.d, (self.mu * x + self.nu * y) % self.d
-
-    def token(self) -> str:
-        return f"g({self.kappa},{self.lam}|{self.mu},{self.nu})"
-
-
-# ---------------------------------------------------------------------------
 # factorization into component lines
 # ---------------------------------------------------------------------------
 
@@ -163,22 +124,6 @@ def factor_keys(generators: np.ndarray, ctx: CrtContext) -> np.ndarray:
     over Z(d1) and over Z(d2)."""
     (a1, b1), (a2, b2) = split_generator(generators.T, ctx)
     return np.stack([line_key(a1, b1, ctx.d1), line_key(a2, b2, ctx.d2)], axis=-1)
-
-
-def factorize_line(l: Line, ctx: CrtContext) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Canonical component-line generators of a maximal line: (0, 1) for
-    the vertical component, else (1, slope), read from `factor_keys`.
-
-    The result does not depend on which generator of the line was stored:
-    unit factors split into unit factors of both components, and the keys
-    do not see them.
-    """
-    if l.d != ctx.d:
-        raise ModulusMismatch(f"line over Z({l.d}), context for Z({ctx.d})")
-    if not l.is_maximal:
-        raise NotMaximal(f"line with {l.size} points cannot be factorized")
-    keys = factor_keys(np.array([l.generator]), ctx)[0].tolist()
-    return tuple((0, 1) if key == p else (1, key) for key, p in zip(keys, (ctx.d1, ctx.d2)))
 
 
 def product_generator(
@@ -253,40 +198,13 @@ def sweep_entries(ctx: CrtContext, components: np.ndarray) -> np.ndarray:
     return entries
 
 
-def sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
-    """The sweep matrix with factor sweep values (lam1, lam2): one row of
-    `sweep_entries`."""
-    row = sweep_entries(ctx, np.array([[component_index(lam1), component_index(lam2)]]))[0]
-    return SymplecticMatrix(ctx.d, *row.tolist())
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """One maximal line with its index, generating matrix, and components.
-
-    `generator` is the display form: canonical component generators joined
-    back through the two CRT maps, so it is the point of the line whose
-    component coordinates are exactly the component generators.
-    """
-
-    index: int
-    line: Line
-    generator: tuple[int, int]
-    matrix: SymplecticMatrix
-    comp1: tuple[int, int]
-    comp2: tuple[int, int]
-    lambda1: int | None
-    lambda2: int | None
-
-
 @dataclass(frozen=True, eq=False)
 class MaximalLineCatalog:
     """The maximal lines as integer arrays, row index - 1 for each 1-based
     index: `components` the component indices (i1, i2) of `catalog_layout`,
     `generators` the display generators (nu, mu), `matrices` the sweep
     matrix entries (kappa, lam, mu, nu), and `comps` the component
-    generators [row, factor, 2].  `entries`, `entry` and iteration read a
-    per-entry view built on first use."""
+    generators [row, factor, 2]."""
 
     ctx: CrtContext
     components: np.ndarray
@@ -294,26 +212,8 @@ class MaximalLineCatalog:
     matrices: np.ndarray
     comps: np.ndarray
 
-    @cached_property
-    def entries(self) -> tuple[CatalogEntry, ...]:
-        d = self.ctx.d
-        rows = zip(self.generators.tolist(), self.matrices.tolist(),
-                   self.comps.tolist(), self.components.tolist())
-        return tuple(
-            CatalogEntry(index, line(d, nu, mu), (nu, mu), SymplecticMatrix(d, *matrix),
-                         tuple(comp1), tuple(comp2), sweep_value(i1), sweep_value(i2))
-            for index, ((nu, mu), matrix, (comp1, comp2), (i1, i2)) in enumerate(rows, start=1)
-        )
-
-    def entry(self, index: int) -> CatalogEntry:
-        """1-based lookup matching the printed index."""
-        return self.entries[index - 1]
-
     def __len__(self) -> int:
         return len(self.generators)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     @cached_property
     def pair_classes(self) -> LinePairs:
@@ -496,8 +396,9 @@ def split_entries(entries, ctx: CrtContext):
     Diagonal entries and lam split by map1 (lam picking up a factor r_i),
     mu splits by map2; each component entry is reduced mod its d_i.  The
     entries may be ints or integer arrays of equal shape (one label per
-    position), so `matrix_factorize` and the label pass of
-    `bases.conjugation_bound` share this one rule.
+    position), so the label pass of `bases.conjugation_bound` splits every
+    label at once.  The component matrices act on component lines exactly
+    as the matrix over Z(d) acts on the product line.
     """
     kappa, lam, mu, nu = entries
     k1, k2 = ctx.map1_split(kappa)
@@ -505,17 +406,3 @@ def split_entries(entries, ctx: CrtContext):
     m1, m2 = ctx.map2_split(mu)
     n1, n2 = ctx.map1_split(nu)
     return (k1, l1 * ctx.r1 % ctx.d1, m1, n1), (k2, l2 * ctx.r2 % ctx.d2, m2, n2)
-
-
-def matrix_factorize(
-    g: SymplecticMatrix, ctx: CrtContext
-) -> tuple[SymplecticMatrix, SymplecticMatrix]:
-    """Component matrices of g over Z(d1) and Z(d2), split by `split_entries`.
-
-    The components act on component lines exactly as g acts on the product
-    line.
-    """
-    if g.d != ctx.d:
-        raise ModulusMismatch(f"matrix over Z({g.d}), context for Z({ctx.d})")
-    c1, c2 = split_entries(g.entries, ctx)
-    return SymplecticMatrix(ctx.d1, *c1), SymplecticMatrix(ctx.d2, *c2)

@@ -1,15 +1,13 @@
 """Finite-dimensional Hilbert-space machinery: the discrete Fourier
-transform, displacement operators, the symplectic unitaries generated by
-quadratic phases, mutually unbiased bases in odd prime dimension, and
-tensor assembly of bases along the CRT factorization."""
+transform, the stacked unitarity and conjugation kernels, the mutually
+unbiased bases of an odd prime dimension as one stack, and tensor assembly
+of bases along the CRT factorization.  The dense displacement operators and
+symplectic unitaries the kernels are checked against live in tests/dense.py."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .geometry import ModulusMismatch, SymplecticMatrix
 from .zring import CrtContext, is_prime, mod_inverse
 
 MAX_DIM = 105
@@ -21,10 +19,6 @@ class EvenDimension(ValueError):
 
 class NotOddPrime(ValueError):
     """Mutually unbiased bases are built here for odd prime dimension only."""
-
-
-class UnsupportedMatrix(ValueError):
-    """No unitary is synthesized for this symplectic matrix."""
 
 
 class DimMismatch(ValueError):
@@ -43,79 +37,11 @@ def _check_dim(d: int) -> None:
         raise DimTooLarge(f"dimension {d} exceeds the supported cap {MAX_DIM}")
 
 
-def omega(d: int, k: int) -> complex:
-    """exp(2*pi*i*k/d); periodic in k with period d."""
-    return complex(np.exp(2j * np.pi * (k % d) / d))
-
-
 def fourier(d: int) -> np.ndarray:
     """F[m, n] = d**-0.5 * omega(m*n); columns are the momentum states."""
     _check_dim(d)
     idx = np.arange(d)
     return np.exp(2j * np.pi * (np.outer(idx, idx) % d) / d) / np.sqrt(d)
-
-
-def z_op(d: int, alpha: int = 1) -> np.ndarray:
-    """Diagonal phase operator with entries omega(n*alpha)."""
-    _check_dim(d)
-    n = np.arange(d)
-    return np.diag(np.exp(2j * np.pi * (n * (alpha % d) % d) / d))
-
-
-def x_op(d: int, beta: int = 1) -> np.ndarray:
-    """Cyclic position shift by beta: |n> -> |n + beta>."""
-    _check_dim(d)
-    m = np.zeros((d, d), dtype=complex)
-    m[(np.arange(d) + beta) % d, np.arange(d)] = 1.0
-    return m
-
-
-def displacement(d: int, alpha: int, beta: int) -> np.ndarray:
-    """Symmetrically ordered displacement Z^alpha X^beta omega(-2^-1 alpha beta)."""
-    _check_dim(d)
-    if d % 2 == 0:
-        raise EvenDimension(f"displacement needs odd dimension, got {d}")
-    half = mod_inverse(2, d)
-    phase = omega(d, -half * alpha * beta)
-    return phase * (z_op(d, alpha) @ x_op(d, beta))
-
-
-def quadratic_phase(d: int, b: int) -> np.ndarray:
-    """Diagonal unitary with entries omega(2^-1 * b * n^2).
-
-    Conjugation sends the shift X to the displacement D(b, 1) and leaves Z
-    fixed, i.e. this realizes the symplectic matrix (1, b | 0, 1).
-    """
-    _check_dim(d)
-    if d % 2 == 0:
-        raise EvenDimension(f"quadratic phase needs odd dimension, got {d}")
-    half = mod_inverse(2, d)
-    n = np.arange(d)
-    return np.diag(np.exp(2j * np.pi * (half * (b % d) * n * n % d) / d))
-
-
-def symplectic_unitary(d: int, g: SymplecticMatrix) -> np.ndarray:
-    """Unitary U with U X U^dag = D(lam, kappa) and U Z U^dag = D(nu, mu).
-
-    Synthesized for the identity, the quadratic-phase form (1, b | 0, 1),
-    and the swept form (0, 1 | -1, -lam), which is built as the quadratic
-    phase of lam composed with the Fourier transform.  Other matrices are
-    rejected.
-    """
-    _check_dim(d)
-    if g.d != d:
-        raise ModulusMismatch(f"matrix over Z({g.d}) used in dimension {d}")
-    k, l, m, n = g.entries
-    if (k, l, m, n) == (1, 0, 0, 1):
-        return np.eye(d, dtype=complex)
-    if d % 2 == 0:
-        raise EvenDimension(f"symplectic unitaries need odd dimension, got {d}")
-    if (k, m, n) == (1, 0, 1):
-        return quadratic_phase(d, l)
-    if (k, l, m) == (0, 1, d - 1):
-        lam = -n % d
-        return quadratic_phase(d, lam) @ fourier(d)
-    raise UnsupportedMatrix(f"no unitary synthesized for {g.token()}")
 
 
 def unitarity_defect(matrix: np.ndarray) -> float | np.ndarray:
@@ -170,31 +96,14 @@ def conjugation_defect(d: int, matrix: np.ndarray, label) -> float | np.ndarray:
     return residuals if matrix.ndim == 3 else float(residuals[0])
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
-    """A basis of C^dim stored as the unitary whose columns are its vectors."""
+def prime_mub(p: int) -> np.ndarray:
+    """The p+1 mutually unbiased bases of C^p for an odd prime p, as one
+    (p+1, p, p) stack of unitaries whose columns are the basis vectors.
 
-    dim: int
-    matrix: np.ndarray
-    label: str
-
-
-def overlaps(a: OrthonormalBasis, b: OrthonormalBasis) -> np.ndarray:
-    """Magnitudes |<a_n|b_m>| as an (n, m) table."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"bases of dimension {a.dim} and {b.dim}")
-    return np.abs(a.matrix.conj().T @ b.matrix)
-
-
-def prime_mub(p: int) -> list[OrthonormalBasis]:
-    """The p+1 mutually unbiased bases of C^p for an odd prime p.
-
-    Entry 0 is the position basis; entry 1+lam holds the columns of the
-    unitary for the swept symplectic matrix (0, 1 | -1, -lam), the
-    `symplectic_unitary` quadratic phase of lam times the Fourier matrix.
-    All p swept bases are formed at once: row n of the Fourier matrix is
-    scaled by omega(2^-1 * lam * n^2), read from one (lam, n) phase table.
-    Every cross-basis overlap has magnitude p**-0.5.
+    Row 0 is the position basis; row 1+lam is the unitary of the swept
+    symplectic matrix (0, 1 | -1, -lam): the Fourier matrix with row n
+    scaled by omega(2^-1 * lam * n^2), all p of them read from one
+    (lam, n) phase table.  Every cross-basis overlap has magnitude p**-0.5.
     """
     if p == 2 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
@@ -202,10 +111,7 @@ def prime_mub(p: int) -> list[OrthonormalBasis]:
     n = np.arange(p)
     roots = np.exp(2j * np.pi * n / p)
     phases = roots[mod_inverse(2, p) * np.outer(n, n * n) % p]  # [lam, n]
-    swept = phases[:, :, None] * f
-    bases = [OrthonormalBasis(p, np.eye(p, dtype=complex), "X")]
-    bases += [OrthonormalBasis(p, swept[lam], f"X(0,1|-1,{-lam})") for lam in range(p)]
-    return bases
+    return np.concatenate([np.eye(p)[None], phases[:, :, None] * f])
 
 
 def crt_index_maps(ctx: CrtContext) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +125,7 @@ def check_crt_relabelling(ctx: CrtContext) -> None:
     """Certify that the relabelling of `crt_index_maps` factorizes the
     displacement operators: X_d becomes X_d1^t1 (x) X_d2^t2, Z_d becomes
     Z_d1 (x) Z_d2, and the phase of D_d(a, b) splits, so that D_d(a, b)
-    becomes D_d1(a, b*t1) (x) D_d2(a, b*t2), the split `matrix_factorize`
+    becomes D_d1(a, b*t1) (x) D_d2(a, b*t2), the split `split_entries`
     encodes.
 
     Each identity is one O(d) integer check on exponents of roots of unity:
@@ -245,19 +151,17 @@ def check_crt_relabelling(ctx: CrtContext) -> None:
         raise RuntimeError("CRT relabelling: the phase of D_d does not split")
 
 
-def assemble_tensor_basis(
-    b1: OrthonormalBasis, b2: OrthonormalBasis, ctx: CrtContext
-) -> OrthonormalBasis:
-    """Tensor two factor bases into a basis of C^d, d = d1*d2.
+def assemble_tensor_basis(b1: np.ndarray, b2: np.ndarray, ctx: CrtContext) -> np.ndarray:
+    """Tensor two factor bases, given as d1 x d1 and d2 x d2 unitaries, into
+    the d x d unitary of a basis of C^d, d = d1*d2.
 
     Row and column labels both split through `crt_index_maps`, so entry
     (n, m) is the product of the factor entries at the scaled residues of n
     and m.  The result is unitary whenever the factors are.
     """
-    if b1.dim != ctx.d1 or b2.dim != ctx.d2:
+    if b1.shape != (ctx.d1, ctx.d1) or b2.shape != (ctx.d2, ctx.d2):
         raise DimMismatch(
-            f"factors of dimension {b1.dim}, {b2.dim} for d1={ctx.d1}, d2={ctx.d2}"
+            f"factors of shape {b1.shape}, {b2.shape} for d1={ctx.d1}, d2={ctx.d2}"
         )
     i1, i2 = crt_index_maps(ctx)
-    matrix = b1.matrix[np.ix_(i1, i1)] * b2.matrix[np.ix_(i2, i2)]
-    return OrthonormalBasis(ctx.d, matrix, f"[{b1.label}]x[{b2.label}]")
+    return b1[np.ix_(i1, i1)] * b2[np.ix_(i2, i2)]

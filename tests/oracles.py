@@ -1,24 +1,33 @@
 """Brute-force point-set oracles for the line geometry, the scalar
-per-entry routes of the catalog, and the group operations on symplectic
-matrices that only the tests use.
+per-entry routes of the catalog, and the symplectic matrices with the
+group operations and factorizations that only the tests use.
 
-The library keeps a line as its generator, certifies everything else by
-arithmetic identities, and builds the catalog in integer array passes;
-these helpers enumerate points and walk one entry at a time instead, so
-the tests can compare the two routes.
+The library keeps a line as its generator, a matrix as four integers,
+certifies everything else by arithmetic identities, and builds the catalog
+in integer array passes; these helpers enumerate points and walk one entry
+at a time instead, so the tests can compare the two routes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from wmub.geometry import (
+    DetNotOne,
     Line,
+    MaximalLineCatalog,
     ModulusMismatch,
-    SymplecticMatrix,
+    NotMaximal,
     catalog_layout,
+    component_index,
+    factor_keys,
     line,
     product_generator,
+    split_entries,
+    sweep_entries,
     sweep_value,
 )
 from wmub.zring import CrtContext, mod_inverse
@@ -84,6 +93,42 @@ def lines_through_origin(d: int) -> dict[int, list[Line]]:
         size: sorted(group, key=lambda l: l.canonical)
         for size, group in sorted(by_size.items())
     }
+
+
+@dataclass(frozen=True)
+class SymplecticMatrix:
+    """2x2 matrix (kappa, lam | mu, nu) over Z(d) with determinant 1."""
+
+    d: int
+    kappa: int
+    lam: int
+    mu: int
+    nu: int
+
+    def __post_init__(self) -> None:
+        d = self.d
+        if d < 2:
+            raise ValueError(f"modulus must be >= 2, got {d}")
+        for name in ("kappa", "lam", "mu", "nu"):
+            object.__setattr__(self, name, getattr(self, name) % d)
+        det = (self.kappa * self.nu - self.lam * self.mu) % d
+        if det != 1:
+            raise DetNotOne(f"det {self.token()} = {det} != 1 (mod {d})")
+
+    @classmethod
+    def identity(cls, d: int) -> SymplecticMatrix:
+        return cls(d, 1, 0, 0, 1)
+
+    @property
+    def entries(self) -> tuple[int, int, int, int]:
+        return self.kappa, self.lam, self.mu, self.nu
+
+    def act_point(self, point: tuple[int, int]) -> tuple[int, int]:
+        x, y = point
+        return (self.kappa * x + self.lam * y) % self.d, (self.mu * x + self.nu * y) % self.d
+
+    def token(self) -> str:
+        return f"g({self.kappa},{self.lam}|{self.mu},{self.nu})"
 
 
 def compose(g: SymplecticMatrix, h: SymplecticMatrix) -> SymplecticMatrix:
@@ -170,3 +215,72 @@ def scalar_catalog_rows(ctx: CrtContext):
         generator = product_generator(comp1, comp2, ctx)
         rows.append((generator, scalar_sweep_matrix(ctx, lam1, lam2).entries, comp1, comp2))
     return rows
+
+
+def sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
+    """The sweep matrix with factor sweep values (lam1, lam2): one row of
+    `sweep_entries`."""
+    row = sweep_entries(ctx, np.array([[component_index(lam1), component_index(lam2)]]))[0]
+    return SymplecticMatrix(ctx.d, *row.tolist())
+
+
+def matrix_factorize(
+    g: SymplecticMatrix, ctx: CrtContext
+) -> tuple[SymplecticMatrix, SymplecticMatrix]:
+    """Component matrices of g over Z(d1) and Z(d2), split by `split_entries`.
+
+    The components act on component lines exactly as g acts on the product
+    line.
+    """
+    if g.d != ctx.d:
+        raise ModulusMismatch(f"matrix over Z({g.d}), context for Z({ctx.d})")
+    c1, c2 = split_entries(g.entries, ctx)
+    return SymplecticMatrix(ctx.d1, *c1), SymplecticMatrix(ctx.d2, *c2)
+
+
+def factorize_line(l: Line, ctx: CrtContext) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Canonical component-line generators of a maximal line: (0, 1) for
+    the vertical component, else (1, slope), read from `factor_keys`.
+
+    The result does not depend on which generator of the line was stored:
+    unit factors split into unit factors of both components, and the keys
+    do not see them.
+    """
+    if l.d != ctx.d:
+        raise ModulusMismatch(f"line over Z({l.d}), context for Z({ctx.d})")
+    if not l.is_maximal:
+        raise NotMaximal(f"line with {l.size} points cannot be factorized")
+    keys = factor_keys(np.array([l.generator]), ctx)[0].tolist()
+    return tuple((0, 1) if key == p else (1, key) for key, p in zip(keys, (ctx.d1, ctx.d2)))
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One maximal line with its index, generating matrix, and components.
+
+    `generator` is the display form: canonical component generators joined
+    back through the two CRT maps, so it is the point of the line whose
+    component coordinates are exactly the component generators.
+    """
+
+    index: int
+    line: Line
+    generator: tuple[int, int]
+    matrix: SymplecticMatrix
+    comp1: tuple[int, int]
+    comp2: tuple[int, int]
+    lambda1: int | None
+    lambda2: int | None
+
+
+def catalog_entries(catalog: MaximalLineCatalog) -> tuple[CatalogEntry, ...]:
+    """The per-entry view of the catalog arrays, one `CatalogEntry` per row;
+    the entry with 1-based index k sits at position k - 1."""
+    d = catalog.ctx.d
+    rows = zip(catalog.generators.tolist(), catalog.matrices.tolist(),
+               catalog.comps.tolist(), catalog.components.tolist())
+    return tuple(
+        CatalogEntry(index, line(d, nu, mu), (nu, mu), SymplecticMatrix(d, *matrix),
+                     tuple(comp1), tuple(comp2), sweep_value(i1), sweep_value(i2))
+        for index, ((nu, mu), matrix, (comp1, comp2), (i1, i2)) in enumerate(rows, start=1)
+    )

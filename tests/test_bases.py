@@ -19,30 +19,16 @@ from wmub.bases import (
     overlap_table,
     pair_categories,
     partition_bases,
-    symplectic_label_defect,
     unitarity_bound,
     wmub_census,
 )
 from wmub.bases import _factor_extrema
-from wmub.geometry import (
-    SharedComponent,
-    SymplecticMatrix,
-    classify_line_pair,
-    matrix_factorize,
-    split_entries,
-)
-from wmub.hilbert import (
-    MAX_DIM,
-    OrthonormalBasis,
-    assemble_tensor_basis,
-    conjugation_defect,
-    overlaps,
-    prime_mub,
-    unitarity_defect,
-)
+from wmub.geometry import SharedComponent, classify_line_pair, split_entries
+from wmub.hilbert import MAX_DIM, conjugation_defect, prime_mub, unitarity_defect
 from wmub.zring import crt_context, dedekind_psi, is_prime
 
-from test_hilbert import dense_conjugation_defect
+from dense import assembled_basis, dense_conjugation_defect, overlaps, symplectic_label_defect
+from oracles import SymplecticMatrix, catalog_entries, matrix_factorize
 
 # Symplectic labels of the d = 15 set in index order; same data as the
 # second column of tests/golden/bases_3_5.txt.
@@ -80,7 +66,7 @@ def test_build_reference_data(wmub15):
     assert list(wmub15.factor_labels) == FACTOR_LABELS_15
     assert wmub15.factor_label(4) == (None, 2)
     assert wmub15.symplectic_label(10) == (0, 2, 7, 0)
-    assert np.array_equal(wmub15.basis(1).matrix, np.eye(15))
+    assert np.array_equal(assembled_basis(wmub15, 1), np.eye(15))
 
 
 def test_build_other_dimensions(wmub_sets):
@@ -248,16 +234,14 @@ def test_generic_basis_fits_no_template(wmub15):
     # basis is caught by `classify_pair` (below) and by the conjugation
     # check (tests/test_cli.py).
     generic = generic_unitary(15)
-    sq = np.abs(generic.conj().T @ wmub15.basis(1).matrix) ** 2
+    sq = np.abs(generic.conj().T @ assembled_basis(wmub15, 1)) ** 2
     assert dense_classify(sq, wmub15.ctx, 1e-9) is None
     assert dense_classify(overlap_table(wmub15, 1, 2) ** 2, wmub15.ctx, 1e-9) is not None
 
 
 def test_generic_factor_basis_fits_no_template(wmub15):
     # Basis 2 is position (x) the first swept basis of the second factor.
-    mubs1, mubs2 = wmub15.factor_mubs
-    generic = OrthonormalBasis(5, generic_unitary(5), "generic")
-    tampered = replace(wmub15, factor_mubs=(mubs1, (mubs2[0], generic, *mubs2[2:])))
+    tampered = tampered_factor(wmub15, 1, 1, generic_unitary(5))
     with pytest.raises(NotWeaklyUnbiased, match=r"bases \(1, 2\) fit no overlap template"):
         classify_pair(tampered, 1, 2)
     assert classify_pair(tampered, 1, 3) == classify_pair(wmub15, 1, 3)
@@ -267,9 +251,7 @@ def test_pair_pass_names_the_first_unfit_pair(catalogs, wmub15):
     # The tampered family of the test above: every pair with basis 2 as one
     # side and a basis of another second factor fits no template, and (1, 2)
     # is the first of them in row-major order.
-    mubs1, mubs2 = wmub15.factor_mubs
-    generic = OrthonormalBasis(5, generic_unitary(5), "generic")
-    tampered = replace(wmub15, factor_mubs=(mubs1, (mubs2[0], generic, *mubs2[2:])))
+    tampered = tampered_factor(wmub15, 1, 1, generic_unitary(5))
     with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(1, 2\) fit no overlap template"):
         duality_report(catalogs[15], tampered)
     with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(1, 2\) fit no overlap template"):
@@ -282,15 +264,12 @@ def test_off_support_weight_fits_no_template(wmub15):
     # A second-factor position "basis" with unit but non-orthogonal columns:
     # pair (1, 7) keeps the on-support values of the d1**-0.5 template
     # (diagonal 1 in the second factor) but carries weight off the support.
-    mubs1, mubs2 = wmub15.factor_mubs
     skewed = np.eye(5, dtype=complex)
     skewed[:2, 0] = math.cos(0.5), math.sin(0.5)
-    leaning = OrthonormalBasis(5, skewed, "skewed")
-    tampered = replace(wmub15, factor_mubs=(mubs1, (leaning, *mubs2[1:])))
+    tampered = tampered_factor(wmub15, 1, 0, skewed)
     ctx = wmub15.ctx
-    b1 = assemble_tensor_basis(mubs1[0], leaning, ctx)
-    b7 = assemble_tensor_basis(mubs1[1], leaning, ctx)
-    sq = np.abs(b7.matrix.conj().T @ b1.matrix) ** 2
+    b1, b7 = assembled_basis(tampered, 1), assembled_basis(tampered, 7)
+    sq = np.abs(b7.conj().T @ b1) ** 2
     for tol in (1e-9, 0.5 / ctx.d):
         assert dense_classify(sq, ctx, tol) is None
         assert pair_categories(tampered, np.array([1]), np.array([7]), tol).tolist() == [-1]
@@ -327,7 +306,8 @@ def test_duality_pairwise_dictionary(catalogs, wmub_sets):
     pairs = catalog.pair_classes
     by_pair = dict(zip(zip(pairs.i.tolist(), pairs.j.tolist()), pairs.size.tolist()))
     assert by_pair[(1, 7)] == 5
-    lc = classify_line_pair(catalog.entry(1).line, catalog.entry(7).line, s.ctx)
+    entries = catalog_entries(catalog)
+    lc = classify_line_pair(entries[0].line, entries[6].line, s.ctx)
     assert lc.shared_component is SharedComponent.SECOND
     assert classify_pair(s, 1, 7).category is OverlapCategory.SUB_D1
     expected = {
@@ -351,8 +331,9 @@ SUPPORTED_DIMS = [
 ]
 
 
-# One set at a time: the dense-oracle tests assemble its d x d bases.
-@lru_cache(maxsize=1)
+# A set keeps only its factor stacks, so every supported set is kept for
+# the tests that follow.
+@lru_cache(maxsize=None)
 def supported_set(d1: int, d2: int):
     return build_wmub(crt_context(d1, d2))
 
@@ -414,13 +395,11 @@ def test_supported_dims_listed():
 
 @pytest.mark.parametrize("dims", [(3, 5), (3, 7), (3, 11), (5, 7)], ids=dims_id)
 def test_factored_route_matches_dense_oracle_on_every_pair(dims):
+    # At tolerance 0 every route agrees that no pair fits: the array pass
+    # finds none, and both other routes agree with it pair by pair.
     s = supported_set(*dims)
     pairs = [(i, j) for i in range(1, len(s) + 1) for j in range(i + 1, len(s) + 1)]
-    assert_routes_agree(s, pairs, (1e-15, 1e-9, 0.5 / s.ctx.d))
-    for i, j in pairs:
-        sq = overlap_table(s, i, j) ** 2
-        assert dense_classify(sq, s.ctx, 0.0) is None
-        assert factored_classify(s, i, j, 0.0) is None
+    assert_routes_agree(s, pairs, (1e-15, 1e-9, 0.5 / s.ctx.d, 0.0))
     first, second = (np.array(side) for side in zip(*pairs))
     assert (pair_categories(s, first, second, 0.0) == -1).all()
 
@@ -436,13 +415,13 @@ def test_factored_route_matches_dense_oracle_at_every_supported_d(dims):
     assert categories == set(OverlapCategory)
 
 
-def per_pair_extrema(mubs) -> list[np.ndarray]:
+def per_pair_extrema(stack: np.ndarray) -> list[np.ndarray]:
     """The fields of `FactorExtrema`, flattened, from one `overlaps` table per
     pair (j, i), reduced as the template test reads them."""
-    diagonal = np.eye(mubs[0].dim, dtype=bool)
-    fields = np.zeros((7, len(mubs), len(mubs)))
-    for j, bj in enumerate(mubs):
-        for i, bi in enumerate(mubs):
+    diagonal = np.eye(stack.shape[-1], dtype=bool)
+    fields = np.zeros((7, len(stack), len(stack)))
+    for j, bj in enumerate(stack):
+        for i, bi in enumerate(stack):
             sq = overlaps(bj, bi) ** 2
             diag = np.diagonal(sq)
             fields[:, j, i] = (sq.max(), sq.min(), sq.mean(), diag.max(), diag.min(),
@@ -453,14 +432,20 @@ def per_pair_extrema(mubs) -> list[np.ndarray]:
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
     # The prime-dimension family, and a family of generic unitaries, whose
-    # tables are far from the templates.
-    generic = tuple(OrthonormalBasis(p, generic_unitary(p, seed), "generic") for seed in range(4))
-    for mubs in (tuple(prime_mub(p)), generic):
-        got = _factor_extrema(np.stack([b.matrix for b in mubs]))
+    # tables are far from the templates.  `take` gathers exactly the
+    # entries [j, i] of every field.
+    generic = np.stack([generic_unitary(p, seed) for seed in range(4)])
+    rng = np.random.default_rng(p)
+    for stack in (prime_mub(p), generic):
+        got = _factor_extrema(stack)
         flat = [*got.whole, *got.diag, got.off_top]
-        for field, want in zip(flat, per_pair_extrema(mubs)):
+        for field, want in zip(flat, per_pair_extrema(stack)):
             assert field.shape == want.shape
             assert np.abs(field - want).max() <= 1e-14, p
+        j, i = rng.integers(len(stack), size=(2, 50))
+        taken = got.take(j, i)
+        for field, picked in zip(flat, [*taken.whole, *taken.diag, taken.off_top]):
+            assert np.array_equal(picked, field[j, i]), p
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
@@ -487,18 +472,10 @@ BOUND_SLACK = 1e-13
 
 def tampered_factor(s, factor: int, slot: int, matrix: np.ndarray):
     """The set with factor basis `slot` of factor `factor` replaced by `matrix`."""
-    mubs = list(s.factor_mubs)
-    family = list(mubs[factor])
-    family[slot] = OrthonormalBasis(family[slot].dim, matrix, "tampered")
-    mubs[factor] = tuple(family)
-    return replace(s, factor_mubs=tuple(mubs))
-
-
-def assembled(s, j: int) -> np.ndarray:
-    """Basis j alone; `s.basis(j)` would assemble the whole set."""
-    mubs1, mubs2 = s.factor_mubs
-    slot1, slot2 = s.factor_slots[j - 1]
-    return assemble_tensor_basis(mubs1[slot1], mubs2[slot2], s.ctx).matrix
+    stacks = list(s.factor_stacks)
+    stacks[factor] = stacks[factor].copy()
+    stacks[factor][slot] = matrix
+    return replace(s, factor_stacks=tuple(stacks))
 
 
 def assert_bounds_hold(s, indices) -> None:
@@ -506,7 +483,7 @@ def assert_bounds_hold(s, indices) -> None:
     unitarity, conjugation = unitarity_bound(s), conjugation_bound(s)
     d = s.ctx.d
     for j in indices:
-        u, label = assembled(s, j), s.symplectic_label(j)
+        u, label = assembled_basis(s, j), s.symplectic_label(j)
         assert unitarity_defect(u) <= unitarity + BOUND_SLACK, (d, j)
         assert conjugation_defect(d, u, label) <= conjugation + BOUND_SLACK, (d, j)
         assert dense_conjugation_defect(d, u, label) <= conjugation + BOUND_SLACK, (d, j)
@@ -532,18 +509,19 @@ def test_factored_bounds_hold_under_small_factor_faults(dims):
     s = supported_set(*dims)
     rng = np.random.default_rng(s.ctx.d)
     phased, scaled = s, s
-    for factor, mubs in enumerate(s.factor_mubs):
-        for slot, b in enumerate(mubs):
-            phases = np.exp(1e-6j * (np.arange(b.dim) + rng.random(b.dim)))
-            phased = tampered_factor(phased, factor, slot, b.matrix * phases)
-            scaled = tampered_factor(scaled, factor, slot, 1.1 * b.matrix)
+    for factor, stack in enumerate(s.factor_stacks):
+        dim = stack.shape[-1]
+        for slot, b in enumerate(stack):
+            phases = np.exp(1e-6j * (np.arange(dim) + rng.random(dim)))
+            phased = tampered_factor(phased, factor, slot, b * phases)
+            scaled = tampered_factor(scaled, factor, slot, 1.1 * b)
     assert conjugation_bound(phased) > 1e-8
     assert unitarity_bound(scaled) > 0.4
     indices = range(1, len(s) + 1, max(1, len(s) // 24))
     assert_bounds_hold(phased, indices)
     # The dense conjugation route bounds nothing for a non-unitary basis.
     for j in indices:
-        assert unitarity_defect(assembled(scaled, j)) <= unitarity_bound(scaled) + BOUND_SLACK
+        assert unitarity_defect(assembled_basis(scaled, j)) <= unitarity_bound(scaled) + BOUND_SLACK
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
@@ -557,8 +535,8 @@ def test_factored_conjugation_rejects_factor_faults(dims):
     ceiling = 0.5 / s.ctx.d
     rng = np.random.default_rng(s.ctx.d)
     assert conjugation_bound(s) <= ceiling
-    for factor, mubs in enumerate(s.factor_mubs):
-        u = mubs[1].matrix
+    for factor, stack in enumerate(s.factor_stacks):
+        u = stack[1]
         dim = len(u)
         faults = {
             "swapped columns": u[:, [1, 0, *range(2, dim)]],

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -21,10 +24,10 @@ import wmub.geometry
 import wmub.hilbert
 from wmub.bases import OverlapCategory, build_wmub
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
-from wmub.hilbert import OrthonormalBasis
 from wmub.zring import crt_context
 
 GOLDEN = Path(__file__).parent / "golden"
+TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -218,7 +221,6 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     basis_passes = count_calls(monkeypatch, wmub.bases.pair_categories)
     single = count_calls(monkeypatch, wmub.bases.classify_pair)
     single += count_calls(monkeypatch, wmub.geometry.classify_line_pair)
-    single += count_calls(monkeypatch, wmub.geometry.factorize_line)
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 0
     assert [args[0].shape for args in factorizations] == [(24, 2)]
@@ -272,6 +274,22 @@ def test_wmub_table_builds_no_factor_family(capsys, monkeypatch):
     assert built == []
 
 
+def test_every_traced_name_resolves_in_the_package(monkeypatch):
+    # The benchmark's per-layer metrics wrap these names; one the package
+    # no longer defines would be reported absent instead of measured.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for module_name, qualname in tracing.TRACED:
+        module = importlib.import_module(f"wmub.{module_name}")
+        found = functools.reduce(lambda owner, part: getattr(owner, part, None), qualname.split("."), module)
+        if not callable(found):
+            unresolved.append(f"{module_name}.{qualname}")
+    assert tracing.TRACED and unresolved == []
+
+
 @pytest.mark.parametrize("command", ["lines", "verify"])
 def test_catalog_commands_build_no_line_object(capsys, monkeypatch, command):
     # The catalog, the pair pass and the table read the catalog arrays.
@@ -285,11 +303,10 @@ def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeyp
     # A NaN in any factor basis, not only the first of its family, fails
     # the unitarity gate by name.
     s = build_wmub(crt_context(3, 5))
-    mubs1, mubs2 = s.factor_mubs
-    broken = mubs1[2].matrix.copy()
-    broken[0, 0] = math.nan
-    family = (*mubs1[:2], OrthonormalBasis(3, broken, "nan"), *mubs1[3:])
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: replace(s, factor_mubs=(family, mubs2)))
+    stack1, stack2 = s.factor_stacks
+    broken = stack1.copy()
+    broken[2, 0, 0] = math.nan
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: replace(s, factor_stacks=(broken, stack2)))
     code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1 and err == ""
     assert out.strip() == "FAIL unitarity: max defect nan vs tolerance 1e-09"
@@ -332,8 +349,10 @@ def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
     s = build_wmub(crt_context(3, 5))
     rng = np.random.default_rng(2024)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    mubs1, mubs2 = s.factor_mubs
-    tampered = replace(s, factor_mubs=(mubs1, (mubs2[0], OrthonormalBasis(5, q, "generic"), *mubs2[2:])))
+    stack1, stack2 = s.factor_stacks
+    generic = stack2.copy()
+    generic[1] = q
+    tampered = replace(s, factor_stacks=(stack1, generic))
     monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: tampered)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1

@@ -15,22 +15,18 @@ from wmub.geometry import (
     ModulusMismatch,
     NotMaximal,
     SharedComponent,
-    SymplecticMatrix,
     catalog_layout,
     check_point_map,
     classify_line_pair,
     factor_keys,
-    factorize_line,
     line,
     line_key,
-    matrix_factorize,
     maximal_line_catalog,
     pair_census,
     partition_lines,
     redundancy,
     split_generator,
     sweep_entries,
-    sweep_matrix,
     sweep_value,
 )
 from wmub.hilbert import MAX_DIM
@@ -38,18 +34,23 @@ from wmub.zring import crt_context, dedekind_psi, is_prime, jordan_j2
 
 from oracles import (
     LineRelation,
+    SymplecticMatrix,
     act_line,
     canonical_prime_generator,
+    catalog_entries,
     compose,
+    factorize_line,
     intersection,
     inverse,
     line_relation,
     lines_through_origin,
+    matrix_factorize,
     point_set,
     points,
     product_points,
     scalar_catalog_rows,
     scalar_sweep_matrix,
+    sweep_matrix,
 )
 
 SUPPORTED_DIMS = [
@@ -333,7 +334,7 @@ def test_line_equals_product_of_its_components(ctx15):
 def test_catalog_entries_equal_the_product_of_their_components(d1, d2):
     # The point-set oracle for the catalog's product route, on every entry.
     ctx = crt_context(d1, d2)
-    for e in maximal_line_catalog(ctx):
+    for e in catalog_entries(maximal_line_catalog(ctx)):
         assert len(points(e.line)) == ctx.d
         prod = product_points(line(d1, *e.comp1), line(d2, *e.comp2), ctx)
         assert prod == point_set(e.line)
@@ -388,8 +389,9 @@ def test_factor_keys_ignore_the_unit_multiple(ctx15):
 
 def test_catalog_matches_reference_table(catalog15):
     assert len(catalog15) == 24
+    entries = catalog_entries(catalog15)
     for index, generator, matrix, comp1, comp2 in CATALOG_15:
-        e = catalog15.entry(index)
+        e = entries[index - 1]
         assert e.index == index
         assert e.generator == generator
         assert e.matrix.entries == matrix
@@ -399,16 +401,17 @@ def test_catalog_matches_reference_table(catalog15):
 
 
 def test_catalog_lines_are_distinct_and_complete(catalog15):
-    assert len({e.line for e in catalog15}) == 24
-    assert {e.line for e in catalog15} == set(lines_through_origin(15)[15])
+    entries = catalog_entries(catalog15)
+    assert len({e.line for e in entries}) == 24
+    assert {e.line for e in entries} == set(lines_through_origin(15)[15])
     # entry 4 is the line generated by (3, 7); its display generator (6, 14)
     # is the unit multiple whose components are the canonical pair
-    assert catalog15.entry(4).line == line(15, 3, 7)
+    assert entries[4 - 1].line == line(15, 3, 7)
 
 
 def test_catalog_matrices_reproduce_lines_from_the_vertical_line(catalog15):
     base = line(15, 0, 1)
-    for e in catalog15:
+    for e in catalog_entries(catalog15):
         assert act_line(e.matrix, base) == e.line
 
 
@@ -453,10 +456,8 @@ def test_catalog_arrays_match_the_scalar_route(dims):
     assert catalog.matrices.tolist() == [list(matrix) for _, matrix, *_ in rows]
     assert catalog.comps.tolist() == [[list(comp1), list(comp2)] for *_, comp1, comp2 in rows]
     assert catalog.components.tolist() == catalog_layout(ctx).components.tolist()
-    # The per-entry view is built only when first read, from the same arrays.
-    catalog.pair_classes
-    assert len(catalog) == len(rows) and "entries" not in vars(catalog)
-    for e, (generator, matrix, comp1, comp2) in zip(catalog, rows):
+    assert len(catalog) == len(rows)
+    for e, (generator, matrix, comp1, comp2) in zip(catalog_entries(catalog), rows):
         assert (e.generator, e.matrix.entries, e.comp1, e.comp2) == (generator, matrix, comp1, comp2)
         assert e.line == line(ctx.d, *generator) and e.line.is_maximal
         assert sweep_matrix(ctx, e.lambda1, e.lambda2) == e.matrix
@@ -474,7 +475,7 @@ def test_catalog_layout_reference(ctx15, catalog15):
     assert layout.sets == PARTITION_15
     # component index 0 is the vertical line, k >= 1 the sweep value k - 1
     to_index = lambda lam: 0 if lam is None else lam + 1
-    assert [(to_index(e.lambda1), to_index(e.lambda2)) for e in catalog15] == expected
+    assert [(to_index(e.lambda1), to_index(e.lambda2)) for e in catalog_entries(catalog15)] == expected
 
 
 def test_catalog_layout_covers_the_component_grid(contexts):
@@ -511,7 +512,7 @@ def test_catalog_other_dimensions(d1, d2):
     ctx = crt_context(d1, d2)
     catalog = maximal_line_catalog(ctx)
     assert len(catalog) == dedekind_psi(ctx.d)
-    assert len({e.line for e in catalog}) == len(catalog)
+    assert len({e.line for e in catalog_entries(catalog)}) == len(catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +533,7 @@ def test_matrix_factorize_component_action_example(ctx15):
 
 def test_matrix_factorize_commutes_with_line_factorization(ctx15, catalog15):
     rng = random.Random(41)
-    sample = [e.matrix for e in catalog15] + [random_symplectic(15, rng) for _ in range(500)]
+    sample = [e.matrix for e in catalog_entries(catalog15)] + [random_symplectic(15, rng) for _ in range(500)]
     maximal_generators = [(0, 1), (1, 0), (3, 7), (1, 8), (2, 1), (4, 7)]
     for g in sample:
         g1, g2 = matrix_factorize(g, ctx15)
@@ -549,7 +550,8 @@ def test_matrix_factorize_commutes_with_line_factorization(ctx15, catalog15):
 # ---------------------------------------------------------------------------
 
 def test_classify_pair_examples(catalog15, ctx15):
-    pick = lambda k: catalog15.entry(k).line
+    entries = catalog_entries(catalog15)
+    pick = lambda k: entries[k - 1].line
     got = classify_line_pair(pick(1), pick(7), ctx15)
     assert (got.intersection_size, got.shared_component) == (5, SharedComponent.SECOND)
     got = classify_line_pair(pick(1), pick(2), ctx15)
@@ -566,8 +568,9 @@ def test_classify_line_pair_matches_point_set_intersection(catalogs):
     # Brute-force oracle for the determinant route: count common points.
     for d, catalog in catalogs.items():
         pairs = catalog.pair_classes
+        entries = catalog_entries(catalog)
         for i, j, size in zip(pairs.i.tolist(), pairs.j.tolist(), pairs.size.tolist()):
-            a, b = catalog.entry(i).line, catalog.entry(j).line
+            a, b = entries[i - 1].line, entries[j - 1].line
             assert size == len(point_set(a) & point_set(b))
 
 
@@ -639,9 +642,10 @@ def test_partition_sets_intersect_only_at_origin(contexts, catalogs):
         sets = partition_lines(ctx)
         assert len(sets) == ctx.d2 + 1
         assert sorted(i for group in sets for i in group) == list(range(1, len(catalog) + 1))
+        entries = catalog_entries(catalog)
         for group in sets:
             assert len(group) == ctx.d1 + 1
-            members = [catalog.entry(i).line for i in group]
+            members = [entries[i - 1].line for i in group]
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
                     assert len(point_set(a) & point_set(b)) == 1

@@ -8,28 +8,33 @@ import pytest
 
 import wmub.hilbert
 from wmub.bases import build_wmub
-from wmub.geometry import SymplecticMatrix
 from wmub.hilbert import (
     DimMismatch,
     EvenDimension,
     NotOddPrime,
-    UnsupportedMatrix,
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
     crt_index_maps,
-    displacement,
     fourier,
+    prime_mub,
+    unitarity_defect,
+)
+from wmub.zring import crt_context, mod_inverse
+
+from dense import (
+    UnsupportedMatrix,
+    assembled_basis,
+    dense_conjugation_defect,
+    displacement,
     omega,
     overlaps,
-    prime_mub,
     quadratic_phase,
     symplectic_unitary,
-    unitarity_defect,
     x_op,
     z_op,
 )
-from wmub.zring import crt_context, mod_inverse
+from oracles import SymplecticMatrix
 
 # Tolerance of the exact constructions checked below.
 ATOL = 1e-10
@@ -124,16 +129,6 @@ def test_symplectic_unitary_conjugation_contract(d, lam):
     assert conjugation_defect(d, u, g.entries) < 1e-12
 
 
-def dense_conjugation_defect(d: int, u: np.ndarray, label: tuple[int, int, int, int]) -> float:
-    """Max-norm residual of U X U^dag = D(l, k) and U Z U^dag = D(n, m),
-    from dense operators and matrix products."""
-    k, l, m, n = label
-    u_dag = u.conj().T
-    dx = np.abs(u @ x_op(d) @ u_dag - displacement(d, l, k)).max()
-    dz = np.abs(u @ z_op(d) @ u_dag - displacement(d, n, m)).max()
-    return float(max(dx, dz))
-
-
 ORACLE_PAIRS = ((3, 5), (3, 7), (3, 11), (5, 7))
 
 
@@ -141,7 +136,7 @@ ORACLE_PAIRS = ((3, 5), (3, 7), (3, 11), (5, 7))
 def test_conjugation_routes_agree_on_every_basis(d1, d2):
     s = build_wmub(crt_context(d1, d2))
     for j in range(1, len(s) + 1):
-        u, label = s.basis(j).matrix, s.symplectic_label(j)
+        u, label = assembled_basis(s, j), s.symplectic_label(j)
         assert conjugation_defect(s.ctx.d, u, label) < 1e-12
         assert dense_conjugation_defect(s.ctx.d, u, label) < 1e-12
 
@@ -165,7 +160,7 @@ def test_conjugation_residual_bounds_the_dense_residual(d1, d2, stride):
 
     generic, _ = np.linalg.qr(random_complex(d, d))
     for j in range(1, len(s) + 1, stride):
-        u, label = s.basis(j).matrix, s.symplectic_label(j)
+        u, label = assembled_basis(s, j), s.symplectic_label(j)
         near, _ = np.linalg.qr(np.eye(d) + 1e-6 * random_complex(d, d))
         phases = np.exp(2j * np.pi * rng.random(d))
         swapped = u[:, [1, 0, *range(2, d)]]
@@ -215,7 +210,7 @@ def test_stacked_kernels_equal_the_per_matrix_loop(p):
     # One call on a (p+1, p, p) stack gives exactly what one call per
     # matrix gives, on the exact family and on faults that fail it.
     rng = np.random.default_rng(p)
-    family = np.stack([b.matrix for b in prime_mub(p)])
+    family = prime_mub(p)
     labels = factor_labels(p)
     generic = [np.linalg.qr(rng.normal(size=(p, p)) + 1j * rng.normal(size=(p, p)))[0]
                for _ in range(p + 1)]
@@ -251,24 +246,23 @@ def test_symplectic_unitary_closed_form_entries():
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_prime_mub_overlaps_flat(p):
     bases = prime_mub(p)
-    assert len(bases) == p + 1
+    assert bases.shape == (p + 1, p, p)
     target = 1 / math.sqrt(p)
     for i, a in enumerate(bases):
-        assert unitarity_defect(a.matrix) < ATOL
+        assert unitarity_defect(a) < ATOL
         for b in bases[i + 1:]:
             assert np.abs(overlaps(a, b) - target).max() < ATOL
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_prime_mub_matches_symplectic_unitary(p):
-    # The one phase table against the reference route, one swept basis at a time.
+    # The one phase table against the reference route, one swept basis at a
+    # time: row 0 of the stack is the position basis, row 1 + lam swept by lam.
     bases = prime_mub(p)
-    assert bases[0].label == "X" and np.array_equal(bases[0].matrix, np.eye(p))
+    assert np.array_equal(bases[0], np.eye(p))
     for lam in range(p):
-        b = bases[1 + lam]
-        assert b.label == f"X(0,1|-1,{-lam})"
         reference = symplectic_unitary(p, SymplecticMatrix(p, 0, 1, -1, -lam))
-        assert np.abs(b.matrix - reference).max() <= 1e-12, (p, lam)
+        assert np.abs(bases[1 + lam] - reference).max() <= 1e-12, (p, lam)
 
 
 def test_prime_mub_rejects_non_odd_primes():
@@ -293,7 +287,7 @@ def test_assemble_position_factors_give_position_basis():
     b1 = prime_mub(3)[0]
     b2 = prime_mub(5)[0]
     assembled = assemble_tensor_basis(b1, b2, ctx)
-    assert np.array_equal(assembled.matrix, np.eye(15))
+    assert np.array_equal(assembled, np.eye(15))
 
 
 def test_assemble_fourier_factors_give_momentum_states():
@@ -304,7 +298,7 @@ def test_assemble_fourier_factors_give_momentum_states():
     momenta = fourier(15)
     for m in range(15):
         q = ctx.map1_join(*ctx.map2_split(m))
-        overlap = abs(np.vdot(momenta[:, q], assembled.matrix[:, m]))
+        overlap = abs(np.vdot(momenta[:, q], assembled[:, m]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -317,7 +311,7 @@ def test_assemble_random_mub_factors_unitary():
             b1 = mubs1[rng.randrange(len(mubs1))]
             b2 = mubs2[rng.randrange(len(mubs2))]
             assembled = assemble_tensor_basis(b1, b2, ctx)
-            assert unitarity_defect(assembled.matrix) < ATOL
+            assert unitarity_defect(assembled) < ATOL
 
 
 @pytest.mark.parametrize("d1,d2", [(3, 5), (3, 7), (5, 19), (7, 13), (3, 31)])
