@@ -9,22 +9,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    MaximalLineCatalog,
-    catalog_layout,
-    component_index,
-    partition_lines,
-    redundancy,
-    split_entries,
-    sweep_entries,
-    sweep_value,
-)
+from .geometry import MaximalLineCatalog, catalog_layout, partition_lines, split_entries
 from .hilbert import (
     MAX_DIM,
     DimTooLarge,
@@ -132,29 +122,24 @@ def _factor_extrema(stack: np.ndarray) -> FactorExtrema:
 class WmubSet:
     """The indexed family of weak mutually unbiased bases over C^d.
 
-    Indexing is 1-based and follows `catalog_layout`.  `factor_labels`
-    holds the sweep value of each factor (None for the position basis);
-    the symplectic labels are the entries of the catalog's sweep matrix
-    with the same index, which each basis must realize.  `factor_stacks`
-    holds the two prime-dimension families the bases are tensor products
-    of, each the (p+1, p, p) stack of `prime_mub`, indexed by slot; every
-    factor gate reads them.  No d x d basis is kept: `overlap_table`
-    assembles the two it compares.
+    Indexing is 1-based and follows `catalog_layout`: row j - 1 of each
+    array belongs to basis j.  `factor_stacks` holds the two
+    prime-dimension families the bases are tensor products of, each the
+    (p+1, p, p) stack of `prime_mub`; `slots` holds the row of each factor
+    basis in its stack, which is the catalog's component index (i1, i2);
+    and `labels` holds the entries (kappa, lam, mu, nu) of the catalog's
+    sweep matrix, which each basis must realize.  Every factor gate reads
+    them.  No d x d basis is kept: `overlap_table` assembles the two it
+    compares.
     """
 
     ctx: CrtContext
-    factor_labels: tuple[tuple[int | None, int | None], ...]
-    symplectic_labels: tuple[tuple[int, int, int, int], ...]
+    slots: np.ndarray
+    labels: np.ndarray
     factor_stacks: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.factor_labels)
-
-    def factor_label(self, j: int) -> tuple[int | None, int | None]:
-        return self.factor_labels[j - 1]
-
-    def symplectic_label(self, j: int) -> tuple[int, int, int, int]:
-        return self.symplectic_labels[j - 1]
+        return len(self.slots)
 
     @cached_property
     def factor_extrema(self) -> tuple[FactorExtrema, FactorExtrema]:
@@ -163,11 +148,6 @@ class WmubSet:
         extrema, indexed [j, i]; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
         return tuple(_factor_extrema(stack) for stack in self.factor_stacks)
 
-    @cached_property
-    def factor_slots(self) -> np.ndarray:
-        """[j - 1, factor]: the slot in `factor_stacks` of each factor of basis j."""
-        return np.array([[component_index(lam) for lam in label] for label in self.factor_labels])
-
 
 def check_hilbert_cap(ctx: CrtContext) -> None:
     """Raise DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM."""
@@ -175,17 +155,17 @@ def check_hilbert_cap(ctx: CrtContext) -> None:
         raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
 
 
-def build_wmub(ctx: CrtContext) -> WmubSet:
-    """The dedekind_psi(d) weak mutually unbiased bases, as their labels and
-    the two prime-dimension factor families; no d x d matrix is formed.
+def build_wmub(catalog: MaximalLineCatalog) -> WmubSet:
+    """The dedekind_psi(d) weak mutually unbiased bases of the catalog's
+    context, paired index by index with its lines: the catalog's component
+    indices as slots, its sweep matrices as labels, and the two
+    prime-dimension factor families; no d x d matrix is formed.
 
     Raises DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM.
     """
+    ctx = catalog.ctx
     check_hilbert_cap(ctx)
-    components = catalog_layout(ctx).components
-    labels = tuple(tuple(map(sweep_value, c)) for c in components.tolist())
-    symps = tuple(map(tuple, sweep_entries(ctx, components).tolist()))
-    return WmubSet(ctx, labels, symps, (prime_mub(ctx.d1), prime_mub(ctx.d2)))
+    return WmubSet(ctx, catalog.components, catalog.matrices, (prime_mub(ctx.d1), prime_mub(ctx.d2)))
 
 
 def unitarity_bound(s: WmubSet) -> float:
@@ -229,18 +209,18 @@ def conjugation_bound(s: WmubSet) -> float:
     ctx = s.ctx
     check_crt_relabelling(ctx)
     powers = (min(ctx.t1, ctx.d1 - ctx.t1), min(ctx.t2, ctx.d2 - ctx.t2))
-    factors = tuple(zip((ctx.d1, ctx.d2), split_entries(np.array(s.symplectic_labels).T, ctx)))
+    factors = tuple(zip((ctx.d1, ctx.d2), split_entries(s.labels.T, ctx)))
     unit = [(k * n - l * m) % di == 1 for di, (k, l, m, n) in factors]
     bad = np.flatnonzero(~(unit[0] & unit[1]))
     if bad.size:
         j = int(bad[0]) + 1
-        k, l, m, n = s.symplectic_label(j)
+        k, l, m, n = s.labels[j - 1].tolist()
         raise RuntimeError(f"B_{j} label X({k},{l}|{m},{n}): determinant is not 1 (mod {ctx.d})")
     terms = []
     for factor, (di, comp) in enumerate(factors):
         # Slots and component entries are < di + 1, so one mixed-radix
         # integer keys each distinct (slot, component label).
-        slots = s.factor_slots[:, factor]
+        slots = s.slots[:, factor]
         key = slots
         for entry in comp:
             key = key * (di + 1) + entry
@@ -269,7 +249,7 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
     stack1, stack2 = s.factor_stacks
     bj, bi = (
         assemble_tensor_basis(stack1[slot1], stack2[slot2], s.ctx)
-        for slot1, slot2 in s.factor_slots[[j - 1, i - 1]]
+        for slot1, slot2 in s.slots[[j - 1, i - 1]]
     )
     return np.abs(bj.conj().T @ bi)
 
@@ -282,8 +262,7 @@ def _match(s: WmubSet, i, j, tol: float):
     support) with arrays over the pairs, in matching order, and for each
     pair the position of the first template it fits, -1 if none.
     """
-    ctx = s.ctx
-    slots = s.factor_slots
+    ctx, slots = s.ctx, s.slots
     table1, table2 = s.factor_extrema
     t1 = table1.take(slots[j - 1, 0], slots[i - 1, 0])
     t2 = table2.take(slots[j - 1, 1], slots[i - 1, 1])
@@ -382,13 +361,11 @@ def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """The two censuses, and the category code of every basis pair in the
+    """The overlap census, and the category code of every basis pair in the
     row-major order of the catalog's `pair_classes` (as `pair_categories`)."""
 
     ctx: CrtContext
-    line_census: dict[int, int]
     overlap_census: dict[OverlapCategory, int]
-    redundancy: Fraction
     categories: np.ndarray = field(compare=False)
 
 
@@ -423,7 +400,7 @@ def duality_report(
             f"against overlap class {_CATEGORIES[codes[k]].value}",
             overlap_census,
         )
-    return DualityReport(ctx, pairs.census(ctx), overlap_census, redundancy(ctx.d), codes)
+    return DualityReport(ctx, overlap_census, codes)
 
 
 def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, report: DualityReport) -> bool:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bases import (
+    OVERLAP_ATOL,
     DualityViolation,
     NotWeaklyUnbiased,
     OverlapCategory,
@@ -127,7 +128,8 @@ def lines_document(d1: int, d2: int) -> Document:
 
 
 def wmub_document(d1: int, d2: int) -> Document:
-    # The labels of `build_wmub`, without its prime-dimension factor families.
+    # The labels and slots of `build_wmub`, from the layout and the sweep
+    # table alone: no catalog and no prime-dimension factor family.
     ctx = crt_context(d1, d2)
     check_hilbert_cap(ctx)
     components = catalog_layout(ctx).components
@@ -179,27 +181,24 @@ def partitions_document(d1: int, d2: int, side: str) -> Document:
 
 @dataclass
 class Verification:
-    d1: int
-    d2: int
-    d: int
+    """The checks run so far; `run_verification` stops at the first failure,
+    so a failing check is always the last."""
+
     checks: list[dict] = field(default_factory=list)
     overlap_counts: tuple[int, int, int] | None = None
     redundancy: Fraction | None = None
-    failed: str | None = None
 
     def record(self, name: str, ok: bool, detail: str) -> bool:
         self.checks.append({"check": name, "ok": ok, "detail": detail})
-        if not ok and self.failed is None:
-            self.failed = name
         return ok
 
     @property
     def ok(self) -> bool:
-        return self.failed is None
+        return all(c["ok"] for c in self.checks)
 
     def summary(self) -> str:
         if not self.ok:
-            failing = next(c for c in self.checks if not c["ok"])
+            failing = self.checks[-1]
             return f"FAIL {failing['check']}: {failing['detail']}"
         a, b, c = self.overlap_counts
         total = a + b + c
@@ -223,7 +222,7 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
             f"--tolerance must lie in [0, 1/(2d)] = [0, {ceiling:.4g}] at d={ctx.d}, got {tol:g}"
         )
     check_hilbert_cap(ctx)
-    v = Verification(d1, d2, ctx.d)
+    v = Verification()
     psi = dedekind_psi(ctx.d)
 
     # The catalog and the line classifier cross-check two routes each and
@@ -246,11 +245,11 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     if not v.record("line-census", counts == want, detail):
         return v
 
-    # Built only after the catalog check has certified the context, whose
-    # sweep matrices the labels are.  Both gates read the prime-dimension
-    # factor families; each reported value bounds the residual of every
-    # d x d basis from above.
-    s = build_wmub(ctx)
+    # Built from the certified catalog, whose component indices and sweep
+    # matrices are the slots and labels.  Both gates read the
+    # prime-dimension factor families; each reported value bounds the
+    # residual of every d x d basis from above.
+    s = build_wmub(catalog)
     defect = unitarity_bound(s)
     if not v.record(
         "unitarity", defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full duality verification")
     _add_dims(p_verify)
-    p_verify.add_argument("--tolerance", type=float, default=1e-9)
+    p_verify.add_argument("--tolerance", type=float, default=OVERLAP_ATOL)
     p_verify.add_argument("--json", action="store_true")
     return parser
 

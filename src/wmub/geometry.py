@@ -204,7 +204,8 @@ class MaximalLineCatalog:
     index: `components` the component indices (i1, i2) of `catalog_layout`,
     `generators` the display generators (nu, mu), `matrices` the sweep
     matrix entries (kappa, lam, mu, nu), and `comps` the component
-    generators [row, factor, 2]."""
+    generators [row, factor, 2].  All four are read-only: the basis set of
+    `bases.build_wmub` shares `components` and `matrices`."""
 
     ctx: CrtContext
     components: np.ndarray
@@ -263,10 +264,6 @@ def sweep_value(k: int) -> int | None:
     return None if k == 0 else k - 1
 
 
-def component_index(lam: int | None) -> int:
-    return 0 if lam is None else lam + 1
-
-
 def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     """Enumerate all dedekind_psi(d) maximal lines in `catalog_layout` order.
 
@@ -300,7 +297,10 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     if len(components) != dedekind_psi(ctx.d):
         raise RuntimeError("catalog size does not match the maximal-line count")
     comps = np.stack([np.stack(comp1, axis=-1), np.stack(comp2, axis=-1)], axis=1)
-    return MaximalLineCatalog(ctx, components, np.stack([nu, mu], axis=-1), matrices, comps)
+    generators = np.stack([nu, mu], axis=-1)
+    for array in (components, generators, matrices, comps):
+        array.setflags(write=False)
+    return MaximalLineCatalog(ctx, components, generators, matrices, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +325,6 @@ class LinePairs(NamedTuple):
     i: np.ndarray
     j: np.ndarray
     size: np.ndarray
-
-    def census(self, ctx: CrtContext) -> dict[int, int]:
-        """Counts of the pairs keyed by intersection size: d2, d1 and 1."""
-        return {size: int(np.count_nonzero(self.size == size)) for size in (ctx.d2, ctx.d1, 1)}
 
 
 def _intersection_sizes(
@@ -373,8 +369,10 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
 
 
 def pair_census(ctx: CrtContext, catalog: MaximalLineCatalog) -> dict[int, int]:
-    """Counts of unordered maximal-line pairs keyed by intersection size."""
-    return catalog.pair_classes.census(ctx)
+    """Counts of unordered maximal-line pairs keyed by intersection size:
+    d2, d1 and 1."""
+    sizes = catalog.pair_classes.size
+    return {size: int(np.count_nonzero(sizes == size)) for size in (ctx.d2, ctx.d1, 1)}
 
 
 def redundancy(d: int) -> Fraction:

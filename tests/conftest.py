@@ -30,10 +30,10 @@ def catalogs(contexts):
 
 
 @pytest.fixture(scope="session")
-def wmub15(ctx15):
-    return build_wmub(ctx15)
+def wmub15(catalog15):
+    return build_wmub(catalog15)
 
 
 @pytest.fixture(scope="session")
-def wmub_sets(contexts):
-    return {d: build_wmub(ctx) for d, ctx in contexts.items()}
+def wmub_sets(catalogs):
+    return {d: build_wmub(catalog) for d, catalog in catalogs.items()}

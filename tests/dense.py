@@ -119,11 +119,11 @@ def dense_conjugation_defect(d: int, u: np.ndarray, label: tuple[int, int, int, 
 
 def assembled_basis(s: WmubSet, j: int) -> np.ndarray:
     """The d x d unitary of basis j, assembled from its two factor slots."""
-    (stack1, stack2), (slot1, slot2) = s.factor_stacks, s.factor_slots[j - 1]
+    (stack1, stack2), (slot1, slot2) = s.factor_stacks, s.slots[j - 1]
     return assemble_tensor_basis(stack1[slot1], stack2[slot2], s.ctx)
 
 
 def symplectic_label_defect(s: WmubSet, j: int) -> float:
     """Conjugation residual of the assembled basis j against its
     d-dimensional label; the dense route that `conjugation_bound` bounds."""
-    return conjugation_defect(s.ctx.d, assembled_basis(s, j), s.symplectic_label(j))
+    return conjugation_defect(s.ctx.d, assembled_basis(s, j), s.labels[j - 1])

@@ -22,7 +22,6 @@ from wmub.geometry import (
     ModulusMismatch,
     NotMaximal,
     catalog_layout,
-    component_index,
     factor_keys,
     line,
     product_generator,
@@ -220,7 +219,8 @@ def scalar_catalog_rows(ctx: CrtContext):
 def sweep_matrix(ctx: CrtContext, lam1: int | None, lam2: int | None) -> SymplecticMatrix:
     """The sweep matrix with factor sweep values (lam1, lam2): one row of
     `sweep_entries`."""
-    row = sweep_entries(ctx, np.array([[component_index(lam1), component_index(lam2)]]))[0]
+    components = [[0 if lam is None else lam + 1 for lam in (lam1, lam2)]]
+    row = sweep_entries(ctx, np.array(components))[0]
     return SymplecticMatrix(ctx.d, *row.tolist())
 
 

@@ -88,7 +88,7 @@ def test_criterion_04_overlap_census_d15():
     with criterion(4, "overlap census at d=15 is (36, 60, 180) within 1e-9"):
         started = time.perf_counter()
         ctx = crt_context(3, 5)
-        s = build_wmub(ctx)
+        s = build_wmub(maximal_line_catalog(ctx))
         census = wmub_census(s, tol=1e-9)
         assert (
             census[OverlapCategory.SUB_D1],
@@ -146,7 +146,7 @@ def test_criterion_06_duality():
         for d1, d2 in ((3, 5), (3, 7), (3, 11)):
             ctx = crt_context(d1, d2)
             catalog = maximal_line_catalog(ctx)
-            s = build_wmub(ctx)
+            s = build_wmub(catalog)
             expected = {
                 ctx.d2: OverlapCategory.SUB_D1,
                 ctx.d1: OverlapCategory.SUB_D2,
@@ -179,7 +179,7 @@ def test_criterion_08_conjugation_contract():
                 assert conjugation_defect(p, symplectic_unitary(p, g), g.entries) < 1e-9
             quad = SymplecticMatrix(p, 1, 2, 0, 1)
             assert conjugation_defect(p, symplectic_unitary(p, quad), quad.entries) < 1e-9
-        s = build_wmub(crt_context(3, 5))
+        s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
         for j in range(1, len(s) + 1):
             assert symplectic_label_defect(s, j) < 1e-9
 
@@ -208,7 +208,7 @@ def test_criterion_10_redundancy():
 
 def test_criterion_11_unbiasedness_does_not_chain():
     with criterion(11, "two flat pairs with a common basis need not be flat together"):
-        s = build_wmub(crt_context(3, 5))
+        s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
         witness = None
         for a in range(1, 25):
             for b in range(a + 1, 25):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -23,7 +24,15 @@ from wmub.bases import (
     wmub_census,
 )
 from wmub.bases import _factor_extrema
-from wmub.geometry import SharedComponent, classify_line_pair, split_entries
+from wmub.cli import wmub_document
+from wmub.geometry import (
+    SharedComponent,
+    classify_line_pair,
+    maximal_line_catalog,
+    pair_census,
+    split_entries,
+    sweep_value,
+)
 from wmub.hilbert import MAX_DIM, conjugation_defect, prime_mub, unitarity_defect
 from wmub.zring import crt_context, dedekind_psi, is_prime
 
@@ -60,13 +69,15 @@ PARTITION_15 = [
 ]
 
 
-def test_build_reference_data(wmub15):
+def test_build_reference_data(catalog15, wmub15):
     assert len(wmub15) == 24
-    assert list(wmub15.symplectic_labels) == LABELS_15
-    assert list(wmub15.factor_labels) == FACTOR_LABELS_15
-    assert wmub15.factor_label(4) == (None, 2)
-    assert wmub15.symplectic_label(10) == (0, 2, 7, 0)
+    assert list(map(tuple, wmub15.labels.tolist())) == LABELS_15
+    assert [tuple(map(sweep_value, slots)) for slots in wmub15.slots.tolist()] == FACTOR_LABELS_15
+    assert tuple(map(sweep_value, wmub15.slots[4 - 1].tolist())) == (None, 2)
+    assert wmub15.labels[10 - 1].tolist() == [0, 2, 7, 0]
     assert np.array_equal(assembled_basis(wmub15, 1), np.eye(15))
+    # The set reads its slots and labels from the catalog; nothing is copied.
+    assert wmub15.slots is catalog15.components and wmub15.labels is catalog15.matrices
 
 
 def test_build_other_dimensions(wmub_sets):
@@ -161,7 +172,7 @@ def test_factor_structure(wmub15):
     # first, and flat pairs share neither; distinct prime-dimension factors
     # are unbiased (acceptance criterion 7).
     def shared(i, j):
-        (a1, a2), (b1, b2) = wmub15.factor_label(i), wmub15.factor_label(j)
+        (a1, a2), (b1, b2) = wmub15.slots[[i - 1, j - 1]].tolist()
         return a1 == b1, a2 == b2
 
     assert classify_pair(wmub15, 1, 7).category is OverlapCategory.SUB_D1
@@ -216,7 +227,8 @@ def test_duality_report(catalogs, wmub_sets):
         assert len(catalogs[d].pair_classes.size) == psi * (psi - 1) // 2
         assert sum(report.overlap_census.values()) == psi * (psi - 1) // 2
         d1, d2 = report.ctx.d1, report.ctx.d2
-        assert report.line_census == {d2: d1 * psi // 2, d1: d2 * psi // 2, 1: d * psi // 2}
+        line_census = pair_census(report.ctx, catalogs[d])
+        assert line_census == {d2: d1 * psi // 2, d1: d2 * psi // 2, 1: d * psi // 2}
         assert report.overlap_census[OverlapCategory.SUB_D1] == d1 * psi // 2
         assert report.overlap_census[OverlapCategory.SUB_D2] == d2 * psi // 2
         assert report.overlap_census[OverlapCategory.FULL] == d * psi // 2
@@ -279,17 +291,11 @@ def test_off_support_weight_fits_no_template(wmub15):
 
 def test_duality_violation_on_index_drift(catalogs, wmub15):
     # Move basis 2 and basis 7 together with their labels: every basis keeps
-    # its own labels but sits at the index of the other line.
-    def swapped(values):
-        values = list(values)
-        values[1], values[6] = values[6], values[1]
-        return tuple(values)
-
-    drifted = replace(
-        wmub15,
-        factor_labels=swapped(wmub15.factor_labels),
-        symplectic_labels=swapped(wmub15.symplectic_labels),
-    )
+    # its own slots and label but sits at the index of the other line.
+    slots, labels = wmub15.slots.copy(), wmub15.labels.copy()
+    for rows in (slots, labels):
+        rows[[1, 6]] = rows[[6, 1]]
+    drifted = replace(wmub15, slots=slots, labels=labels)
     with pytest.raises(DualityViolation, match=r"pair \(1, 2\)") as raised:
         duality_report(catalogs[15], drifted)
     # The pass still counts every pair; a permutation keeps the census.
@@ -335,7 +341,7 @@ SUPPORTED_DIMS = [
 # the tests that follow.
 @lru_cache(maxsize=None)
 def supported_set(d1: int, d2: int):
-    return build_wmub(crt_context(d1, d2))
+    return build_wmub(maximal_line_catalog(crt_context(d1, d2)))
 
 
 def dense_classify(sq: np.ndarray, ctx, tol: float) -> OverlapClass | None:
@@ -368,12 +374,16 @@ def factored_classify(s, i: int, j: int, tol: float) -> OverlapClass | None:
 
 def assert_routes_agree(s, pairs, tols) -> None:
     # Both factored routes, one pair at a time and the array pass, against
-    # the dense oracle.
+    # the dense oracle.  Each basis is assembled once and its dense tables
+    # formed from that cache; `overlap_table` is compared on the first pair.
     first, second = (np.array(side) for side in zip(*pairs))
     codes = {tol: pair_categories(s, first, second, tol) for tol in tols}
     categories = tuple(OverlapCategory)
+    bases = {j: assembled_basis(s, j) for j in {*first.tolist(), *second.tolist()}}
+    i, j = pairs[0]
+    assert np.abs(overlap_table(s, i, j) - overlaps(bases[j], bases[i])).max() <= 1e-15
     for k, (i, j) in enumerate(pairs):
-        sq = overlap_table(s, i, j) ** 2
+        sq = overlaps(bases[j], bases[i]) ** 2
         for tol in tols:
             dense, factored = dense_classify(sq, s.ctx, tol), factored_classify(s, i, j, tol)
             assert (dense is None) == (factored is None), (s.ctx.d, i, j, tol)
@@ -449,12 +459,31 @@ def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_wmub_table_matches_the_set_built_from_the_catalog(dims):
+    # `wmub_document` renders the labels and factors from the layout and the
+    # sweep table; the set reads its labels and slots from the catalog.
+    s = supported_set(*dims)
+    labels, slots = [], []
+    for _, label, *factors in wmub_document(*dims).cells:
+        entries = re.fullmatch(r"X\((\d+),(\d+)\|(\d+),(\d+)\)", label).groups()
+        labels.append([int(entry) for entry in entries])
+        row = []
+        for n, token in enumerate(factors, start=1):
+            # X<n> is the position basis; X<n>(0,1|-1,-lam) the basis swept by lam.
+            minus_lam = re.fullmatch(rf"X{n}(?:\(0,1\|-1,(-?\d+)\))?", token).group(1)
+            row.append(0 if minus_lam is None else 1 - int(minus_lam))
+        slots.append(row)
+    assert labels == s.labels.tolist()
+    assert slots == s.slots.tolist()
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
 def test_label_split_matches_matrix_factorize(dims):
     # The array pass of `conjugation_bound` against the per-matrix route.
     s = supported_set(*dims)
     ctx = s.ctx
-    comp1, comp2 = split_entries(np.array(s.symplectic_labels).T, ctx)
-    for j, label in enumerate(s.symplectic_labels):
+    comp1, comp2 = split_entries(s.labels.T, ctx)
+    for j, label in enumerate(s.labels.tolist()):
         g1, g2 = matrix_factorize(SymplecticMatrix(ctx.d, *label), ctx)
         assert tuple(int(entry[j]) for entry in comp1) == g1.entries, (ctx.d, j)
         assert tuple(int(entry[j]) for entry in comp2) == g2.entries, (ctx.d, j)
@@ -483,7 +512,7 @@ def assert_bounds_hold(s, indices) -> None:
     unitarity, conjugation = unitarity_bound(s), conjugation_bound(s)
     d = s.ctx.d
     for j in indices:
-        u, label = assembled_basis(s, j), s.symplectic_label(j)
+        u, label = assembled_basis(s, j), s.labels[j - 1]
         assert unitarity_defect(u) <= unitarity + BOUND_SLACK, (d, j)
         assert conjugation_defect(d, u, label) <= conjugation + BOUND_SLACK, (d, j)
         assert dense_conjugation_defect(d, u, label) <= conjugation + BOUND_SLACK, (d, j)
@@ -491,7 +520,7 @@ def assert_bounds_hold(s, indices) -> None:
 
 def using_slot(s, factor: int, slot: int) -> list[int]:
     """Indices of the bases whose factor `factor` is factor basis `slot`."""
-    return [j + 1 for j in np.flatnonzero(s.factor_slots[:, factor] == slot)]
+    return [j + 1 for j in np.flatnonzero(s.slots[:, factor] == slot)]
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
@@ -547,10 +576,10 @@ def test_factored_conjugation_rejects_factor_faults(dims):
             tampered = tampered_factor(s, factor, 1, matrix)
             assert conjugation_bound(tampered) > ceiling, (s.ctx.d, factor, name)
             assert_bounds_hold(tampered, using_slot(s, factor, 1)[:3])
-    labels = list(s.symplectic_labels)
+    labels = s.labels.copy()
     for j in (2, len(s) - 1):
-        labels[j - 1] = s.symplectic_labels[j]
-    neighbour = replace(s, symplectic_labels=tuple(labels))
+        labels[j - 1] = s.labels[j]
+    neighbour = replace(s, labels=labels)
     assert conjugation_bound(neighbour) > ceiling
     assert_bounds_hold(neighbour, (2, len(s) - 1))
 
@@ -564,11 +593,11 @@ def test_conjugation_bound_keeps_distinct_labels_of_one_slot_apart(dims):
     # checked, so the fault reaches the bound.
     s = supported_set(*dims)
     last = len(s)
-    slot1, slot2 = s.factor_slots[last - 1]
-    donor = 1 + int(np.flatnonzero((s.factor_slots[:, 1] == slot2) & (s.factor_slots[:, 0] != slot1))[0])
+    slot1, slot2 = s.slots[last - 1]
+    donor = 1 + int(np.flatnonzero((s.slots[:, 1] == slot2) & (s.slots[:, 0] != slot1))[0])
     assert using_slot(s, 0, slot1)[0] < last
-    labels = list(s.symplectic_labels)
-    labels[last - 1] = s.symplectic_label(donor)
-    tampered = replace(s, symplectic_labels=tuple(labels))
+    labels = s.labels.copy()
+    labels[last - 1] = s.labels[donor - 1]
+    tampered = replace(s, labels=labels)
     assert conjugation_bound(tampered) > 0.5 / s.ctx.d
     assert_bounds_hold(tampered, (last,))

@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,9 +25,11 @@ import wmub.geometry
 import wmub.hilbert
 from wmub.bases import OverlapCategory, build_wmub
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
+from wmub.geometry import maximal_line_catalog
 from wmub.zring import crt_context
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
@@ -229,6 +232,17 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     assert single == []
 
 
+def test_verify_builds_each_catalog_fact_once(capsys, monkeypatch):
+    # The basis set reads its labels from the catalog's sweep table, and the
+    # line census and the redundancy are each formed by one check.
+    sweeps = count_calls(monkeypatch, wmub.geometry.sweep_entries)
+    censuses = count_calls(monkeypatch, wmub.geometry.pair_census)
+    redundancies = count_calls(monkeypatch, wmub.geometry.redundancy)
+    code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert code == 0
+    assert len(sweeps) == len(censuses) == len(redundancies) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify"], ["wmub"], ["partitions", "--side", "bases"]],
@@ -302,11 +316,11 @@ def test_catalog_commands_build_no_line_object(capsys, monkeypatch, command):
 def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeypatch):
     # A NaN in any factor basis, not only the first of its family, fails
     # the unitarity gate by name.
-    s = build_wmub(crt_context(3, 5))
+    s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
     stack1, stack2 = s.factor_stacks
     broken = stack1.copy()
     broken[2, 0, 0] = math.nan
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: replace(s, factor_stacks=(broken, stack2)))
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: replace(s, factor_stacks=(broken, stack2)))
     code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1 and err == ""
     assert out.strip() == "FAIL unitarity: max defect nan vs tolerance 1e-09"
@@ -346,14 +360,14 @@ def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypat
 def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
     # A generic unitary in place of a factor basis passes unitarity; the
     # conjugation check, on the factor against its component label, fails.
-    s = build_wmub(crt_context(3, 5))
+    s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
     rng = np.random.default_rng(2024)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
     stack1, stack2 = s.factor_stacks
     generic = stack2.copy()
     generic[1] = q
     tampered = replace(s, factor_stacks=(stack1, generic))
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: tampered)
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: tampered)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.startswith("FAIL conjugation: max residual ")
@@ -373,10 +387,10 @@ def test_verify_names_conjugation_on_a_wrong_crt_relabelling(capsys, monkeypatch
 
 def test_verify_names_conjugation_on_a_label_without_unit_determinant(capsys, monkeypatch):
     # (2, 0 | 0, 2) has determinant 4 at d = 15: a unit mod 3 but not mod 5.
-    s = build_wmub(crt_context(3, 5))
-    labels = list(s.symplectic_labels)
+    s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
+    labels = s.labels.copy()
     labels[7 - 1] = (2, 0, 0, 2)
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda ctx: replace(s, symplectic_labels=tuple(labels)))
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: replace(s, labels=labels))
     code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1 and err == ""
     assert out.strip() == "FAIL conjugation: B_7 label X(2,0|0,2): determinant is not 1 (mod 15)"
@@ -508,6 +522,15 @@ def test_verify_exit_code_property(dims, tol):
         math.isfinite(tol) and 0 <= tol <= 1 / (2 * d1 * d2)
     )
     assert code in ((USAGE_ERROR,) if invalid else (0, VERIFY_ERROR))
+
+
+def test_readme_session_runs(capsys):
+    # The library example in the README runs against the current API.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    out = capsys.readouterr().out
+    assert ": 36, " in out and out.endswith(" 1/2\n")
 
 
 def test_verify_json(capsys):

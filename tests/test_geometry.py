@@ -400,6 +400,15 @@ def test_catalog_matches_reference_table(catalog15):
         assert e.line == line(15, *generator)
 
 
+@pytest.mark.parametrize("name", ["components", "generators", "matrices", "comps"])
+def test_catalog_arrays_are_read_only(catalog15, name):
+    # The catalog is shared (a session fixture here, the basis set's slots
+    # and labels in the library), so an in-place write must raise.
+    array = getattr(catalog15, name)
+    with pytest.raises(ValueError, match="read-only"):
+        array[0, 0] = 5
+
+
 def test_catalog_lines_are_distinct_and_complete(catalog15):
     entries = catalog_entries(catalog15)
     assert len({e.line for e in entries}) == 24

@@ -8,6 +8,7 @@ import pytest
 
 import wmub.hilbert
 from wmub.bases import build_wmub
+from wmub.geometry import maximal_line_catalog
 from wmub.hilbert import (
     DimMismatch,
     EvenDimension,
@@ -134,9 +135,9 @@ ORACLE_PAIRS = ((3, 5), (3, 7), (3, 11), (5, 7))
 
 @pytest.mark.parametrize("d1,d2", ORACLE_PAIRS)
 def test_conjugation_routes_agree_on_every_basis(d1, d2):
-    s = build_wmub(crt_context(d1, d2))
+    s = build_wmub(maximal_line_catalog(crt_context(d1, d2)))
     for j in range(1, len(s) + 1):
-        u, label = assembled_basis(s, j), s.symplectic_label(j)
+        u, label = assembled_basis(s, j), s.labels[j - 1]
         assert conjugation_defect(s.ctx.d, u, label) < 1e-12
         assert dense_conjugation_defect(s.ctx.d, u, label) < 1e-12
 
@@ -151,7 +152,7 @@ def test_conjugation_residual_bounds_the_dense_residual(d1, d2, stride):
     # swapped columns, random column phases, a generic unitary and a wrong
     # label all land above 1/(2d), the largest tolerance that `verify`
     # admits.  At d = 91 and 95 every 7th basis.
-    s = build_wmub(crt_context(d1, d2))
+    s = build_wmub(maximal_line_catalog(crt_context(d1, d2)))
     d = s.ctx.d
     rng = np.random.default_rng(d)
 
@@ -160,7 +161,7 @@ def test_conjugation_residual_bounds_the_dense_residual(d1, d2, stride):
 
     generic, _ = np.linalg.qr(random_complex(d, d))
     for j in range(1, len(s) + 1, stride):
-        u, label = assembled_basis(s, j), s.symplectic_label(j)
+        u, label = assembled_basis(s, j), s.labels[j - 1]
         near, _ = np.linalg.qr(np.eye(d) + 1e-6 * random_complex(d, d))
         phases = np.exp(2j * np.pi * rng.random(d))
         swapped = u[:, [1, 0, *range(2, d)]]
@@ -172,7 +173,7 @@ def test_conjugation_residual_bounds_the_dense_residual(d1, d2, stride):
             (generic, label, True),
         ]
         if j < len(s):
-            inputs.append((u, s.symplectic_label(j + 1), True))
+            inputs.append((u, s.labels[j], True))
         for matrix, lab, fails in inputs:
             structured = conjugation_defect(d, matrix, lab)
             assert dense_conjugation_defect(d, matrix, lab) <= structured * (1 + 1e-6) + 1e-12
