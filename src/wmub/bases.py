@@ -165,7 +165,10 @@ def build_wmub(catalog: MaximalLineCatalog) -> WmubSet:
     """
     ctx = catalog.ctx
     check_hilbert_cap(ctx)
-    return WmubSet(ctx, catalog.components, catalog.matrices, (prime_mub(ctx.d1), prime_mub(ctx.d2)))
+    stacks = (prime_mub(ctx.d1), prime_mub(ctx.d2))
+    for stack in stacks:
+        stack.setflags(write=False)
+    return WmubSet(ctx, catalog.components, catalog.matrices, stacks)
 
 
 def unitarity_bound(s: WmubSet) -> float:

@@ -38,7 +38,7 @@ from .geometry import (
     sweep_value,
 )
 from .hilbert import DimTooLarge
-from .zring import InvalidDims, ModulusTooLarge, crt_context, dedekind_psi
+from .zring import CrtContext, InvalidDims, ModulusTooLarge, crt_context, dedekind_psi
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -179,6 +179,13 @@ def partitions_document(d1: int, d2: int, side: str) -> Document:
 # verification pipeline
 # ---------------------------------------------------------------------------
 
+# The verify ladder, in the order its checks run.
+CHECKS = (
+    "catalog", "line-census", "unitarity", "conjugation",
+    "overlap-census", "duality", "partitions", "redundancy",
+)
+
+
 @dataclass
 class Verification:
     """The checks run so far; `run_verification` stops at the first failure,
@@ -187,10 +194,6 @@ class Verification:
     checks: list[dict] = field(default_factory=list)
     overlap_counts: tuple[int, int, int] | None = None
     redundancy: Fraction | None = None
-
-    def record(self, name: str, ok: bool, detail: str) -> bool:
-        self.checks.append({"check": name, "ok": ok, "detail": detail})
-        return ok
 
     @property
     def ok(self) -> bool:
@@ -208,12 +211,65 @@ class Verification:
         )
 
 
+def _ladder(ctx: CrtContext, tol: float, v: Verification):
+    """Yield (ok, detail) for each check of CHECKS in turn."""
+    psi = dedekind_psi(ctx.d)
+    # Unordered pairs meeting in d2, d1 and 1 points; the overlap census
+    # counts the same pairs by squared overlap 1/d1, 1/d2 and 1/d.
+    expected = (ctx.d1 * psi // 2, ctx.d2 * psi // 2, ctx.d * psi // 2)
+
+    # The catalog and the line classifier cross-check two routes each and
+    # raise RuntimeError on disagreement; that fails the check by name.
+    catalog = maximal_line_catalog(ctx)
+    yield len(catalog) == psi, f"{len(catalog)} maximal lines"
+
+    counts = pair_census(ctx, catalog)
+    detail = f"{counts[ctx.d2]}/{counts[ctx.d1]}/{counts[1]} by intersection {ctx.d2}/{ctx.d1}/1"
+    yield (counts[ctx.d2], counts[ctx.d1], counts[1]) == expected, detail
+
+    # Built from the certified catalog, whose component indices and sweep
+    # matrices are the slots and labels.  Both gates read the
+    # prime-dimension factor families; each reported value bounds the
+    # residual of every d x d basis from above.
+    s = build_wmub(catalog)
+    defect = unitarity_bound(s)
+    yield defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
+
+    defect = conjugation_bound(s)
+    yield defect <= tol, f"max residual {defect:.3e} vs tolerance {tol:g}"
+
+    # One pass over the basis pairs gives both the overlap census and the
+    # duality check; a mismatch is reported only if the counts are right.
+    try:
+        report = duality_report(catalog, s, tol)
+    except DualityViolation as err:
+        census, violation = err.overlap_census, str(err)
+    else:
+        census, violation = report.overlap_census, None
+    v.overlap_counts = (
+        census[OverlapCategory.SUB_D1],
+        census[OverlapCategory.SUB_D2],
+        census[OverlapCategory.FULL],
+    )
+    yield v.overlap_counts == expected, f"{v.overlap_counts} expected {expected}"
+
+    yield violation is None, violation or f"{sum(expected)} pairs matched"
+
+    yield partitions_hold(catalog, s, report), "line and basis grids compared"
+
+    v.redundancy = r = redundancy(ctx.d)
+    identity_holds = r * (ctx.d * ctx.d - 1) + (ctx.d * ctx.d - 1) == psi * (ctx.d - 1)
+    yield identity_holds, f"value {r}"
+
+
 def run_verification(d1: int, d2: int, tol: float) -> Verification:
     """Run the whole pipeline with every numeric gate at `tol`.
 
     Usage errors raise before any check runs: InvalidDims, DimTooLarge, and
     UsageError for a tolerance that is not in [0, 1/(2d)], half the
-    smallest gap between the admissible squared overlaps.
+    smallest gap between the admissible squared overlaps.  A cross-check
+    that raises fails the check being run with its message; the ladder
+    stops at the first failing check.
     """
     ctx = crt_context(d1, d2)
     ceiling = 0.5 / ctx.d
@@ -223,84 +279,15 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
         )
     check_hilbert_cap(ctx)
     v = Verification()
-    psi = dedekind_psi(ctx.d)
-
-    # The catalog and the line classifier cross-check two routes each and
-    # raise RuntimeError on disagreement; that fails the check by name.
-    try:
-        catalog = maximal_line_catalog(ctx)
-    except RuntimeError as err:
-        v.record("catalog", False, str(err))
-        return v
-    if not v.record("catalog", len(catalog) == psi, f"{len(catalog)} maximal lines"):
-        return v
-
-    try:
-        counts = pair_census(ctx, catalog)
-    except RuntimeError as err:
-        v.record("line-census", False, str(err))
-        return v
-    want = {ctx.d2: ctx.d1 * psi // 2, ctx.d1: ctx.d2 * psi // 2, 1: ctx.d * psi // 2}
-    detail = f"{counts[ctx.d2]}/{counts[ctx.d1]}/{counts[1]} by intersection {ctx.d2}/{ctx.d1}/1"
-    if not v.record("line-census", counts == want, detail):
-        return v
-
-    # Built from the certified catalog, whose component indices and sweep
-    # matrices are the slots and labels.  Both gates read the
-    # prime-dimension factor families; each reported value bounds the
-    # residual of every d x d basis from above.
-    s = build_wmub(catalog)
-    defect = unitarity_bound(s)
-    if not v.record(
-        "unitarity", defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
-    ):
-        return v
-
-    try:
-        defect = conjugation_bound(s)
-    except RuntimeError as err:
-        v.record("conjugation", False, str(err))
-        return v
-    if not v.record(
-        "conjugation", defect <= tol, f"max residual {defect:.3e} vs tolerance {tol:g}"
-    ):
-        return v
-
-    # One pass over the basis pairs gives both the overlap census and the
-    # duality check; a mismatch is reported only if the counts are right.
-    try:
-        report = duality_report(catalog, s, tol)
-    except NotWeaklyUnbiased as err:
-        v.record("overlap-census", False, str(err))
-        return v
-    except DualityViolation as err:
-        census, violation = err.overlap_census, str(err)
-    else:
-        census, violation = report.overlap_census, None
-    counts3 = (
-        census[OverlapCategory.SUB_D1],
-        census[OverlapCategory.SUB_D2],
-        census[OverlapCategory.FULL],
-    )
-    expected3 = (ctx.d1 * psi // 2, ctx.d2 * psi // 2, ctx.d * psi // 2)
-    if not v.record(
-        "overlap-census", counts3 == expected3, f"{counts3} expected {expected3}"
-    ):
-        return v
-    v.overlap_counts = counts3
-
-    detail = violation or f"{sum(counts3)} pairs matched"
-    if not v.record("duality", violation is None, detail):
-        return v
-
-    holds = partitions_hold(catalog, s, report)
-    if not v.record("partitions", holds, "line and basis grids compared"):
-        return v
-
-    r = redundancy(ctx.d)
-    identity_holds = r * (ctx.d * ctx.d - 1) + (ctx.d * ctx.d - 1) == psi * (ctx.d - 1)
-    v.record("redundancy", identity_holds, f"value {r}")
-    v.redundancy = r
+    ladder = _ladder(ctx, tol, v)
+    for name in CHECKS:
+        try:
+            ok, detail = next(ladder)
+        except (RuntimeError, NotWeaklyUnbiased) as err:
+            ok, detail = False, str(err)
+        v.checks.append({"check": name, "ok": ok, "detail": detail})
+        if not ok:
+            break
     return v
 
 
@@ -313,7 +300,10 @@ def _add_dims(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d2", type=int, required=True, help="larger odd prime factor")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser unchanged, and
+    # building it costs about 15 times as much as parsing one argv.
     parser = _Parser(
         prog="wmub",
         description=(
@@ -343,16 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args leaves the parser unchanged, and
-    # building it costs about 15 times as much as parsing one argv.
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.command == "lines":
             print(lines_document(args.d1, args.d2).render(args.format))
         elif args.command == "wmub":

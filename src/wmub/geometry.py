@@ -222,7 +222,10 @@ class MaximalLineCatalog:
         intersection size, classified once per catalog in one array pass."""
         i, j = np.triu_indices(len(self), k=1)
         sizes = _intersection_sizes(self.generators, i, j, self.ctx)
-        return LinePairs(i + 1, j + 1, sizes)
+        pairs = LinePairs(i + 1, j + 1, sizes)
+        for array in pairs:
+            array.setflags(write=False)
+        return pairs
 
 
 class CatalogLayout(NamedTuple):

@@ -191,6 +191,17 @@ def test_factor_structure(wmub15):
             assert classify_pair(wmub15, i, j).category is expected[shared(i, j)]
 
 
+def test_factor_stacks_are_read_only(catalog15):
+    # `factor_extrema` is cached per set, so an in-place write to a factor
+    # stack would leave the unitarity gate and the extrema reading different
+    # families; it must raise instead.  A fresh set: the fixtures are shared.
+    s = build_wmub(catalog15)
+    s.factor_extrema
+    for stack in s.factor_stacks:
+        with pytest.raises(ValueError, match="read-only"):
+            stack[2] = 0
+
+
 def test_partition_reference_grid(wmub15):
     assert partition_bases(wmub15) == PARTITION_15
 

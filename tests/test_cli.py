@@ -543,6 +543,38 @@ def test_verify_json(capsys):
     assert json.dumps(payload, indent=2) + "\n" == out
 
 
+def verify_rows(capsys, argv: list[str]) -> tuple[int, list[dict]]:
+    code, out, _ = run_cli(capsys, ["verify", *argv, "--json"])
+    return code, json.loads(out)["rows"]
+
+
+def test_verify_json_rows_follow_the_ladder(capsys):
+    # A passing run reports every check in ladder order, then the summary.
+    code, rows = verify_rows(capsys, ["--d1", "3", "--d2", "5"])
+    assert code == 0
+    assert [row["check"] for row in rows] == [*wmub.cli.CHECKS, "summary"]
+    # A failing run stops at its failing check: the rows are a prefix of
+    # the ladder that ends there.
+    code, rows = verify_rows(capsys, ["--d1", "3", "--d2", "5", "--tolerance", "1e-15"])
+    assert code == 1
+    assert [row["check"] for row in rows] == [
+        "catalog", "line-census", "unitarity", "conjugation", "summary"
+    ]
+    assert [row["ok"] for row in rows] == [True, True, True, False, False]
+    assert rows[3]["detail"] == "max residual 1.479e-15 vs tolerance 1e-15"
+
+
+@pytest.mark.parametrize("gate,check", [("unitarity_bound", "unitarity"), ("partitions_hold", "partitions")])
+def test_verify_names_the_check_whose_gate_raises(capsys, monkeypatch, gate, check):
+    # Any cross-check error fails the check being run, with no traceback.
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(wmub.cli, gate, boom)
+    code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert (code, out, err) == (1, f"FAIL {check}: boom\n", "")
+
+
 def small_mix() -> list[list[str]]:
     """Every subcommand and format at d = 15, 21, 33 and 35."""
     calls = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import tracemalloc
 from dataclasses import replace
@@ -400,13 +401,19 @@ def test_catalog_matches_reference_table(catalog15):
         assert e.line == line(15, *generator)
 
 
-@pytest.mark.parametrize("name", ["components", "generators", "matrices", "comps"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "components", "generators", "matrices", "comps",
+        "pair_classes.i", "pair_classes.j", "pair_classes.size",
+    ],
+)
 def test_catalog_arrays_are_read_only(catalog15, name):
     # The catalog is shared (a session fixture here, the basis set's slots
     # and labels in the library), so an in-place write must raise.
-    array = getattr(catalog15, name)
+    array = operator.attrgetter(name)(catalog15)
     with pytest.raises(ValueError, match="read-only"):
-        array[0, 0] = 5
+        array[0] = 5
 
 
 def test_catalog_lines_are_distinct_and_complete(catalog15):
