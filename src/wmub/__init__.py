@@ -8,7 +8,6 @@ between intersection sizes and overlap templates.
 
 from .bases import (
     DualityReport,
-    DualityViolation,
     NotWeaklyUnbiased,
     OverlapCategory,
     OverlapClass,

@@ -14,10 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import MaximalLineCatalog, catalog_layout, partition_lines, split_entries
+from .geometry import MaximalLineCatalog, catalog_layout, split_entries
 from .hilbert import (
-    MAX_DIM,
-    DimTooLarge,
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
@@ -35,18 +33,6 @@ OVERLAP_ATOL = 1e-9
 
 class NotWeaklyUnbiased(ValueError):
     """An overlap table fits none of the three admissible templates."""
-
-
-class DualityViolation(ValueError):
-    """A line pair and its basis pair landed in mismatched classes.
-
-    Raised after the whole pair pass, so `overlap_census` holds the counts
-    over every basis pair.
-    """
-
-    def __init__(self, message: str, overlap_census: dict[OverlapCategory, int]):
-        super().__init__(message)
-        self.overlap_census = overlap_census
 
 
 class OverlapCategory(Enum):
@@ -149,22 +135,15 @@ class WmubSet:
         return tuple(_factor_extrema(stack) for stack in self.factor_stacks)
 
 
-def check_hilbert_cap(ctx: CrtContext) -> None:
-    """Raise DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM."""
-    if ctx.d > MAX_DIM:
-        raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
-
-
 def build_wmub(catalog: MaximalLineCatalog) -> WmubSet:
     """The dedekind_psi(d) weak mutually unbiased bases of the catalog's
     context, paired index by index with its lines: the catalog's component
     indices as slots, its sweep matrices as labels, and the two
     prime-dimension factor families; no d x d matrix is formed.
 
-    Raises DimTooLarge when d exceeds the Hilbert-space cap MAX_DIM.
+    `d` is not capped here; `prime_mub` caps each factor prime at MAX_DIM.
     """
     ctx = catalog.ctx
-    check_hilbert_cap(ctx)
     stacks = (prime_mub(ctx.d1), prime_mub(ctx.d2))
     for stack in stacks:
         stack.setflags(write=False)
@@ -364,12 +343,14 @@ def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """The overlap census, and the category code of every basis pair in the
-    row-major order of the catalog's `pair_classes` (as `pair_categories`)."""
+    """The overlap census, the category code of every basis pair in the
+    row-major order of the catalog's `pair_classes` (as `pair_categories`),
+    and `mismatch`, the first pair whose classes disagree (None if all agree)."""
 
     ctx: CrtContext
     overlap_census: dict[OverlapCategory, int]
     categories: np.ndarray = field(compare=False)
+    mismatch: str | None = None
 
 
 def duality_report(
@@ -382,8 +363,8 @@ def duality_report(
     pair with the same indices: size d2 must meet the d1**-0.5 overlap
     template, size d1 the d2**-0.5 template, and size 1 the flat template.
     The first pair in row-major order that fits no template raises
-    NotWeaklyUnbiased; the first mismatch raises DualityViolation, carrying
-    the census of every pair.
+    NotWeaklyUnbiased; the first mismatched pair is named in `mismatch`,
+    next to the census of every pair.
     """
     ctx = s.ctx
     if catalog.ctx != ctx:
@@ -395,36 +376,33 @@ def duality_report(
         [pairs.size == size for size in expected],
         [_CATEGORIES.index(category) for category in expected.values()],
     )
+    mismatch = None
     mismatched = np.flatnonzero(codes != want)
     if mismatched.size:
         k = mismatched[0]
-        raise DualityViolation(
+        mismatch = (
             f"pair ({pairs.i[k]}, {pairs.j[k]}): intersection {pairs.size[k]} "
-            f"against overlap class {_CATEGORIES[codes[k]].value}",
-            overlap_census,
+            f"against overlap class {_CATEGORIES[codes[k]].value}"
         )
-    return DualityReport(ctx, overlap_census, codes)
+    return DualityReport(ctx, overlap_census, codes, mismatch)
 
 
-def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, report: DualityReport) -> bool:
-    """What the paper claims of the partition grids, read from the two pair
-    passes: each is d2+1 groups of d1+1 covering 1..psi exactly once, the
-    lines of each set meet pairwise only at the origin, and the bases of
-    each group are unbiased."""
+def partitions_hold(catalog: MaximalLineCatalog, report: DualityReport) -> bool:
+    """What the paper claims of the one partition grid of `catalog_layout`,
+    shared by both sides, read from the two pair passes: d2+1 groups of d1+1
+    cover 1..psi exactly once, the lines of each group meet pairwise only at
+    the origin, and the bases of each group are unbiased."""
     ctx = catalog.ctx
     psi = len(catalog)
+    sets = catalog_layout(ctx).sets
+    if [len(group) for group in sets] != [ctx.d1 + 1] * (ctx.d2 + 1):
+        return False
+    grid = np.sort(sets, axis=1)  # [group, member]
+    if not np.array_equal(np.sort(grid, axis=None), np.arange(1, psi + 1)):
+        return False
     first, second = np.triu_indices(ctx.d1 + 1, k=1)
-    for sets, fits in (
-        (partition_lines(ctx), catalog.pair_classes.size == 1),
-        (partition_bases(s), report.categories == _CATEGORIES.index(OverlapCategory.FULL)),
-    ):
-        if [len(group) for group in sets] != [ctx.d1 + 1] * (ctx.d2 + 1):
-            return False
-        grid = np.sort(sets, axis=1)  # [group, member]
-        if not np.array_equal(np.sort(grid, axis=None), np.arange(1, psi + 1)):
-            return False
-        a, b = grid[:, first], grid[:, second]
-        # (a, b) sits at this position in the row-major order of the pair passes.
-        if not fits[(a - 1) * psi - (a - 1) * a // 2 + (b - a - 1)].all():
-            return False
-    return True
+    a, b = grid[:, first], grid[:, second]
+    # (a, b) sits at this position in the row-major order of the pair passes.
+    at = (a - 1) * psi - (a - 1) * a // 2 + (b - a - 1)
+    full = _CATEGORIES.index(OverlapCategory.FULL)
+    return bool((catalog.pair_classes.size[at] == 1).all() and (report.categories[at] == full).all())

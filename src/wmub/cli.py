@@ -18,11 +18,9 @@ import numpy as np
 
 from .bases import (
     OVERLAP_ATOL,
-    DualityViolation,
     NotWeaklyUnbiased,
     OverlapCategory,
     build_wmub,
-    check_hilbert_cap,
     conjugation_bound,
     duality_report,
     partitions_hold,
@@ -37,7 +35,7 @@ from .geometry import (
     sweep_entries,
     sweep_value,
 )
-from .hilbert import DimTooLarge
+from .hilbert import MAX_DIM, DimTooLarge
 from .zring import CrtContext, InvalidDims, ModulusTooLarge, crt_context, dedekind_psi
 
 USAGE_ERROR = 2
@@ -131,7 +129,6 @@ def wmub_document(d1: int, d2: int) -> Document:
     # The labels and slots of `build_wmub`, from the layout and the sweep
     # table alone: no catalog and no prime-dimension factor family.
     ctx = crt_context(d1, d2)
-    check_hilbert_cap(ctx)
     components = catalog_layout(ctx).components
     labels = zip(components.tolist(), sweep_entries(ctx, components).tolist())
     cells = []
@@ -158,7 +155,6 @@ def partitions_document(d1: int, d2: int, side: str) -> Document:
         set_prefix, member_prefix = "S", "L"
     else:
         # The sets `partition_bases` returns; no factor family is built.
-        check_hilbert_cap(ctx)
         sets = catalog_layout(ctx).sets
         set_prefix, member_prefix = "T", "B"
     columns = [f"{set_prefix}_{n}" for n in range(len(sets))]
@@ -223,7 +219,7 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
     catalog = maximal_line_catalog(ctx)
     yield len(catalog) == psi, f"{len(catalog)} maximal lines"
 
-    counts = pair_census(ctx, catalog)
+    counts = pair_census(catalog)
     detail = f"{counts[ctx.d2]}/{counts[ctx.d1]}/{counts[1]} by intersection {ctx.d2}/{ctx.d1}/1"
     yield (counts[ctx.d2], counts[ctx.d1], counts[1]) == expected, detail
 
@@ -240,12 +236,8 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
 
     # One pass over the basis pairs gives both the overlap census and the
     # duality check; a mismatch is reported only if the counts are right.
-    try:
-        report = duality_report(catalog, s, tol)
-    except DualityViolation as err:
-        census, violation = err.overlap_census, str(err)
-    else:
-        census, violation = report.overlap_census, None
+    report = duality_report(catalog, s, tol)
+    census = report.overlap_census
     v.overlap_counts = (
         census[OverlapCategory.SUB_D1],
         census[OverlapCategory.SUB_D2],
@@ -253,9 +245,9 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
     )
     yield v.overlap_counts == expected, f"{v.overlap_counts} expected {expected}"
 
-    yield violation is None, violation or f"{sum(expected)} pairs matched"
+    yield report.mismatch is None, report.mismatch or f"{sum(expected)} pairs matched"
 
-    yield partitions_hold(catalog, s, report), "line and basis grids compared"
+    yield partitions_hold(catalog, report), "line and basis grids compared"
 
     v.redundancy = r = redundancy(ctx.d)
     identity_holds = r * (ctx.d * ctx.d - 1) + (ctx.d * ctx.d - 1) == psi * (ctx.d - 1)
@@ -265,11 +257,11 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
 def run_verification(d1: int, d2: int, tol: float) -> Verification:
     """Run the whole pipeline with every numeric gate at `tol`.
 
-    Usage errors raise before any check runs: InvalidDims, DimTooLarge, and
-    UsageError for a tolerance that is not in [0, 1/(2d)], half the
-    smallest gap between the admissible squared overlaps.  A cross-check
-    that raises fails the check being run with its message; the ladder
-    stops at the first failing check.
+    Usage errors raise before any check runs: InvalidDims, UsageError for a
+    tolerance that is not in [0, 1/(2d)], half the smallest gap between the
+    admissible squared overlaps, and DimTooLarge for d above MAX_DIM.  A
+    cross-check that raises fails the check being run with its message;
+    the ladder stops at the first failing check.
     """
     ctx = crt_context(d1, d2)
     ceiling = 0.5 / ctx.d
@@ -277,7 +269,9 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
         raise UsageError(
             f"--tolerance must lie in [0, 1/(2d)] = [0, {ceiling:.4g}] at d={ctx.d}, got {tol:g}"
         )
-    check_hilbert_cap(ctx)
+    tol = abs(tol)  # -0.0 passes the range check; the details print 0
+    if ctx.d > MAX_DIM:
+        raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")
     v = Verification()
     ladder = _ladder(ctx, tol, v)
     for name in CHECKS:

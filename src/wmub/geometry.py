@@ -278,7 +278,7 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     Matrix route: the sweep matrix must map the vertical line onto it; over
     squarefree d two maximal lines are equal iff det[a; b] = 0 (mod d).  The
     first entry failing a route raises RuntimeError naming it, the product
-    route first.
+    route first.  The size is left to `verify`'s catalog check.
     """
     check_point_map(ctx)
     components = catalog_layout(ctx).components
@@ -297,8 +297,6 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
         row = int(bad[0])
         route = "product" if product_fails[row] else "matrix"
         raise RuntimeError(f"catalog entry {row + 1}: {route} route disagrees")
-    if len(components) != dedekind_psi(ctx.d):
-        raise RuntimeError("catalog size does not match the maximal-line count")
     comps = np.stack([np.stack(comp1, axis=-1), np.stack(comp2, axis=-1)], axis=1)
     generators = np.stack([nu, mu], axis=-1)
     for array in (components, generators, matrices, comps):
@@ -371,9 +369,10 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
     return LinePairClass(size, shared[size])
 
 
-def pair_census(ctx: CrtContext, catalog: MaximalLineCatalog) -> dict[int, int]:
+def pair_census(catalog: MaximalLineCatalog) -> dict[int, int]:
     """Counts of unordered maximal-line pairs keyed by intersection size:
     d2, d1 and 1."""
+    ctx = catalog.ctx
     sizes = catalog.pair_classes.size
     return {size: int(np.count_nonzero(sizes == size)) for size in (ctx.d2, ctx.d1, 1)}
 

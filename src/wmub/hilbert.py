@@ -78,9 +78,10 @@ def conjugation_defect(d: int, matrix: np.ndarray, label) -> float | np.ndarray:
     if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (d, d):
         raise DimMismatch(f"matrix of shape {matrix.shape} in dimension {d}")
     stack = matrix if matrix.ndim == 3 else matrix[None]
-    k, l, m, n = (np.atleast_1d(entry)[:, None] for entry in label)  # [K, 1]
-    if k.shape[0] != len(stack):
-        raise DimMismatch(f"{k.shape[0]} labels for {len(stack)} matrices")
+    k, l, m, n = (np.atleast_1d(entry)[:, None] for entry in label)  # each [K, 1]
+    counts = [len(k), len(l), len(m), len(n)]
+    if counts != [len(stack)] * 4:
+        raise DimMismatch(f"label entries of lengths {counts} for {len(stack)} matrices")
     half = mod_inverse(2, d)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rows = np.arange(d)

@@ -117,7 +117,7 @@ def test_criterion_05_line_census():
             ctx = crt_context(d1, d2)
             catalog = maximal_line_catalog(ctx)
             psi = dedekind_psi(ctx.d)
-            counts = pair_census(ctx, catalog)
+            counts = pair_census(catalog)
             assert counts == {
                 ctx.d2: ctx.d1 * psi // 2,
                 ctx.d1: ctx.d2 * psi // 2,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from wmub.bases import (
-    DualityViolation,
     NotWeaklyUnbiased,
     OverlapCategory,
     OverlapClass,
@@ -20,6 +19,7 @@ from wmub.bases import (
     overlap_table,
     pair_categories,
     partition_bases,
+    partitions_hold,
     unitarity_bound,
     wmub_census,
 )
@@ -206,6 +206,24 @@ def test_partition_reference_grid(wmub15):
     assert partition_bases(wmub15) == PARTITION_15
 
 
+def test_partitions_hold_reads_both_pair_passes(catalog15, wmub15):
+    # Lines 1 and 10 share a set of the grid; one wrong class for that pair,
+    # on either side, fails the check.
+    report = duality_report(catalog15, wmub15)
+    assert partitions_hold(catalog15, report)
+    pairs = catalog15.pair_classes
+    k = np.flatnonzero((pairs.i == 1) & (pairs.j == 10))
+    categories = report.categories.copy()
+    categories[k] = tuple(OverlapCategory).index(OverlapCategory.SUB_D1)
+    assert not partitions_hold(catalog15, replace(report, categories=categories))
+    # A copy of the catalog whose cached line pair pass says they meet in 5.
+    lines = replace(catalog15)
+    size = pairs.size.copy()
+    size[k] = 5
+    lines.__dict__["pair_classes"] = pairs._replace(size=size)
+    assert not partitions_hold(lines, report)
+
+
 def test_partition_sets_are_mutually_unbiased(wmub_sets):
     for d, s in wmub_sets.items():
         sets = partition_bases(s)
@@ -238,7 +256,7 @@ def test_duality_report(catalogs, wmub_sets):
         assert len(catalogs[d].pair_classes.size) == psi * (psi - 1) // 2
         assert sum(report.overlap_census.values()) == psi * (psi - 1) // 2
         d1, d2 = report.ctx.d1, report.ctx.d2
-        line_census = pair_census(report.ctx, catalogs[d])
+        line_census = pair_census(catalogs[d])
         assert line_census == {d2: d1 * psi // 2, d1: d2 * psi // 2, 1: d * psi // 2}
         assert report.overlap_census[OverlapCategory.SUB_D1] == d1 * psi // 2
         assert report.overlap_census[OverlapCategory.SUB_D2] == d2 * psi // 2
@@ -307,10 +325,12 @@ def test_duality_violation_on_index_drift(catalogs, wmub15):
     for rows in (slots, labels):
         rows[[1, 6]] = rows[[6, 1]]
     drifted = replace(wmub15, slots=slots, labels=labels)
-    with pytest.raises(DualityViolation, match=r"pair \(1, 2\)") as raised:
-        duality_report(catalogs[15], drifted)
+    report = duality_report(catalogs[15], drifted)
+    assert re.match(r"pair \(1, 2\)", report.mismatch)
     # The pass still counts every pair; a permutation keeps the census.
-    assert raised.value.overlap_census == duality_report(catalogs[15], wmub15).overlap_census
+    clean = duality_report(catalogs[15], wmub15)
+    assert clean.mismatch is None
+    assert report.overlap_census == clean.overlap_census
 
 
 def test_duality_rejects_mismatched_context(catalogs, wmub_sets):

@@ -162,9 +162,10 @@ def test_verify_over_tight_tolerance_fails_with_named_check(capsys):
         ["verify", "--d1", "3", "--d2", "5", "--tolerance=0.5"],
         # 0.02 is above 1/(2*95), half the gap between squared overlaps 0 and 1/95
         ["verify", "--d1", "5", "--d2", "19", "--tolerance=0.02"],
+        # d = 111 is above the Hilbert-space cap of 105, which only verify has
         ["verify", "--d1", "3", "--d2", "37"],
-        ["wmub", "--d1", "3", "--d2", "37"],
-        ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"],
+        ["wmub", "--d1", "7", "--d2", "5"],
+        ["partitions", "--d1", "3", "--d2", "5", "--side", "points"],
         # above the 2**20 cap, rejected before the primality test
         ["lines", "--d1", "3", "--d2", "1000000000000000003"],
         ["verify", "--d1", "1000000000000000003", "--d2", "0"],
@@ -193,6 +194,24 @@ def test_help_still_exits_0(capsys):
 def test_geometry_side_is_not_capped_at_105(capsys):
     code, out, _ = run_cli(capsys, ["lines", "--d1", "3", "--d2", "37"])
     assert code == 0 and len(out.splitlines()) == 152
+
+
+def test_basis_tables_are_not_capped_at_105(capsys):
+    # Neither table builds a Hilbert-space object, so d = 111 is served.
+    ctx = crt_context(3, 37)
+    code, out, err = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "37", "--format", "json"])
+    assert (code, err) == (0, "")
+    labels = [
+        [int(entry) for entry in re.fullmatch(r"X\((\d+),(\d+)\|(\d+),(\d+)\)", row["label"]).groups()]
+        for row in json.loads(out)["rows"]
+    ]
+    assert labels == build_wmub(maximal_line_catalog(ctx)).labels.tolist()
+    grids = {}
+    for side in ("lines", "bases"):
+        code, out, err = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "37", "--side", side])
+        assert (code, err) == (0, "")
+        grids[side] = out
+    assert grids["bases"] == grids["lines"].replace("S_", "T_").replace("L_", "B_")
 
 
 def test_verify_tolerance_ceiling_is_accepted(capsys):
@@ -268,23 +287,23 @@ def test_verify_certifies_each_factor_family_in_one_call(capsys, monkeypatch):
 
 
 def test_partitions_bases_builds_no_factor_family(capsys, monkeypatch):
-    # The basis grid is the catalog layout's; the cap still applies.
+    # The basis grid is the catalog layout's, so d is not capped at 105.
     built = count_calls(monkeypatch, wmub.hilbert.prime_mub)
     code, out, _ = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "5", "--side", "bases"])
     assert code == 0 and out == (GOLDEN / "partitions_bases_3_5.txt").read_text()
     assert built == []
     code, _, err = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"])
-    assert code == USAGE_ERROR and "exceeds the Hilbert-space cap 105" in err
+    assert (code, err) == (0, "")
     assert built == []
 
 
 def test_wmub_table_builds_no_factor_family(capsys, monkeypatch):
-    # The basis table reads only the labels; the cap still applies.
+    # The basis table reads only the labels, so d is not capped at 105.
     built = count_calls(monkeypatch, wmub.hilbert.prime_mub)
     code, out, _ = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "5"])
     assert code == 0 and out == (GOLDEN / "bases_3_5.txt").read_text()
     code, _, err = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "37"])
-    assert code == USAGE_ERROR and "exceeds the Hilbert-space cap 105" in err
+    assert (code, err) == (0, "")
     assert built == []
 
 
@@ -457,11 +476,32 @@ def duplicate_member(sets):
 @pytest.mark.parametrize("grid", ["partition_lines", "partition_bases"])
 @pytest.mark.parametrize("fault", [swap_members, duplicate_member])
 def test_verify_names_partitions_on_a_wrong_grid(capsys, monkeypatch, grid, fault):
-    real = getattr(wmub.bases, grid)
-    monkeypatch.setattr(wmub.bases, grid, lambda arg: fault(real(arg)))
+    # Both sides share the one grid of `catalog_layout`, which the check reads:
+    # the fault goes into that grid, and each side's partition returns it.
+    ctx = crt_context(3, 5)
+    arg = {"partition_lines": ctx, "partition_bases": build_wmub(maximal_line_catalog(ctx))}[grid]
+    real = wmub.geometry.catalog_layout
+    wrong = fault(real(ctx).sets)
+    for module in (wmub.geometry, wmub.bases):
+        monkeypatch.setattr(
+            module, "catalog_layout", lambda c: real(c)._replace(sets=fault(real(c).sets))
+        )
+    assert getattr(wmub, grid)(arg) == wrong
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL partitions: line and basis grids compared"
+
+
+def test_verify_names_catalog_on_a_wrong_size(capsys, monkeypatch):
+    # A layout one row short gives a catalog whose every entry passes both
+    # routes; the catalog check is the one place that counts them.
+    real = wmub.geometry.catalog_layout
+    monkeypatch.setattr(
+        wmub.geometry, "catalog_layout",
+        lambda ctx: real(ctx)._replace(components=real(ctx).components[:-1]),
+    )
+    code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert (code, out, err) == (1, "FAIL catalog: 23 maximal lines\n", "")
 
 
 def test_lines_table_at_d_3007_is_pinned(capsys):
@@ -562,6 +602,11 @@ def test_verify_json_rows_follow_the_ladder(capsys):
     ]
     assert [row["ok"] for row in rows] == [True, True, True, False, False]
     assert rows[3]["detail"] == "max residual 1.479e-15 vs tolerance 1e-15"
+    # A negative zero is accepted as 0 and printed without its sign.
+    code, rows = verify_rows(capsys, ["--d1", "3", "--d2", "5", "--tolerance=-0.0"])
+    assert code == 1
+    assert [row["check"] for row in rows] == ["catalog", "line-census", "unitarity", "summary"]
+    assert rows[2]["detail"] == "max defect 4.883e-16 vs tolerance 0"
 
 
 @pytest.mark.parametrize("gate,check", [("unitarity_bound", "unitarity"), ("partitions_hold", "partitions")])

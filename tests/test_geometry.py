@@ -625,7 +625,7 @@ def test_pair_census(contexts, catalogs):
         33: {11: 72, 3: 264, 1: 792},
     }
     for d, ctx in contexts.items():
-        counts = pair_census(ctx, catalogs[d])
+        counts = pair_census(catalogs[d])
         assert counts == expected[d]
         psi = dedekind_psi(d)
         assert sum(counts.values()) == psi * (psi - 1) // 2

@@ -198,6 +198,14 @@ def test_conjugation_defect_rejects_wrong_shape():
             conjugation_defect(15, np.zeros(shape, dtype=complex), labels)
     with pytest.raises(DimMismatch):
         conjugation_defect(15, np.zeros((5, 15, 15), dtype=complex), labels)
+    # Each label entry must have one value per matrix: a length-1 n is not
+    # broadcast over the stack, and a length-7 l is named, not a numpy error.
+    k, l, m, n = labels
+    stack = np.zeros((6, 15, 15), dtype=complex)
+    with pytest.raises(DimMismatch, match=r"lengths \[6, 6, 6, 1\] for 6 matrices"):
+        conjugation_defect(15, stack, (k, l, m, n[:1]))
+    with pytest.raises(DimMismatch, match=r"lengths \[6, 7, 6, 6\] for 6 matrices"):
+        conjugation_defect(15, stack, (k, np.append(l, 0), m, n))
 
 
 def factor_labels(p: int) -> np.ndarray:
