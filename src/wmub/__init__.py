@@ -60,8 +60,6 @@ from .zring import (
     NotAUnit,
     crt_context,
     dedekind_psi,
-    euler_phi,
-    jordan_j2,
     mod_inverse,
     prime_factorization,
 )

@@ -287,12 +287,18 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     if i == j:
         raise ValueError("pair classification needs two distinct bases")
     templates, fit = _match(s, i, j, tol)
-    if fit >= 0:
-        category, on1, on2, _, _, support = templates[fit]
-        return OverlapClass(category, math.sqrt(on1.mean * on2.mean), support)
+    if fit < 0:
+        raise _unfit(templates, i, j, tol)
+    category, on1, on2, _, _, support = templates[fit]
+    return OverlapClass(category, math.sqrt(on1.mean * on2.mean), support)
+
+
+def _unfit(templates, i: int, j: int, tol: float) -> NotWeaklyUnbiased:
+    """The error naming the pair (i, j) that fits none of its `_match`
+    templates, with how far its table lies from the flat template."""
     _, whole1, whole2, _, flat, _ = templates[0]
     worst = max(whole1.top * whole2.top - flat, flat - whole1.bottom * whole2.bottom)
-    raise NotWeaklyUnbiased(
+    return NotWeaklyUnbiased(
         f"bases ({i}, {j}) fit no overlap template within {tol} "
         f"(flat-template residual {worst:.3e})"
     )
@@ -318,13 +324,14 @@ def _census(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
     """Categories of the pairs (i[k], j[k]) and their counts per category.
 
     The first pair in the given order that fits no template raises
-    NotWeaklyUnbiased with the message of `classify_pair`.
+    NotWeaklyUnbiased with the message of `classify_pair`, worded from the
+    templates of that one pair.
     """
     codes = pair_categories(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
-        k = unfit[0]
-        classify_pair(s, int(i[k]), int(j[k]), tol)
+        first = int(i[unfit[0]]), int(j[unfit[0]])
+        raise _unfit(_match(s, *first, tol)[0], *first, tol)
     counts = np.bincount(codes, minlength=len(_CATEGORIES)).tolist()
     return codes, dict(zip(_CATEGORIES, counts))
 

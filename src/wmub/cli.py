@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TextIO
 
 import numpy as np
 
@@ -53,44 +56,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# Rows per block: each block of a table is made, formatted and written in
+# one piece, so no table is held whole.
+BLOCK = 1 << 14
+
+
 @dataclass
 class Document:
-    """A renderable table with a stable JSON shape."""
+    """A table with a stable JSON shape, made and written in blocks of rows.
+
+    `rows(fmt, lo, hi)` makes the rows lo..hi-1 of one format: cell lists
+    for "table" and "csv", JSON objects for "json"; past the last row it
+    makes fewer rows, or none.
+    """
 
     kind: str
     d1: int
     d2: int
-    d: int
     columns: list[str]
-    cells: list[list[str]]
-    json_rows: list[dict]
+    rows: Callable[[str, int, int], list]
     table_header: bool = False
 
-    def to_table(self) -> str:
-        rows = [self.columns] if self.table_header else []
-        rows.extend(self.cells)
-        return "\n".join(" | ".join(row) for row in rows)
-
-    def to_csv(self) -> str:
-        rows = [self.columns, *self.cells]
-        return "\n".join(",".join(row) for row in rows)
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "d1": self.d1,
-            "d2": self.d2,
-            "kind": self.kind,
-            "rows": self.json_rows,
-        }
-        return json.dumps(payload, indent=2)
-
-    def render(self, fmt: str) -> str:
-        if fmt == "table":
-            return self.to_table()
-        if fmt == "csv":
-            return self.to_csv()
-        return self.to_json()
+    def render(self, fmt: str, out: TextIO) -> None:
+        blocks = (self.rows(fmt, lo, lo + BLOCK) for lo in itertools.count(0, BLOCK))
+        blocks = itertools.takewhile(len, blocks)
+        if fmt == "json":
+            # Byte for byte `json.dumps(payload, indent=2)`: one dumps per
+            # block, whose rows sit one level deeper in the payload.
+            payload = {"d": self.d1 * self.d2, "d1": self.d1, "d2": self.d2, "kind": self.kind, "rows": []}
+            head, tail = json.dumps(payload, indent=2).split("[]")
+            out.write(head + "[")
+            sep = "\n"
+            for block in blocks:
+                out.write(sep + "  " + json.dumps(block, indent=2)[2:-2].replace("\n", "\n  "))
+                sep = ",\n"
+            out.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
+            return
+        sep = " | " if fmt == "table" else ","
+        if fmt == "csv" or self.table_header:
+            out.write(sep.join(self.columns) + "\n")
+        for block in blocks:
+            # The newline is its own write, as `print` made it: a write cut
+            # short by a closed pipe raises nothing, so a later one must.
+            out.write("\n".join(map(sep.join, block)))
+            out.write("\n")
 
 
 def _factor_token(slot: int, lam: int | None) -> str:
@@ -99,30 +108,21 @@ def _factor_token(slot: int, lam: int | None) -> str:
 
 
 def lines_document(d1: int, d2: int) -> Document:
-    ctx = crt_context(d1, d2)
-    catalog = maximal_line_catalog(ctx)
-    table = np.concatenate(
-        [catalog.generators, catalog.matrices, catalog.comps.reshape(-1, 4), catalog.components],
-        axis=1,
-    ).tolist()
-    cells = []
-    json_rows = []
-    for index, (nu, mu, k, l, m, n, a1, b1, a2, b2, i1, i2) in enumerate(table, start=1):
-        row = [f"L_{index}", f"L({nu},{mu})", f"g({k},{l}|{m},{n})", f"L1({a1},{b1})", f"L2({a2},{b2})"]
-        cells.append(row)
-        json_rows.append(
-            {
-                "index": index,
-                "generator": row[1],
-                "matrix": row[2],
-                "component1": row[3],
-                "component2": row[4],
-                "sweep1": sweep_value(i1),
-                "sweep2": sweep_value(i2),
-            }
-        )
+    catalog = maximal_line_catalog(crt_context(d1, d2))
+    arrays = (catalog.generators, catalog.matrices, catalog.comps.reshape(-1, 4), catalog.components)
     columns = ["index", "generator", "matrix", "component1", "component2"]
-    return Document("lines", d1, d2, ctx.d, columns, cells, json_rows)
+
+    def rows(fmt: str, lo: int, hi: int) -> list:
+        table = np.concatenate([a[lo:hi] for a in arrays], axis=1).tolist()
+        made = []
+        for index, (nu, mu, k, l, m, n, a1, b1, a2, b2, i1, i2) in enumerate(table, start=lo + 1):
+            row = [f"L_{index}", f"L({nu},{mu})", f"g({k},{l}|{m},{n})", f"L1({a1},{b1})", f"L2({a2},{b2})"]
+            if fmt == "json":
+                row = dict(zip(columns, [index, *row[1:]]), sweep1=sweep_value(i1), sweep2=sweep_value(i2))
+            made.append(row)
+        return made
+
+    return Document("lines", d1, d2, columns, rows)
 
 
 def wmub_document(d1: int, d2: int) -> Document:
@@ -130,22 +130,21 @@ def wmub_document(d1: int, d2: int) -> Document:
     # table alone: no catalog and no prime-dimension factor family.
     ctx = crt_context(d1, d2)
     components = catalog_layout(ctx).components
-    labels = zip(components.tolist(), sweep_entries(ctx, components).tolist())
-    cells = []
-    json_rows = []
-    for j, ((i1, i2), (k, l, m, n)) in enumerate(labels, start=1):
-        row = [
-            f"B_{j}",
-            f"X({k},{l}|{m},{n})",
-            _factor_token(1, sweep_value(i1)),
-            _factor_token(2, sweep_value(i2)),
-        ]
-        cells.append(row)
-        json_rows.append(
-            {"index": j, "label": row[1], "factor1": row[2], "factor2": row[3]}
-        )
+    labels = sweep_entries(ctx, components)
     columns = ["index", "label", "factor1", "factor2"]
-    return Document("wmub", d1, d2, ctx.d, columns, cells, json_rows)
+
+    def rows(fmt: str, lo: int, hi: int) -> list:
+        made = []
+        block = zip(components[lo:hi].tolist(), labels[lo:hi].tolist())
+        for j, ((i1, i2), (k, l, m, n)) in enumerate(block, start=lo + 1):
+            row = [f"B_{j}", f"X({k},{l}|{m},{n})",
+                   _factor_token(1, sweep_value(i1)), _factor_token(2, sweep_value(i2))]
+            if fmt == "json":
+                row = dict(zip(columns, [j, *row[1:]]))
+            made.append(row)
+        return made
+
+    return Document("wmub", d1, d2, columns, rows)
 
 
 def partitions_document(d1: int, d2: int, side: str) -> Document:
@@ -158,17 +157,18 @@ def partitions_document(d1: int, d2: int, side: str) -> Document:
         sets = catalog_layout(ctx).sets
         set_prefix, member_prefix = "T", "B"
     columns = [f"{set_prefix}_{n}" for n in range(len(sets))]
-    cells = [
-        [f"{member_prefix}_{sets[n][i]}" for n in range(len(sets))]
-        for i in range(d1 + 1)
-    ]
-    json_rows = [
-        {"set": columns[n], "members": [f"{member_prefix}_{k}" for k in sets[n]]}
-        for n in range(len(sets))
-    ]
-    return Document(
-        f"partitions-{side}", d1, d2, ctx.d, columns, cells, json_rows, table_header=True
-    )
+
+    def rows(fmt: str, lo: int, hi: int) -> list:
+        # The table is the transpose of the JSON rows: one row per member
+        # position, one JSON object per set.
+        if fmt == "json":
+            return [
+                {"set": name, "members": [f"{member_prefix}_{k}" for k in group]}
+                for name, group in zip(columns[lo:hi], sets[lo:hi])
+            ]
+        return [[f"{member_prefix}_{group[i]}" for group in sets] for i in range(lo, min(hi, d1 + 1))]
+
+    return Document(f"partitions-{side}", d1, d2, columns, rows, table_header=True)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_lines = sub.add_parser("lines", help="emit the maximal-line table")
-    _add_dims(p_lines)
-    p_lines.add_argument("--format", choices=("table", "csv", "json"), default="table")
-
-    p_wmub = sub.add_parser("wmub", help="emit the basis table")
-    _add_dims(p_wmub)
-    p_wmub.add_argument("--format", choices=("table", "csv", "json"), default="table")
-
-    p_part = sub.add_parser("partitions", help="emit a partition grid")
-    _add_dims(p_part)
-    p_part.add_argument("--side", choices=("lines", "bases"), default="lines")
-    p_part.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    tables = {"lines": "the maximal-line table", "wmub": "the basis table", "partitions": "a partition grid"}
+    for command, table in tables.items():
+        p_table = sub.add_parser(command, help=f"emit {table}")
+        _add_dims(p_table)
+        if command == "partitions":
+            p_table.add_argument("--side", choices=("lines", "bases"), default="lines")
+        p_table.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     p_verify = sub.add_parser("verify", help="run the full duality verification")
     _add_dims(p_verify)
@@ -330,28 +325,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        code = 0
         if args.command == "lines":
-            print(lines_document(args.d1, args.d2).render(args.format))
+            doc = lines_document(args.d1, args.d2)
         elif args.command == "wmub":
-            print(wmub_document(args.d1, args.d2).render(args.format))
+            doc = wmub_document(args.d1, args.d2)
         elif args.command == "partitions":
-            print(partitions_document(args.d1, args.d2, args.side).render(args.format))
+            doc = partitions_document(args.d1, args.d2, args.side)
         else:
             v = run_verification(args.d1, args.d2, args.tolerance)
-            if args.json:
-                rows = [*v.checks, {"check": "summary", "ok": v.ok, "detail": v.summary()}]
-                doc = Document("verify", args.d1, args.d2, args.d1 * args.d2, [], [], rows)
-                print(doc.to_json())
-            else:
+            code = 0 if v.ok else VERIFY_ERROR
+            if not args.json:
                 print(v.summary())
-            return 0 if v.ok else VERIFY_ERROR
+                return code
+            checks = [*v.checks, {"check": "summary", "ok": v.ok, "detail": v.summary()}]
+            doc = Document("verify", args.d1, args.d2, [], lambda _, lo, hi: checks[lo:hi])
     except (ModulusTooLarge, DimTooLarge, UsageError) as err:
         print(err, file=sys.stderr)
         return USAGE_ERROR
     except InvalidDims:
         print("d1 and d2 must be distinct odd primes with d1<d2", file=sys.stderr)
         return USAGE_ERROR
-    return 0
+    # Every usage error and cross-check has run; `verify --json` writes JSON.
+    doc.render(getattr(args, "format", "json"), sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -59,15 +59,6 @@ def prime_factorization(d: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def euler_phi(d: int) -> int:
-    """Number of units of Z(d): d * prod(1 - 1/p) over prime divisors."""
-    n = d
-    for p, _ in prime_factorization(d):
-        n = n // p * (p - 1)
-    return n
-
-
-@lru_cache(maxsize=None)
 def dedekind_psi(d: int) -> int:
     """d * prod(1 + 1/p) over prime divisors.
 
@@ -77,19 +68,6 @@ def dedekind_psi(d: int) -> int:
     n = d
     for p, _ in prime_factorization(d):
         n = n // p * (p + 1)
-    return n
-
-
-@lru_cache(maxsize=None)
-def jordan_j2(d: int) -> int:
-    """d^2 * prod(1 - 1/p^2); equals dedekind_psi(d) * euler_phi(d).
-
-    d * jordan_j2(d) is the order of the group of unit-determinant 2x2
-    matrices over Z(d).
-    """
-    n = d * d
-    for p, _ in prime_factorization(d):
-        n = n // (p * p) * (p * p - 1)
     return n
 
 

@@ -1,6 +1,8 @@
 """Brute-force point-set oracles for the line geometry, the scalar
 per-entry routes of the catalog, and the symplectic matrices with the
-group operations and factorizations that only the tests use.
+group operations and factorizations that only the tests use, and the
+unit and group-order counts `euler_phi` and `jordan_j2` that no command
+reads.
 
 The library keeps a line as its generator, a matrix as four integers,
 certifies everything else by arithmetic identities, and builds the catalog
@@ -29,7 +31,7 @@ from wmub.geometry import (
     sweep_entries,
     sweep_value,
 )
-from wmub.zring import CrtContext, mod_inverse
+from wmub.zring import CrtContext, mod_inverse, prime_factorization
 
 
 def points(l: Line) -> tuple[tuple[int, int], ...]:
@@ -284,3 +286,23 @@ def catalog_entries(catalog: MaximalLineCatalog) -> tuple[CatalogEntry, ...]:
                      tuple(comp1), tuple(comp2), sweep_value(i1), sweep_value(i2))
         for index, ((nu, mu), matrix, (comp1, comp2), (i1, i2)) in enumerate(rows, start=1)
     )
+
+
+def euler_phi(d: int) -> int:
+    """Number of units of Z(d): d * prod(1 - 1/p) over prime divisors."""
+    n = d
+    for p, _ in prime_factorization(d):
+        n = n // p * (p - 1)
+    return n
+
+
+def jordan_j2(d: int) -> int:
+    """d^2 * prod(1 - 1/p^2); equals dedekind_psi(d) * euler_phi(d).
+
+    d * jordan_j2(d) is the order of the group of unit-determinant 2x2
+    matrices over Z(d).
+    """
+    n = d * d
+    for p, _ in prime_factorization(d):
+        n = n // (p * p) * (p * p - 1)
+    return n

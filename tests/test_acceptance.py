@@ -27,10 +27,10 @@ from wmub.bases import (
 from wmub.cli import main
 from wmub.geometry import classify_line_pair, maximal_line_catalog, pair_census, redundancy
 from wmub.hilbert import conjugation_defect, prime_mub
-from wmub.zring import crt_context, dedekind_psi, is_prime, jordan_j2
+from wmub.zring import crt_context, dedekind_psi, is_prime
 
 from dense import overlaps, symplectic_label_defect, symplectic_unitary
-from oracles import SymplecticMatrix, catalog_entries, lines_through_origin
+from oracles import SymplecticMatrix, catalog_entries, jordan_j2, lines_through_origin
 
 GOLDEN = Path(__file__).parent / "golden"
 

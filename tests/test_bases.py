@@ -8,6 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import wmub.bases
 from wmub.bases import (
     NotWeaklyUnbiased,
     OverlapCategory,
@@ -301,6 +302,20 @@ def test_pair_pass_names_the_first_unfit_pair(catalogs, wmub15):
     assert codes[:2].tolist() == [-1, -1] and codes[2] >= 0
 
 
+def test_pair_pass_words_the_first_unfit_pair_without_classify_pair(catalogs, wmub15, monkeypatch):
+    # The pass words its error from the templates of the first unfit pair,
+    # in the words `classify_pair` uses for that pair, without calling it.
+    tampered = tampered_factor(wmub15, 1, 1, generic_unitary(5))
+    with pytest.raises(NotWeaklyUnbiased) as single:
+        classify_pair(tampered, 1, 2)
+    calls = []
+    monkeypatch.setattr(wmub.bases, "classify_pair", lambda *args: calls.append(args))
+    with pytest.raises(NotWeaklyUnbiased) as passed:
+        duality_report(catalogs[15], tampered)
+    assert calls == []
+    assert str(passed.value) == str(single.value)
+
+
 def test_off_support_weight_fits_no_template(wmub15):
     # A second-factor position "basis" with unit but non-orthogonal columns:
     # pair (1, 7) keeps the on-support values of the d1**-0.5 template
@@ -495,7 +510,7 @@ def test_wmub_table_matches_the_set_built_from_the_catalog(dims):
     # sweep table; the set reads its labels and slots from the catalog.
     s = supported_set(*dims)
     labels, slots = [], []
-    for _, label, *factors in wmub_document(*dims).cells:
+    for _, label, *factors in wmub_document(*dims).rows("table", 0, len(s)):
         entries = re.fullmatch(r"X\((\d+),(\d+)\|(\d+),(\d+)\)", label).groups()
         labels.append([int(entry) for entry in entries])
         row = []

@@ -307,6 +307,49 @@ def test_wmub_table_builds_no_factor_family(capsys, monkeypatch):
     assert built == []
 
 
+def test_lines_table_makes_no_json_rows(capsys, monkeypatch):
+    # A table call makes only its cells: the sweep values live in the JSON
+    # rows alone.
+    swept = count_calls(monkeypatch, wmub.geometry.sweep_value)
+    code, _, _ = run_cli(capsys, ["lines", "--d1", "3", "--d2", "5"])
+    assert code == 0 and swept == []
+    code, _, _ = run_cli(capsys, ["lines", "--d1", "3", "--d2", "5", "--format", "json"])
+    assert code == 0 and len(swept) == 2 * 24
+
+
+def test_verify_json_goes_through_the_one_writer(capsys, monkeypatch):
+    rendered = []
+    render = wmub.cli.Document.render
+    monkeypatch.setattr(
+        wmub.cli.Document, "render", lambda doc, *args: rendered.append(doc.kind) or render(doc, *args)
+    )
+    code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5", "--json"])
+    assert code == 0 and json.loads(out)["kind"] == "verify"
+    assert rendered == ["verify"]
+
+
+TABLE_CALLS = [
+    [command, "--d1", str(d1), "--d2", str(d2), *side, "--format", fmt]
+    for d1, d2 in ((3, 5), (5, 7))
+    for command, *side in (["lines"], ["wmub"], ["partitions", "--side", "lines"],
+                           ["partitions", "--side", "bases"])
+    for fmt in ("table", "csv", "json")
+] + [["verify", "--d1", "3", "--d2", "5", "--json"], ["verify", "--d1", "5", "--d2", "7", "--json"]]
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_output_does_not_depend_on_the_block_size(capsys, monkeypatch, block):
+    # The tier-1 tables all fit in one default block; small blocks put
+    # every join between blocks to the test.
+    whole = [run_cli(capsys, argv) for argv in TABLE_CALLS]
+    monkeypatch.setattr(wmub.cli, "BLOCK", block)
+    for argv, expected in zip(TABLE_CALLS, whole):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == expected and code == 0, argv
+        if argv[-1] in ("json", "--json"):
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
+
+
 def test_every_traced_name_resolves_in_the_package(monkeypatch):
     # The benchmark's per-layer metrics wrap these names; one the package
     # no longer defines would be reported absent instead of measured.
@@ -698,11 +741,14 @@ def test_module_entry_point_matches_golden():
     assert proc.stdout == (GOLDEN / "lines_3_5.txt").read_text()
 
 
-@pytest.mark.parametrize(
+ENTRY_POINTS = pytest.mark.parametrize(
     "entry",
     [["-m", "wmub"], ["-c", "import sys; from wmub.__main__ import run; sys.exit(run())"]],
     ids=["python -m wmub", "wmub command"],
 )
+
+
+@ENTRY_POINTS
 def test_entry_points_on_a_closed_pipe_exit_141_without_traceback(entry):
     # As `python -m wmub ... | head -3` when the reader exits before the
     # write: the read end is closed before the process starts.  The second
@@ -722,3 +768,27 @@ def test_entry_points_on_a_closed_pipe_exit_141_without_traceback(entry):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("d2", [1009, 10007])
+@ENTRY_POINTS
+def test_entry_points_on_a_pipe_closed_mid_stream_exit_141_without_traceback(entry, d2):
+    # As `wmub lines ... | head -1`: the reader takes the first row and
+    # closes the pipe while most of the rows, far more than a pipe buffer
+    # holds, are still to be written.  A write cut short by the close
+    # returns without an error, so a later write has to raise: after the
+    # one block of the 4040 rows at d2=1009, and between the three blocks
+    # of the 40032 rows at d2=10007.
+    assert 4 * (1009 + 1) < wmub.cli.BLOCK < 2 * wmub.cli.BLOCK < 4 * (10007 + 1)
+    proc = subprocess.Popen(
+        [sys.executable, *entry, "lines", "--d1", "3", "--d2", str(d2)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith("L_1 | ") and err == ""

@@ -31,7 +31,7 @@ from wmub.geometry import (
     sweep_value,
 )
 from wmub.hilbert import MAX_DIM
-from wmub.zring import crt_context, dedekind_psi, is_prime, jordan_j2
+from wmub.zring import crt_context, dedekind_psi, is_prime
 
 from oracles import (
     LineRelation,
@@ -43,6 +43,7 @@ from oracles import (
     factorize_line,
     intersection,
     inverse,
+    jordan_j2,
     line_relation,
     lines_through_origin,
     matrix_factorize,

@@ -10,14 +10,12 @@ from wmub.zring import (
     NotAUnit,
     crt_context,
     dedekind_psi,
-    euler_phi,
     is_prime,
-    jordan_j2,
     mod_inverse,
     prime_factorization,
 )
 
-from oracles import point_map, point_unmap
+from oracles import euler_phi, jordan_j2, point_map, point_unmap
 
 
 def brute_force_unit_count(d: int) -> int:
