@@ -10,7 +10,6 @@ from .bases import (
     DualityReport,
     NotWeaklyUnbiased,
     OverlapCategory,
-    OverlapClass,
     WmubSet,
     build_wmub,
     classify_pair,
@@ -25,12 +24,10 @@ from .bases import (
 from .geometry import (
     DetNotOne,
     Line,
-    LinePairClass,
     LinePairs,
     MaximalLineCatalog,
     ModulusMismatch,
     NotMaximal,
-    SharedComponent,
     catalog_layout,
     classify_line_pair,
     line,
@@ -48,7 +45,6 @@ from .hilbert import (
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
-    crt_index_maps,
     fourier,
     prime_mub,
     unitarity_defect,

@@ -6,11 +6,9 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,61 +45,28 @@ class OverlapCategory(Enum):
 _CATEGORIES = tuple(OverlapCategory)
 
 
-@dataclass(frozen=True)
-class OverlapClass:
-    category: OverlapCategory
-    value: float
-    support_count: int
-
-
-class Region(NamedTuple):
-    """Largest, smallest and mean entry of squared factor tables over a
-    region of their (n, m) positions."""
-
-    top: np.ndarray
-    bottom: np.ndarray
-    mean: np.ndarray
-
-
-class FactorExtrema(NamedTuple):
-    """Squared prime-dimension overlap tables |b_j^dag b_i|^2, reduced to
-    what the templates read: their whole range, their diagonal range, and
-    their largest entry off the diagonal; each field is an array over pairs."""
-
-    whole: Region
-    diag: Region
-    off_top: np.ndarray
-
-    def take(self, j: np.ndarray, i: np.ndarray) -> FactorExtrema:
-        """The extrema at positions [j[k], i[k]] of every field, each read
-        through one flat index into the square (p+1, p+1) field."""
-        flat = j * len(self.off_top) + i
-        pick = lambda field: field.take(flat)
-        return FactorExtrema(
-            Region(*map(pick, self.whole)), Region(*map(pick, self.diag)), pick(self.off_top)
-        )
-
-
-def _factor_extrema(stack: np.ndarray) -> FactorExtrema:
-    """FactorExtrema of |b_j^dag b_i|^2 for every pair of the p+1 bases of a
-    (p+1, p, p) stack, fields indexed [j, i].
+def _factor_extrema(stack: np.ndarray) -> np.ndarray:
+    """Extrema of the squared tables |b_j^dag b_i|^2 for every pair of the
+    p+1 bases of a (p+1, p, p) stack, as one read-only (5, p+1, p+1) array
+    indexed [field, j, i].  The fields are what the templates read: the
+    largest and smallest entry, the largest and smallest diagonal entry, and
+    the largest entry off the diagonal.
 
     One stacked product b_j^dag [b_0, ..., b_p] per row j, so at most p+1
     tables are alive at a time; each is read flat, its diagonal the slice
     ::p+1.
     """
     count, p, _ = stack.shape
-    rows = []
-    for bj in stack:
+    fields = np.empty((5, count, count))
+    for j, bj in enumerate(stack):
         sq = (np.abs(bj.conj().T @ stack) ** 2).reshape(count, p * p)  # [i, n*p + m]
         diag = sq[:, :: p + 1]
-        row = [sq.max(axis=1), sq.min(axis=1), sq.mean(axis=1),
-               diag.max(axis=1), diag.min(axis=1), diag.mean(axis=1)]
+        fields[:4, j] = sq.max(axis=1), sq.min(axis=1), diag.max(axis=1), diag.min(axis=1)
         # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
         diag[:] = 0.0
-        rows.append((*row, sq.max(axis=1)))
-    fields = [np.stack(column) for column in zip(*rows)]
-    return FactorExtrema(Region(*fields[0:3]), Region(*fields[3:6]), fields[6])
+        fields[4, j] = sq.max(axis=1)
+    fields.setflags(write=False)
+    return fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +93,9 @@ class WmubSet:
         return len(self.slots)
 
     @cached_property
-    def factor_extrema(self) -> tuple[FactorExtrema, FactorExtrema]:
-        """Per factor, the squared tables |b_j^dag b_i|^2 of its
-        prime-dimension family, computed once per set and reduced to their
-        extrema, indexed [j, i]; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
+    def factor_extrema(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per factor, the `_factor_extrema` of its prime-dimension family,
+        computed once per set; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
         return tuple(_factor_extrema(stack) for stack in self.factor_stacks)
 
 
@@ -215,9 +179,18 @@ def conjugation_bound(s: WmubSet) -> float:
     return float((r1 * c2 + c1 * r2).max())
 
 
-def _check_indices(s: WmubSet, i: int, j: int) -> None:
-    if not (1 <= i <= len(s) and 1 <= j <= len(s)):
-        raise IndexError(f"basis indices ({i}, {j}) out of range 1..{len(s)}")
+def _check_indices(s: WmubSet, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """i and j, two ints or two integer sequences of one shape, as arrays of
+    1-based basis indices.  Raises ValueError on unequal shapes, and
+    IndexError naming the first pair with an index out of range."""
+    i, j = np.asarray(i), np.asarray(j)
+    if i.shape != j.shape:
+        raise ValueError(f"basis index arrays of unequal shapes {i.shape} and {j.shape}")
+    bad = np.flatnonzero((i < 1) | (i > len(s)) | (j < 1) | (j > len(s)))
+    if bad.size:
+        k = bad[0]
+        raise IndexError(f"basis indices ({i.flat[k]}, {j.flat[k]}) out of range 1..{len(s)}")
+    return i, j
 
 
 def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
@@ -237,33 +210,40 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
 
 
 def _match(s: WmubSet, i, j, tol: float):
-    """Match the pairs (i[k], j[k]) against the three templates at once
-    (or the one pair (i, j), given two ints).
+    """Match the pairs (i[k], j[k]) of distinct bases against the three
+    templates at once (or the one pair (i, j), given two ints).
 
-    Returns the templates, each (category, on1, on2, off_top, value,
-    support) with arrays over the pairs, in matching order, and for each
-    pair the position of the first template it fits, -1 if none.
+    Returns the templates, each (category, top, bottom, off_top, value) with
+    arrays over the pairs, in matching order, and for each pair the
+    position of the first template it fits, -1 if none.  Raises as
+    `_check_indices`, and ValueError naming the first pair with i == j.
     """
-    ctx, slots = s.ctx, s.slots
-    table1, table2 = s.factor_extrema
-    t1 = table1.take(slots[j - 1, 0], slots[i - 1, 0])
-    t2 = table2.take(slots[j - 1, 1], slots[i - 1, 1])
+    i, j = _check_indices(s, i, j)
+    same = np.flatnonzero(i == j)
+    if same.size:
+        k = i.flat[same[0]]
+        raise ValueError(f"pair classification needs two distinct bases, got ({k}, {k})")
+    # Each factor's five fields at the pairs' slots, [field, pair], read
+    # through one flat index into the square (p+1, p+1) fields.
+    (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
+        extrema.reshape(5, -1).take(s.slots[j - 1, f] * len(extrema[0]) + s.slots[i - 1, f], axis=1)
+        for f, extrema in enumerate(s.factor_extrema)
+    )
+    ctx = s.ctx
     templates = (
-        (OverlapCategory.FULL, t1.whole, t2.whole, 0.0, 1.0 / ctx.d, ctx.d * ctx.d),
-        (OverlapCategory.SUB_D1, t1.whole, t2.diag, t1.whole.top * t2.off_top, 1.0 / ctx.d1, ctx.d * ctx.d1),
-        (OverlapCategory.SUB_D2, t1.diag, t2.whole, t1.off_top * t2.whole.top, 1.0 / ctx.d2, ctx.d * ctx.d2),
+        (OverlapCategory.FULL, max1 * max2, min1 * min2, 0.0, 1.0 / ctx.d),
+        (OverlapCategory.SUB_D1, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
+        (OverlapCategory.SUB_D2, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
     )
     fits = [
-        (on1.top * on2.top - value <= tol)
-        & (value - on1.bottom * on2.bottom <= tol)
-        & (off_top <= tol)
-        for _, on1, on2, off_top, value, _ in templates
+        (top - value <= tol) & (value - bottom <= tol) & (off_top <= tol)
+        for _, top, bottom, off_top, value in templates
     ]
     return templates, np.select(fits, range(len(templates)), default=-1)
 
 
-def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapClass:
-    """Match the overlap table of a pair against the three templates.
+def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapCategory:
+    """The category of the template the overlap table of a pair fits.
 
     B_j^dag B_i is the CRT re-indexing of (b1_j^dag b1_i) (x) (b2_j^dag b2_i),
     and n = m (mod d2) exactly when the second residues agree (likewise for
@@ -276,28 +256,20 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     tie the same factor families to the labels.  `pair_categories`
     runs the same test on many pairs at once.
 
-    The matched category is returned with the on-support magnitude (from
-    the factor means) and the template's support, d^2, d*d1 or d*d2 --
-    the number of dense entries above `tol` for any tol < 1/(2d), since
-    matched on-support entries are at least 1/d - tol and the rest at
-    most tol.  A table fitting no template raises NotWeaklyUnbiased, which
-    signals a construction bug rather than a user error.
+    A table fitting no template raises NotWeaklyUnbiased, which signals a
+    construction bug rather than a user error.
     """
-    _check_indices(s, i, j)
-    if i == j:
-        raise ValueError("pair classification needs two distinct bases")
     templates, fit = _match(s, i, j, tol)
     if fit < 0:
         raise _unfit(templates, i, j, tol)
-    category, on1, on2, _, _, support = templates[fit]
-    return OverlapClass(category, math.sqrt(on1.mean * on2.mean), support)
+    return templates[fit][0]
 
 
 def _unfit(templates, i: int, j: int, tol: float) -> NotWeaklyUnbiased:
     """The error naming the pair (i, j) that fits none of its `_match`
     templates, with how far its table lies from the flat template."""
-    _, whole1, whole2, _, flat, _ = templates[0]
-    worst = max(whole1.top * whole2.top - flat, flat - whole1.bottom * whole2.bottom)
+    _, top, bottom, _, flat = templates[0]
+    worst = max(top - flat, flat - bottom)
     return NotWeaklyUnbiased(
         f"bases ({i}, {j}) fit no overlap template within {tol} "
         f"(flat-template residual {worst:.3e})"
@@ -310,11 +282,9 @@ def pair_categories(
     """Category of each pair of distinct bases (i[k], j[k]), 1-based, as its
     position in `OverlapCategory` order, or -1 where no template fits.
 
-    The template test of `classify_pair`, run on all pairs in one array pass.
+    The template test of `classify_pair`, run on all pairs in one array
+    pass, with the same index checks.
     """
-    i, j = np.asarray(i), np.asarray(j)
-    if i.size and not (1 <= min(i.min(), j.min()) and max(i.max(), j.max()) <= len(s)):
-        raise IndexError(f"basis indices out of range 1..{len(s)}")
     templates, fit = _match(s, i, j, tol)
     codes = [_CATEGORIES.index(category) for category, *_ in templates]
     return np.array([*codes, -1])[fit]  # fit -1 picks the trailing -1
@@ -391,6 +361,7 @@ def duality_report(
             f"pair ({pairs.i[k]}, {pairs.j[k]}): intersection {pairs.size[k]} "
             f"against overlap class {_CATEGORIES[codes[k]].value}"
         )
+    codes.setflags(write=False)
     return DualityReport(ctx, overlap_census, codes, mismatch)
 
 

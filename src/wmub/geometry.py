@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -308,18 +307,6 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
 # pair classification and counting
 # ---------------------------------------------------------------------------
 
-class SharedComponent(Enum):
-    NONE = "none"
-    FIRST = "first"
-    SECOND = "second"
-
-
-@dataclass(frozen=True)
-class LinePairClass:
-    intersection_size: int
-    shared_component: SharedComponent
-
-
 class LinePairs(NamedTuple):
     """Index pairs (i[k], j[k]), 1-based, of maximal lines sharing size[k] points."""
 
@@ -354,9 +341,10 @@ def _intersection_sizes(
     return sizes
 
 
-def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
-    """Classify a pair of distinct maximal lines by intersection size, with
-    the two cross-checked routes of the catalog's pair pass."""
+def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> int:
+    """The intersection size of a pair of distinct maximal lines: d2 when
+    they share the second component line, d1 the first, 1 neither; from the
+    two cross-checked routes of the catalog's pair pass."""
     if a.d != ctx.d or b.d != ctx.d:
         raise ModulusMismatch("lines and context use different moduli")
     if not (a.is_maximal and b.is_maximal):
@@ -364,9 +352,7 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> LinePairClass:
     if a == b:
         raise ValueError("pair classification needs two distinct lines")
     generators = np.array([a.generator, b.generator], dtype=np.int64)
-    size = int(_intersection_sizes(generators, np.array([0]), np.array([1]), ctx)[0])
-    shared = {ctx.d2: SharedComponent.SECOND, ctx.d1: SharedComponent.FIRST, 1: SharedComponent.NONE}
-    return LinePairClass(size, shared[size])
+    return int(_intersection_sizes(generators, np.array([0]), np.array([1]), ctx)[0])
 
 
 def pair_census(catalog: MaximalLineCatalog) -> dict[int, int]:

@@ -115,15 +115,9 @@ def prime_mub(p: int) -> np.ndarray:
     return np.concatenate([np.eye(p)[None], phases[:, :, None] * f])
 
 
-def crt_index_maps(ctx: CrtContext) -> tuple[np.ndarray, np.ndarray]:
-    """The index maps n -> n*t1 mod d1 and n -> n*t2 mod d2 (map2) of
-    C^d -> C^d1 (x) C^d2, as arrays over n in 0..d-1."""
-    idx = np.arange(ctx.d)
-    return idx * ctx.t1 % ctx.d1, idx * ctx.t2 % ctx.d2
-
-
 def check_crt_relabelling(ctx: CrtContext) -> None:
-    """Certify that the relabelling of `crt_index_maps` factorizes the
+    """Certify that the relabelling of C^d as C^d1 (x) C^d2 by the index
+    maps n -> (n*t1 mod d1, n*t2 mod d2), `ctx.map2_split`, factorizes the
     displacement operators: X_d becomes X_d1^t1 (x) X_d2^t2, Z_d becomes
     Z_d1 (x) Z_d2, and the phase of D_d(a, b) splits, so that D_d(a, b)
     becomes D_d1(a, b*t1) (x) D_d2(a, b*t2), the split `split_entries`
@@ -136,7 +130,7 @@ def check_crt_relabelling(ctx: CrtContext) -> None:
     """
     d, d1, d2 = ctx.d, ctx.d1, ctx.d2
     n = np.arange(d)
-    i1, i2 = crt_index_maps(ctx)
+    i1, i2 = ctx.map2_split(n)
 
     def joined(e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
         return (e1 * d2 + e2 * d1) % d
@@ -156,7 +150,7 @@ def assemble_tensor_basis(b1: np.ndarray, b2: np.ndarray, ctx: CrtContext) -> np
     """Tensor two factor bases, given as d1 x d1 and d2 x d2 unitaries, into
     the d x d unitary of a basis of C^d, d = d1*d2.
 
-    Row and column labels both split through `crt_index_maps`, so entry
+    Row and column labels both split through `ctx.map2_split`, so entry
     (n, m) is the product of the factor entries at the scaled residues of n
     and m.  The result is unitary whenever the factors are.
     """
@@ -164,5 +158,5 @@ def assemble_tensor_basis(b1: np.ndarray, b2: np.ndarray, ctx: CrtContext) -> np
         raise DimMismatch(
             f"factors of shape {b1.shape}, {b2.shape} for d1={ctx.d1}, d2={ctx.d2}"
         )
-    i1, i2 = crt_index_maps(ctx)
+    i1, i2 = ctx.map2_split(np.arange(ctx.d))
     return b1[np.ix_(i1, i1)] * b2[np.ix_(i2, i2)]

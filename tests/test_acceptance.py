@@ -104,7 +104,7 @@ def test_criterion_04_overlap_census_d15():
         for i in range(1, 25):
             for j in range(i + 1, 25):
                 table = overlap_table(s, i, j)
-                template = values[classify_pair(s, i, j).category]
+                template = values[classify_pair(s, i, j)]
                 deviation = np.minimum(np.abs(table - template), table)
                 assert float(deviation.max()) < 1e-9
         assert time.perf_counter() - started < 5.0
@@ -133,11 +133,11 @@ def test_criterion_05_line_census():
                         continue
                     got = classify_line_pair(a.line, b.line, ctx)
                     if a.comp2 == b.comp2:
-                        assert got.intersection_size == ctx.d2
+                        assert got == ctx.d2
                     elif a.comp1 == b.comp1:
-                        assert got.intersection_size == ctx.d1
+                        assert got == ctx.d1
                     else:
-                        assert got.intersection_size == 1
+                        assert got == 1
         assert time.perf_counter() - started < 30.0
 
 
@@ -156,9 +156,8 @@ def test_criterion_06_duality():
             entries = catalog_entries(catalog)
             for i in range(1, count + 1):
                 for j in range(i + 1, count + 1):
-                    lc = classify_line_pair(entries[i - 1].line, entries[j - 1].line, ctx)
-                    oc = classify_pair(s, i, j)
-                    assert oc.category is expected[lc.intersection_size]
+                    size = classify_line_pair(entries[i - 1].line, entries[j - 1].line, ctx)
+                    assert classify_pair(s, i, j) is expected[size]
 
 
 def test_criterion_07_prime_mubs():
@@ -212,12 +211,12 @@ def test_criterion_11_unbiasedness_does_not_chain():
         witness = None
         for a in range(1, 25):
             for b in range(a + 1, 25):
-                if classify_pair(s, a, b).category is not OverlapCategory.FULL:
+                if classify_pair(s, a, b) is not OverlapCategory.FULL:
                     continue
                 for c in range(b + 1, 25):
                     if (
-                        classify_pair(s, a, c).category is OverlapCategory.FULL
-                        and classify_pair(s, b, c).category is not OverlapCategory.FULL
+                        classify_pair(s, a, c) is OverlapCategory.FULL
+                        and classify_pair(s, b, c) is not OverlapCategory.FULL
                     ):
                         witness = (a, b, c)
                         break

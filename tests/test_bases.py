@@ -12,7 +12,6 @@ import wmub.bases
 from wmub.bases import (
     NotWeaklyUnbiased,
     OverlapCategory,
-    OverlapClass,
     build_wmub,
     classify_pair,
     conjugation_bound,
@@ -27,8 +26,8 @@ from wmub.bases import (
 from wmub.bases import _factor_extrema
 from wmub.cli import wmub_document
 from wmub.geometry import (
-    SharedComponent,
     classify_line_pair,
+    line,
     maximal_line_catalog,
     pair_census,
     split_entries,
@@ -38,7 +37,7 @@ from wmub.hilbert import MAX_DIM, conjugation_defect, prime_mub, unitarity_defec
 from wmub.zring import crt_context, dedekind_psi, is_prime
 
 from dense import assembled_basis, dense_conjugation_defect, overlaps, symplectic_label_defect
-from oracles import SymplecticMatrix, catalog_entries, matrix_factorize
+from oracles import SymplecticMatrix, catalog_entries, intersection, matrix_factorize
 
 # Symplectic labels of the d = 15 set in index order; same data as the
 # second column of tests/golden/bases_3_5.txt.
@@ -114,18 +113,9 @@ def test_overlap_table_index_range(wmub15):
 
 
 def test_classify_pair_examples(wmub15):
-    got = classify_pair(wmub15, 1, 7)
-    assert got.category is OverlapCategory.SUB_D1
-    assert got.value == pytest.approx(1 / math.sqrt(3), abs=1e-12)
-    assert got.support_count == 45
-    got = classify_pair(wmub15, 1, 2)
-    assert got.category is OverlapCategory.SUB_D2
-    assert got.value == pytest.approx(1 / math.sqrt(5), abs=1e-12)
-    assert got.support_count == 75
-    got = classify_pair(wmub15, 1, 10)
-    assert got.category is OverlapCategory.FULL
-    assert got.value == pytest.approx(1 / math.sqrt(15), abs=1e-12)
-    assert got.support_count == 225
+    assert classify_pair(wmub15, 1, 7) is OverlapCategory.SUB_D1
+    assert classify_pair(wmub15, 1, 2) is OverlapCategory.SUB_D2
+    assert classify_pair(wmub15, 1, 10) is OverlapCategory.FULL
     with pytest.raises(ValueError):
         classify_pair(wmub15, 3, 3)
     with pytest.raises(IndexError):
@@ -136,6 +126,23 @@ def test_classify_pair_examples(wmub15):
         pair_categories(wmub15, np.array([1, 0]), np.array([2, 5]))
     with pytest.raises(IndexError):
         pair_categories(wmub15, np.array([1]), np.array([25]))
+
+
+def test_pair_categories_checks_its_indices(wmub15):
+    # Unequal shapes neither broadcast nor reach a numpy reduction, and a
+    # pair of one basis is refused, not reported as fitting no template.
+    # Lists are read as index arrays.
+    categories = tuple(OverlapCategory)
+    codes = pair_categories(wmub15, [1, 1], [2, 10])
+    assert [categories[code] for code in codes] == [OverlapCategory.SUB_D2, OverlapCategory.FULL]
+    with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(2,\) and \(1,\)$"):
+        pair_categories(wmub15, [1, 2], [3])
+    with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(1,\) and \(0,\)$"):
+        pair_categories(wmub15, [1], [])
+    with pytest.raises(ValueError, match=r"^pair classification needs two distinct bases, got \(2, 2\)$"):
+        pair_categories(wmub15, [2], [2])
+    with pytest.raises(IndexError, match=r"^basis indices \(3, 25\) out of range 1..24$"):
+        pair_categories(wmub15, [1, 3], [2, 25])
 
 
 def test_classify_pair_rejects_impossible_tolerance(wmub15):
@@ -176,11 +183,11 @@ def test_factor_structure(wmub15):
         (a1, a2), (b1, b2) = wmub15.slots[[i - 1, j - 1]].tolist()
         return a1 == b1, a2 == b2
 
-    assert classify_pair(wmub15, 1, 7).category is OverlapCategory.SUB_D1
+    assert classify_pair(wmub15, 1, 7) is OverlapCategory.SUB_D1
     assert shared(1, 7) == (False, True)
-    assert classify_pair(wmub15, 2, 3).category is OverlapCategory.SUB_D2
+    assert classify_pair(wmub15, 2, 3) is OverlapCategory.SUB_D2
     assert shared(2, 3) == (True, False)
-    assert classify_pair(wmub15, 10, 16).category is OverlapCategory.FULL
+    assert classify_pair(wmub15, 10, 16) is OverlapCategory.FULL
     assert shared(10, 16) == (False, False)
     expected = {
         (False, True): OverlapCategory.SUB_D1,
@@ -189,7 +196,7 @@ def test_factor_structure(wmub15):
     }
     for i in range(1, 25):
         for j in range(i + 1, 25):
-            assert classify_pair(wmub15, i, j).category is expected[shared(i, j)]
+            assert classify_pair(wmub15, i, j) is expected[shared(i, j)]
 
 
 def test_factor_stacks_are_read_only(catalog15):
@@ -201,6 +208,17 @@ def test_factor_stacks_are_read_only(catalog15):
     for stack in s.factor_stacks:
         with pytest.raises(ValueError, match="read-only"):
             stack[2] = 0
+
+
+def test_cached_arrays_are_read_only(catalog15):
+    # `duality_report` reads the cached factor extrema and `partitions_hold`
+    # the report's categories; a write into either must raise.  A fresh
+    # set: the fixtures are shared.
+    s = build_wmub(catalog15)
+    report = duality_report(catalog15, s)
+    for array in (*s.factor_extrema, report.categories):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 1
 
 
 def test_partition_reference_grid(wmub15):
@@ -233,15 +251,15 @@ def test_partition_sets_are_mutually_unbiased(wmub_sets):
             assert len(group) == s.ctx.d1 + 1
             for a_pos, i in enumerate(group):
                 for j in group[a_pos + 1:]:
-                    assert classify_pair(s, i, j).category is OverlapCategory.FULL
+                    assert classify_pair(s, i, j) is OverlapCategory.FULL
 
 
 def test_flat_pairs_do_not_chain(wmub15):
     # Being unbiased with a common partner does not make two bases unbiased
     # with each other.
-    assert classify_pair(wmub15, 1, 10).category is OverlapCategory.FULL
-    assert classify_pair(wmub15, 1, 15).category is OverlapCategory.FULL
-    assert classify_pair(wmub15, 10, 15).category is not OverlapCategory.FULL
+    assert classify_pair(wmub15, 1, 10) is OverlapCategory.FULL
+    assert classify_pair(wmub15, 1, 15) is OverlapCategory.FULL
+    assert classify_pair(wmub15, 10, 15) is not OverlapCategory.FULL
 
 
 def test_symplectic_label_conjugation(wmub_sets):
@@ -359,16 +377,16 @@ def test_duality_pairwise_dictionary(catalogs, wmub_sets):
     by_pair = dict(zip(zip(pairs.i.tolist(), pairs.j.tolist()), pairs.size.tolist()))
     assert by_pair[(1, 7)] == 5
     entries = catalog_entries(catalog)
-    lc = classify_line_pair(entries[0].line, entries[6].line, s.ctx)
-    assert lc.shared_component is SharedComponent.SECOND
-    assert classify_pair(s, 1, 7).category is OverlapCategory.SUB_D1
+    # Lines 1 and 7 share their second component line, so they meet in d2 points.
+    assert classify_line_pair(entries[0].line, entries[6].line, s.ctx) == s.ctx.d2
+    assert classify_pair(s, 1, 7) is OverlapCategory.SUB_D1
     expected = {
         s.ctx.d2: OverlapCategory.SUB_D1,
         s.ctx.d1: OverlapCategory.SUB_D2,
         1: OverlapCategory.FULL,
     }
     for (i, j), size in by_pair.items():
-        assert classify_pair(s, i, j).category is expected[size]
+        assert classify_pair(s, i, j) is expected[size]
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +408,10 @@ def supported_set(d1: int, d2: int):
     return build_wmub(maximal_line_catalog(crt_context(d1, d2)))
 
 
-def dense_classify(sq: np.ndarray, ctx, tol: float) -> OverlapClass | None:
+def dense_classify(sq: np.ndarray, ctx, tol: float):
     """Match the squared d x d overlap table entry by entry against the
-    three templates; None when it fits none."""
+    three templates.  Returns (category, mean on-support magnitude, number
+    of entries above `tol`) for the first template it fits, None for none."""
     idx = np.arange(ctx.d)
 
     def congruent(modulus: int) -> np.ndarray:
@@ -405,13 +424,11 @@ def dense_classify(sq: np.ndarray, ctx, tol: float) -> OverlapClass | None:
     )
     for category, mask, value in templates:
         if (np.abs(sq[mask] - value) <= tol).all() and (sq[~mask] <= tol).all():
-            return OverlapClass(
-                category, float(np.sqrt(sq[mask].mean())), int(np.count_nonzero(sq > tol))
-            )
+            return category, float(np.sqrt(sq[mask].mean())), int(np.count_nonzero(sq > tol))
     return None
 
 
-def factored_classify(s, i: int, j: int, tol: float) -> OverlapClass | None:
+def factored_classify(s, i: int, j: int, tol: float) -> OverlapCategory | None:
     try:
         return classify_pair(s, i, j, tol)
     except NotWeaklyUnbiased:
@@ -422,6 +439,14 @@ def assert_routes_agree(s, pairs, tols) -> None:
     # Both factored routes, one pair at a time and the array pass, against
     # the dense oracle.  Each basis is assembled once and its dense tables
     # formed from that cache; `overlap_table` is compared on the first pair.
+    # A dense match also has the template's on-support magnitude and its
+    # support: d^2, d*d1 or d*d2 entries above `tol`.
+    ctx = s.ctx
+    template = {
+        OverlapCategory.FULL: (ctx.d ** -0.5, ctx.d * ctx.d),
+        OverlapCategory.SUB_D1: (ctx.d1 ** -0.5, ctx.d * ctx.d1),
+        OverlapCategory.SUB_D2: (ctx.d2 ** -0.5, ctx.d * ctx.d2),
+    }
     first, second = (np.array(side) for side in zip(*pairs))
     codes = {tol: pair_categories(s, first, second, tol) for tol in tols}
     categories = tuple(OverlapCategory)
@@ -431,14 +456,15 @@ def assert_routes_agree(s, pairs, tols) -> None:
     for k, (i, j) in enumerate(pairs):
         sq = overlaps(bases[j], bases[i]) ** 2
         for tol in tols:
-            dense, factored = dense_classify(sq, s.ctx, tol), factored_classify(s, i, j, tol)
-            assert (dense is None) == (factored is None), (s.ctx.d, i, j, tol)
-            assert (dense is None) == (codes[tol][k] == -1), (s.ctx.d, i, j, tol)
+            dense, factored = dense_classify(sq, ctx, tol), factored_classify(s, i, j, tol)
+            assert (dense is None) == (factored is None), (ctx.d, i, j, tol)
+            assert (dense is None) == (codes[tol][k] == -1), (ctx.d, i, j, tol)
             if dense is not None:
-                assert factored.category is dense.category, (s.ctx.d, i, j, tol)
-                assert categories[codes[tol][k]] is dense.category, (s.ctx.d, i, j, tol)
-                assert factored.support_count == dense.support_count, (s.ctx.d, i, j, tol)
-                assert factored.value == pytest.approx(dense.value, abs=1e-12)
+                category, value, support = dense
+                assert factored is category, (ctx.d, i, j, tol)
+                assert categories[codes[tol][k]] is category, (ctx.d, i, j, tol)
+                assert support == template[category][1], (ctx.d, i, j, tol)
+                assert value == pytest.approx(template[category][0], abs=1e-12)
 
 
 def dims_id(dims: tuple[int, int]) -> str:
@@ -467,41 +493,76 @@ def test_factored_route_matches_dense_oracle_at_every_supported_d(dims):
     last = len(s)
     pairs = [(1, j) for j in range(2, last + 1)] + [(i, last) for i in range(2, last)]
     assert_routes_agree(s, pairs, (1e-9,))
-    categories = {classify_pair(s, i, j).category for i, j in pairs}
+    categories = {classify_pair(s, i, j) for i, j in pairs}
     assert categories == set(OverlapCategory)
 
 
-def per_pair_extrema(stack: np.ndarray) -> list[np.ndarray]:
-    """The fields of `FactorExtrema`, flattened, from one `overlaps` table per
-    pair (j, i), reduced as the template test reads them."""
+def per_pair_extrema(stack: np.ndarray) -> np.ndarray:
+    """The fields of `_factor_extrema`, [field, j, i], from one `overlaps`
+    table per pair (j, i), reduced as the template test reads them."""
     diagonal = np.eye(stack.shape[-1], dtype=bool)
-    fields = np.zeros((7, len(stack), len(stack)))
+    fields = np.zeros((5, len(stack), len(stack)))
     for j, bj in enumerate(stack):
         for i, bi in enumerate(stack):
             sq = overlaps(bj, bi) ** 2
             diag = np.diagonal(sq)
-            fields[:, j, i] = (sq.max(), sq.min(), sq.mean(), diag.max(), diag.min(),
-                               diag.mean(), sq[~diagonal].max())
-    return list(fields)
+            fields[:, j, i] = (sq.max(), sq.min(), diag.max(), diag.min(), sq[~diagonal].max())
+    return fields
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
     # The prime-dimension family, and a family of generic unitaries, whose
-    # tables are far from the templates.  `take` gathers exactly the
-    # entries [j, i] of every field.
+    # tables are far from the templates.
     generic = np.stack([generic_unitary(p, seed) for seed in range(4)])
-    rng = np.random.default_rng(p)
     for stack in (prime_mub(p), generic):
-        got = _factor_extrema(stack)
-        flat = [*got.whole, *got.diag, got.off_top]
-        for field, want in zip(flat, per_pair_extrema(stack)):
-            assert field.shape == want.shape
-            assert np.abs(field - want).max() <= 1e-14, p
-        j, i = rng.integers(len(stack), size=(2, 50))
-        taken = got.take(j, i)
-        for field, picked in zip(flat, [*taken.whole, *taken.diag, taken.off_top]):
-            assert np.array_equal(picked, field[j, i]), p
+        got, want = _factor_extrema(stack), per_pair_extrema(stack)
+        assert got.shape == want.shape == (5, len(stack), len(stack))
+        assert np.abs(got - want).max() <= 1e-14, p
+
+
+# Above the `verify` cap of d = 105 the factored route is the only census
+# route; these d have factor primes up to 37, so their tables stay cheap.
+LARGE_DIMS = [(3, 37), (11, 13), (7, 31), (17, 19)]
+# Fixed before any result was read.
+LARGE_SEED = 20120304
+
+
+@pytest.mark.parametrize("dims", LARGE_DIMS, ids=dims_id)
+def test_sampled_pairs_above_the_cap_match_the_dense_and_point_set_oracles(dims):
+    # About 8 pairs per shared-slot stratum: the same first factor slot
+    # (d2^{-1/2}, lines meeting in d1 points), the same second factor slot
+    # (d1^{-1/2}, d2 points), or neither (flat, 1 point).
+    catalog = maximal_line_catalog(crt_context(*dims))
+    s = build_wmub(catalog)
+    ctx, psi = s.ctx, len(s)
+    rng = np.random.default_rng(LARGE_SEED + ctx.d)
+    strata = {
+        (True, False): (OverlapCategory.SUB_D2, ctx.d1),
+        (False, True): (OverlapCategory.SUB_D1, ctx.d2),
+        (False, False): (OverlapCategory.FULL, 1),
+    }
+    pairs, wanted = [], []
+    for (first, second), want in strata.items():
+        for a in rng.choice(psi, size=8, replace=False):
+            same = s.slots == s.slots[a]
+            partners = np.flatnonzero((same[:, 0] == first) & (same[:, 1] == second))
+            b = rng.choice(partners)
+            pairs.append((min(a, b) + 1, max(a, b) + 1))
+            wanted.append(want)
+    i, j = (np.array(side) for side in zip(*pairs))
+    codes = pair_categories(s, i, j, 1e-9)
+    # Row-major position of (i, j), i < j, in the catalog's pair pass.
+    at = (i - 1) * psi - (i - 1) * i // 2 + (j - i - 1)
+    sizes = catalog.pair_classes.size[at]
+    categories = tuple(OverlapCategory)
+    for k, ((a, b), (category, size)) in enumerate(zip(pairs, wanted)):
+        sq = overlaps(assembled_basis(s, b), assembled_basis(s, a)) ** 2
+        dense = dense_classify(sq, ctx, 1e-9)
+        assert dense is not None and dense[0] is category, (ctx.d, a, b)
+        assert categories[codes[k]] is category, (ctx.d, a, b)
+        lines = (line(ctx.d, *catalog.generators[n - 1].tolist()) for n in (a, b))
+        assert sizes[k] == len(intersection(*lines)) == size, (ctx.d, a, b)
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)

@@ -26,7 +26,7 @@ import wmub.hilbert
 from wmub.bases import OverlapCategory, build_wmub
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.geometry import maximal_line_catalog
-from wmub.zring import crt_context
+from wmub.zring import CrtContext, crt_context
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -435,12 +435,22 @@ def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
     assert out.startswith("FAIL conjugation: max residual ")
 
 
+class ResidueRelabelled(CrtContext):
+    """A context whose map2 splits n to n mod d1 (t1 = 1) on the first factor."""
+
+    def map2_split(self, m):
+        return m % self.d1, super().map2_split(m)[1]
+
+
 def test_verify_names_conjugation_on_a_wrong_crt_relabelling(capsys, monkeypatch):
     # With t1 = 1 the index maps no longer turn X_d into X_d1^t1 (x) X_d2^t2
-    # (t1 = 2 at d = 15); the factor checks alone would not see it.
-    real = wmub.hilbert.crt_index_maps
+    # (t1 = 2 at d = 15); the factor checks alone would not see it.  Only
+    # the basis set gets the wrong maps: the catalog keeps the real ones.
+    real = wmub.cli.build_wmub
     monkeypatch.setattr(
-        wmub.hilbert, "crt_index_maps", lambda ctx: (np.arange(ctx.d) % ctx.d1, real(ctx)[1])
+        wmub.cli,
+        "build_wmub",
+        lambda catalog: replace(real(catalog), ctx=ResidueRelabelled(**vars(catalog.ctx))),
     )
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1

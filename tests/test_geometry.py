@@ -15,7 +15,6 @@ from wmub.geometry import (
     DetNotOne,
     ModulusMismatch,
     NotMaximal,
-    SharedComponent,
     catalog_layout,
     check_point_map,
     classify_line_pair,
@@ -569,12 +568,11 @@ def test_matrix_factorize_commutes_with_line_factorization(ctx15, catalog15):
 def test_classify_pair_examples(catalog15, ctx15):
     entries = catalog_entries(catalog15)
     pick = lambda k: entries[k - 1].line
-    got = classify_line_pair(pick(1), pick(7), ctx15)
-    assert (got.intersection_size, got.shared_component) == (5, SharedComponent.SECOND)
-    got = classify_line_pair(pick(1), pick(2), ctx15)
-    assert (got.intersection_size, got.shared_component) == (3, SharedComponent.FIRST)
-    got = classify_line_pair(pick(1), pick(10), ctx15)
-    assert (got.intersection_size, got.shared_component) == (1, SharedComponent.NONE)
+    # Lines 1 and 7 share the second component line, 1 and 2 the first,
+    # and 1 and 10 neither.
+    assert classify_line_pair(pick(1), pick(7), ctx15) == 5
+    assert classify_line_pair(pick(1), pick(2), ctx15) == 3
+    assert classify_line_pair(pick(1), pick(10), ctx15) == 1
     with pytest.raises(ValueError):
         classify_line_pair(pick(1), pick(1), ctx15)
     with pytest.raises(NotMaximal):

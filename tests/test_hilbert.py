@@ -16,12 +16,11 @@ from wmub.hilbert import (
     assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
-    crt_index_maps,
     fourier,
     prime_mub,
     unitarity_defect,
 )
-from wmub.zring import crt_context, mod_inverse
+from wmub.zring import CrtContext, crt_context, mod_inverse
 
 from dense import (
     UnsupportedMatrix,
@@ -330,7 +329,7 @@ def test_crt_index_maps_factorize_the_displacements(d1, d2):
     # D(a, b*t1) (x) D(a, b*t2), with P|n> = |i1(n)> (x) |i2(n)>.
     ctx = crt_context(d1, d2)
     check_crt_relabelling(ctx)
-    i1, i2 = crt_index_maps(ctx)
+    i1, i2 = ctx.map2_split(np.arange(ctx.d))
     p = np.zeros((ctx.d, ctx.d))
     p[i1 * d2 + i2, np.arange(ctx.d)] = 1.0
     x = np.kron(np.linalg.matrix_power(x_op(d1), ctx.t1), np.linalg.matrix_power(x_op(d2), ctx.t2))
@@ -342,18 +341,19 @@ def test_crt_index_maps_factorize_the_displacements(d1, d2):
 
 def test_crt_relabelling_check_names_the_broken_identity(monkeypatch):
     ctx = crt_context(3, 5)
-    real_maps, real_inverse = crt_index_maps, wmub.hilbert.mod_inverse
+    real_split, real_inverse = CrtContext.map2_split, wmub.hilbert.mod_inverse
     cases = [
         # n -> n mod d1 (t1 = 1) turns X_d into X_d1 (x) X_d2^t2
-        ("crt_index_maps", lambda c: (np.arange(c.d) % c.d1, real_maps(c)[1]), "X_d is not"),
+        (CrtContext, "map2_split", lambda c, n: (n % c.d1, real_split(c, n)[1]), "X_d is not"),
         # a shifted first map keeps the steps but not the Z phases
-        ("crt_index_maps", lambda c: ((real_maps(c)[0] + 1) % c.d1, real_maps(c)[1]), "Z_d is not"),
+        (CrtContext, "map2_split",
+         lambda c, n: ((real_split(c, n)[0] + 1) % c.d1, real_split(c, n)[1]), "Z_d is not"),
         # a wrong 2^-1 mod d in the D_d phase
-        ("mod_inverse", lambda a, m: real_inverse(a, m) + (m == ctx.d), "phase of D_d"),
+        (wmub.hilbert, "mod_inverse", lambda a, m: real_inverse(a, m) + (m == ctx.d), "phase of D_d"),
     ]
-    for name, fake, message in cases:
+    for target, name, fake, message in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(wmub.hilbert, name, fake)
+            patch.setattr(target, name, fake)
             with pytest.raises(RuntimeError, match=f"^CRT relabelling: .*{message}"):
                 check_crt_relabelling(ctx)
 
