@@ -45,6 +45,24 @@ class OverlapCategory(Enum):
 _CATEGORIES = tuple(OverlapCategory)
 
 
+# `_factor_extrema` reduces the magnitudes of consecutive rows together while
+# they fit in this many floats (1 MB), so every family with p <= 19 is one
+# block, and the buffer holds the larger of 1 MB and the first row's tables.
+_BLOCK_FLOATS = 2**17
+
+
+def _reduce_tables(mags: np.ndarray, out: np.ndarray) -> None:
+    """Write the five `_factor_extrema` fields of each (p, p) table of
+    magnitudes in `mags` to the columns of `out`, unsquared; zeroes the
+    diagonals of `mags`."""
+    flat = mags.reshape(len(mags), -1)  # [table, n*p + m]
+    diag = flat[:, :: mags.shape[-1] + 1]
+    out[:4] = flat.max(axis=1), flat.min(axis=1), diag.max(axis=1), diag.min(axis=1)
+    # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
+    diag[:] = 0.0
+    out[4] = flat.max(axis=1)
+
+
 def _factor_extrema(stack: np.ndarray) -> np.ndarray:
     """Extrema of the squared tables |b_j^dag b_i|^2 for every pair of the
     p+1 bases of a (p+1, p, p) stack, as one read-only (5, p+1, p+1) array
@@ -52,19 +70,29 @@ def _factor_extrema(stack: np.ndarray) -> np.ndarray:
     largest and smallest entry, the largest and smallest diagonal entry, and
     the largest entry off the diagonal.
 
-    One stacked product b_j^dag [b_0, ..., b_p] per row j, so at most p+1
-    tables are alive at a time; each is read flat, its diagonal the slice
-    ::p+1.
+    The (i, j) table is the transpose of the (j, i) table, which keeps its
+    diagonal, so only the triangle j <= i is formed, (p+1)(p+2)/2 tables:
+    one stacked product b_j^dag [b_j, ..., b_p] per row j, its magnitudes
+    written into a buffer that a block of consecutive rows shares
+    (`_BLOCK_FLOATS`), and each block reduced at once.  Squaring is
+    monotone, so the fields are the squared extrema of the magnitudes.
     """
     count, p, _ = stack.shape
+    upper = ~np.tri(count, k=-1, dtype=bool)  # (j, i) with j <= i, row by row
+    triangle = np.empty((5, count * (count + 1) // 2))
+    buffer = np.empty((min(triangle.shape[1], max(_BLOCK_FLOATS // (p * p), count)), p, p))
+    lo = hi = 0  # the triangle positions of the tables in the buffer
+    for j in range(count):
+        if hi - lo + count - j > len(buffer):  # row j does not fit: reduce the block
+            _reduce_tables(buffer[: hi - lo], triangle[:, lo:hi])
+            lo = hi
+        np.abs(stack[j].conj().T @ stack[j:], out=buffer[hi - lo : hi - lo + count - j])
+        hi += count - j
+    _reduce_tables(buffer[: hi - lo], triangle[:, lo:hi])
+    np.square(triangle, out=triangle)
     fields = np.empty((5, count, count))
-    for j, bj in enumerate(stack):
-        sq = (np.abs(bj.conj().T @ stack) ** 2).reshape(count, p * p)  # [i, n*p + m]
-        diag = sq[:, :: p + 1]
-        fields[:4, j] = sq.max(axis=1), sq.min(axis=1), diag.max(axis=1), diag.min(axis=1)
-        # Entries are >= 0, so zeroing the diagonal leaves the off-diagonal maximum.
-        diag[:] = 0.0
-        fields[4, j] = sq.max(axis=1)
+    fields[:, upper] = triangle
+    fields.swapaxes(1, 2)[:, upper] = triangle
     fields.setflags(write=False)
     return fields
 
@@ -95,7 +123,8 @@ class WmubSet:
     @cached_property
     def factor_extrema(self) -> tuple[np.ndarray, np.ndarray]:
         """Per factor, the `_factor_extrema` of its prime-dimension family,
-        computed once per set; (d1+1)^2 + (d2+1)^2 tables of at most d2 x d2."""
+        computed once per set from the (d1+1)(d1+2)/2 + (d2+1)(d2+2)/2
+        tables with j <= i, of at most d2 x d2; the others are mirrored."""
         return tuple(_factor_extrema(stack) for stack in self.factor_stacks)
 
 
@@ -181,11 +210,18 @@ def conjugation_bound(s: WmubSet) -> float:
 
 def _check_indices(s: WmubSet, i, j) -> tuple[np.ndarray, np.ndarray]:
     """i and j, two ints or two integer sequences of one shape, as arrays of
-    1-based basis indices.  Raises ValueError on unequal shapes, and
-    IndexError naming the first pair with an index out of range."""
+    1-based basis indices; two empty sequences give two empty integer
+    arrays.  Raises ValueError on unequal shapes, TypeError on indices that
+    are not integers (bools included), and IndexError naming the first pair
+    with an index out of range."""
     i, j = np.asarray(i), np.asarray(j)
     if i.shape != j.shape:
         raise ValueError(f"basis index arrays of unequal shapes {i.shape} and {j.shape}")
+    if not i.size:
+        return i.astype(np.intp), j.astype(np.intp)
+    for side in (i, j):
+        if side.dtype.kind not in "iu":
+            raise TypeError(f"basis indices must be integers, got dtype {side.dtype}")
     bad = np.flatnonzero((i < 1) | (i > len(s)) | (j < 1) | (j > len(s)))
     if bad.size:
         k = bad[0]

@@ -85,10 +85,11 @@ def conjugation_defect(d: int, matrix: np.ndarray, label) -> float | np.ndarray:
     half = mod_inverse(2, d)
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     rows = np.arange(d)
+    matrices = np.arange(len(stack))[:, None]  # [K, 1]
 
     def displaced(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         phases = roots[((alpha % d) * rows - half * alpha * beta % d) % d]  # [K, r]
-        shifted = np.take_along_axis(stack, ((rows - beta) % d)[:, :, None], axis=1)
+        shifted = stack[matrices, (rows - beta) % d]  # row r of each matrix is its row r - beta
         return phases[:, :, None] * shifted
 
     dx = np.linalg.norm(np.roll(stack, -1, axis=2) - displaced(l, k), axis=2).max(axis=1)

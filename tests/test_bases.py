@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -143,6 +144,20 @@ def test_pair_categories_checks_its_indices(wmub15):
         pair_categories(wmub15, [2], [2])
     with pytest.raises(IndexError, match=r"^basis indices \(3, 25\) out of range 1..24$"):
         pair_categories(wmub15, [1, 3], [2, 25])
+
+
+def test_pair_indices_must_be_integers(wmub15):
+    # Floats and bools are refused before numpy reads them as indices (a
+    # bool would classify the pair (1, 2)), and two empty lists, which numpy
+    # makes float arrays, classify no pair.
+    with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
+        pair_categories(wmub15, [1.5], [2])
+    with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
+        classify_pair(wmub15, 1.5, 2)
+    with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype bool$"):
+        pair_categories(wmub15, True, 2)
+    codes = pair_categories(wmub15, [], [])
+    assert codes.shape == (0,) and codes.dtype.kind == "i"
 
 
 def test_classify_pair_rejects_impossible_tolerance(wmub15):
@@ -521,9 +536,51 @@ def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
         assert np.abs(got - want).max() <= 1e-14, p
 
 
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
+def test_mirrored_extrema_classify_every_pair_as_the_full_tables_do(dims, monkeypatch):
+    # `_factor_extrema` forms the tables j <= i and mirrors them; a fresh
+    # set whose extrema come from one table per ordered pair must give every
+    # ordered pair the same code, also at tolerances a few ulps wide.
+    s = supported_set(*dims)
+    for fields in s.factor_extrema:
+        for field in fields:
+            assert np.array_equal(field, field.T)
+    monkeypatch.setattr(wmub.bases, "_factor_extrema", per_pair_extrema)
+    full = replace(s)
+    i, j = np.nonzero(~np.eye(len(s), dtype=bool))
+    for tol in (1e-15, 2e-15, 3e-15, 1e-9):
+        got, want = pair_categories(s, i + 1, j + 1, tol), pair_categories(full, i + 1, j + 1, tol)
+        assert np.array_equal(got, want), (s.ctx.d, tol)
+
+
+@pytest.mark.parametrize("block", [1, 10 * 7 * 7])
+def test_factor_extrema_blocks_leave_the_fields_unchanged(block, monkeypatch):
+    # At p = 7 the default block holds all 36 tables.  A block of one float
+    # holds one row, and one of 10 tables splits the rows 8 | 7 | 6 | 5+4 |
+    # 3+2+1; both must give the fields bit for bit.
+    stack = prime_mub(7)
+    whole = _factor_extrema(stack)
+    monkeypatch.setattr(wmub.bases, "_BLOCK_FLOATS", block)
+    assert np.array_equal(_factor_extrema(stack), whole)
+
+
+def test_factor_extrema_peak_memory_stays_near_one_row():
+    # At p = 61 one row of 62 tables is 3.7 MB of products and 1.8 MB of
+    # magnitudes; the whole triangle would be 58 MB of magnitudes.
+    stack = prime_mub(61)
+    tracemalloc.start()
+    try:
+        _factor_extrema(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # Above the `verify` cap of d = 105 the factored route is the only census
-# route; these d have factor primes up to 37, so their tables stay cheap.
-LARGE_DIMS = [(3, 37), (11, 13), (7, 31), (17, 19)]
+# route.  The factor tables at p = 101 take about 1.3 s and the dense route
+# about 9 ms a pair at d = 303; d = 1067 stays out, at 0.24 s a pair.
+LARGE_DIMS = [(3, 37), (11, 13), (7, 31), (17, 19), (3, 101)]
 # Fixed before any result was read.
 LARGE_SEED = 20120304
 
