@@ -249,10 +249,10 @@ def _match(s: WmubSet, i, j, tol: float):
     """Match the pairs (i[k], j[k]) of distinct bases against the three
     templates at once (or the one pair (i, j), given two ints).
 
-    Returns the templates, each (category, top, bottom, off_top, value) with
-    arrays over the pairs, in matching order, and for each pair the
-    position of the first template it fits, -1 if none.  Raises as
-    `_check_indices`, and ValueError naming the first pair with i == j.
+    Returns the templates, each (category position, top, bottom, off_top,
+    value) with arrays over the pairs, in matching order, and for each pair
+    the category position of the first template it fits, -1 if none.  Raises
+    as `_check_indices`, and ValueError naming the first pair with i == j.
     """
     i, j = _check_indices(s, i, j)
     same = np.flatnonzero(i == j)
@@ -266,16 +266,17 @@ def _match(s: WmubSet, i, j, tol: float):
         for f, extrema in enumerate(s.factor_extrema)
     )
     ctx = s.ctx
+    # FULL, SUB_D1 and SUB_D2, each led by its position in `_CATEGORIES`.
     templates = (
-        (OverlapCategory.FULL, max1 * max2, min1 * min2, 0.0, 1.0 / ctx.d),
-        (OverlapCategory.SUB_D1, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
-        (OverlapCategory.SUB_D2, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
+        (2, max1 * max2, min1 * min2, 0.0, 1.0 / ctx.d),
+        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
+        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
     )
     fits = [
         (top - value <= tol) & (value - bottom <= tol) & (off_top <= tol)
         for _, top, bottom, off_top, value in templates
     ]
-    return templates, np.select(fits, range(len(templates)), default=-1)
+    return templates, np.select(fits, [code for code, *_ in templates], default=-1)
 
 
 def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapCategory:
@@ -289,27 +290,13 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     e.g. the d1**-0.5 template holds iff max T1 * max diag T2 - 1/d1,
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
     No d x d table is formed; `unitarity_bound` and `conjugation_bound`
-    tie the same factor families to the labels.  `pair_categories`
-    runs the same test on many pairs at once.
+    tie the same factor families to the labels.  This is the census of
+    the one pair, whose test `pair_categories` runs on many at once.
 
     A table fitting no template raises NotWeaklyUnbiased, which signals a
     construction bug rather than a user error.
     """
-    templates, fit = _match(s, i, j, tol)
-    if fit < 0:
-        raise _unfit(templates, i, j, tol)
-    return templates[fit][0]
-
-
-def _unfit(templates, i: int, j: int, tol: float) -> NotWeaklyUnbiased:
-    """The error naming the pair (i, j) that fits none of its `_match`
-    templates, with how far its table lies from the flat template."""
-    _, top, bottom, _, flat = templates[0]
-    worst = max(top - flat, flat - bottom)
-    return NotWeaklyUnbiased(
-        f"bases ({i}, {j}) fit no overlap template within {tol} "
-        f"(flat-template residual {worst:.3e})"
-    )
+    return _CATEGORIES[_census(s, [i], [j], tol)[0][0]]
 
 
 def pair_categories(
@@ -319,25 +306,30 @@ def pair_categories(
     position in `OverlapCategory` order, or -1 where no template fits.
 
     The template test of `classify_pair`, run on all pairs in one array
-    pass, with the same index checks.
+    pass, with the same index checks; the codes are the category positions
+    `_match` selects.
     """
-    templates, fit = _match(s, i, j, tol)
-    codes = [_CATEGORIES.index(category) for category, *_ in templates]
-    return np.array([*codes, -1])[fit]  # fit -1 picks the trailing -1
+    return _match(s, i, j, tol)[1]
 
 
-def _census(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
-    """Categories of the pairs (i[k], j[k]) and their counts per category.
+def _census(s: WmubSet, i, j, tol: float):
+    """Categories of the pairs (i[k], j[k]) and their counts per category;
+    `classify_pair` is the census of one pair.
 
     The first pair in the given order that fits no template raises
-    NotWeaklyUnbiased with the message of `classify_pair`, worded from the
-    templates of that one pair.
+    NotWeaklyUnbiased naming it, with how far its table lies from the flat
+    template, read from the `_match` templates of that one pair.
     """
     codes = pair_categories(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
         first = int(i[unfit[0]]), int(j[unfit[0]])
-        raise _unfit(_match(s, *first, tol)[0], *first, tol)
+        _, top, bottom, _, flat = _match(s, *first, tol)[0][0]
+        worst = max(top - flat, flat - bottom)
+        raise NotWeaklyUnbiased(
+            f"bases {first} fit no overlap template within {tol} "
+            f"(flat-template residual {worst:.3e})"
+        )
     counts = np.bincount(codes, minlength=len(_CATEGORIES)).tolist()
     return codes, dict(zip(_CATEGORIES, counts))
 
@@ -384,11 +376,8 @@ def duality_report(
         raise ValueError("catalog and basis set were built from different contexts")
     pairs = catalog.pair_classes
     codes, overlap_census = _census(s, pairs.i, pairs.j, tol)
-    expected = {ctx.d2: OverlapCategory.SUB_D1, ctx.d1: OverlapCategory.SUB_D2, 1: OverlapCategory.FULL}
-    want = np.select(
-        [pairs.size == size for size in expected],
-        [_CATEGORIES.index(category) for category in expected.values()],
-    )
+    # Lines meeting in d2, d1 and 1 points pair with the categories in order.
+    want = np.select([pairs.size == size for size in (ctx.d2, ctx.d1, 1)], range(len(_CATEGORIES)))
     mismatch = None
     mismatched = np.flatnonzero(codes != want)
     if mismatched.size:

@@ -22,7 +22,6 @@ import numpy as np
 from .bases import (
     OVERLAP_ATOL,
     NotWeaklyUnbiased,
-    OverlapCategory,
     build_wmub,
     conjugation_bound,
     duality_report,
@@ -219,9 +218,9 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
     catalog = maximal_line_catalog(ctx)
     yield len(catalog) == psi, f"{len(catalog)} maximal lines"
 
-    counts = pair_census(catalog)
-    detail = f"{counts[ctx.d2]}/{counts[ctx.d1]}/{counts[1]} by intersection {ctx.d2}/{ctx.d1}/1"
-    yield (counts[ctx.d2], counts[ctx.d1], counts[1]) == expected, detail
+    counts = tuple(pair_census(catalog).values())  # keyed d2, d1, 1
+    detail = f"{counts[0]}/{counts[1]}/{counts[2]} by intersection {ctx.d2}/{ctx.d1}/1"
+    yield counts == expected, detail
 
     # Built from the certified catalog, whose component indices and sweep
     # matrices are the slots and labels.  Both gates read the
@@ -237,12 +236,7 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
     # One pass over the basis pairs gives both the overlap census and the
     # duality check; a mismatch is reported only if the counts are right.
     report = duality_report(catalog, s, tol)
-    census = report.overlap_census
-    v.overlap_counts = (
-        census[OverlapCategory.SUB_D1],
-        census[OverlapCategory.SUB_D2],
-        census[OverlapCategory.FULL],
-    )
+    v.overlap_counts = tuple(report.overlap_census.values())  # in OverlapCategory order
     yield v.overlap_counts == expected, f"{v.overlap_counts} expected {expected}"
 
     yield report.mismatch is None, report.mismatch or f"{sum(expected)} pairs matched"

@@ -107,6 +107,8 @@ def prime_mub(p: int) -> np.ndarray:
     scaled by omega(2^-1 * lam * n^2), all p of them read from one
     (lam, n) phase table.  Every cross-basis overlap has magnitude p**-0.5.
     """
+    if p > MAX_DIM:  # the cap first: trial division takes sqrt(p) steps
+        _check_dim(p)
     if p == 2 or not is_prime(p):
         raise NotOddPrime(f"{p} is not an odd prime")
     f = fourier(p)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wmub.bases
+import wmub.hilbert
 from wmub.bases import (
     NotWeaklyUnbiased,
     OverlapCategory,
@@ -335,6 +336,24 @@ def test_pair_pass_names_the_first_unfit_pair(catalogs, wmub15):
     assert codes[:2].tolist() == [-1, -1] and codes[2] >= 0
 
 
+def test_unfit_pair_message_is_the_same_from_every_entry_point(catalogs, wmub15):
+    # Basis 3 is position (x) the second swept basis of the second factor;
+    # with a generic unitary there, (1, 3) is the first pair that fits no
+    # template.  The message is pinned whole, from each entry point.
+    tampered = tampered_factor(wmub15, 1, 2, generic_unitary(5, seed=7))
+    message = "bases {} fit no overlap template within {} (flat-template residual 6.299e-01)"
+    calls = [
+        (lambda: classify_pair(tampered, 1, 3), message.format("(1, 3)", "1e-09")),
+        (lambda: wmub_census(tampered), message.format("(1, 3)", "1e-09")),
+        (lambda: duality_report(catalogs[15], tampered), message.format("(1, 3)", "1e-09")),
+        (lambda: classify_pair(tampered, np.int64(3), 1), message.format("(3, 1)", "1e-09")),
+        (lambda: wmub_census(tampered, 1e-3), message.format("(1, 3)", "0.001")),
+    ]
+    for call, expected in calls:
+        with pytest.raises(NotWeaklyUnbiased, match=f"^{re.escape(expected)}$"):
+            call()
+
+
 def test_pair_pass_words_the_first_unfit_pair_without_classify_pair(catalogs, wmub15, monkeypatch):
     # The pass words its error from the templates of the first unfit pair,
     # in the words `classify_pair` uses for that pair, without calling it.
@@ -620,6 +639,17 @@ def test_sampled_pairs_above_the_cap_match_the_dense_and_point_set_oracles(dims)
         assert categories[codes[k]] is category, (ctx.d, a, b)
         lines = (line(ctx.d, *catalog.generators[n - 1].tolist()) for n in (a, b))
         assert sizes[k] == len(intersection(*lines)) == size, (ctx.d, a, b)
+
+
+@pytest.mark.parametrize("dims", LARGE_DIMS, ids=dims_id)
+def test_dense_residuals_above_the_cap_stay_under_the_bounds(dims, monkeypatch):
+    # Three bases per d, drawn from a seed fixed before any result was read.
+    # The dense routes check d against the Hilbert cap of `verify`, which
+    # this test alone lifts to d.
+    s = build_wmub(maximal_line_catalog(crt_context(*dims)))
+    monkeypatch.setattr(wmub.hilbert, "MAX_DIM", s.ctx.d)
+    rng = np.random.default_rng(12030861 + s.ctx.d)
+    assert_bounds_hold(s, (rng.choice(len(s), size=3, replace=False) + 1).tolist())
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)

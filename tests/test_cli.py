@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ import wmub.bases
 import wmub.cli
 import wmub.geometry
 import wmub.hilbert
-from wmub.bases import OverlapCategory, build_wmub
+from wmub.bases import OverlapCategory, build_wmub, duality_report
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
-from wmub.geometry import maximal_line_catalog
+from wmub.geometry import maximal_line_catalog, pair_census
 from wmub.zring import CrtContext, crt_context
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -660,6 +661,51 @@ def test_verify_json_rows_follow_the_ladder(capsys):
     assert code == 1
     assert [row["check"] for row in rows] == ["catalog", "line-census", "unitarity", "summary"]
     assert rows[2]["detail"] == "max defect 4.883e-16 vs tolerance 0"
+
+
+# The 16 d = d1*d2 up to the Hilbert cap of 105 that `verify` serves.
+SUPPORTED_DIMS = [
+    (3, 5), (3, 7), (3, 11), (3, 13), (3, 17), (3, 19), (3, 23), (3, 29), (3, 31),
+    (5, 7), (5, 11), (5, 13), (5, 17), (5, 19), (7, 11), (7, 13),
+]
+
+
+@pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=lambda dims: f"d={dims[0] * dims[1]}")
+def test_verify_json_pins_every_passing_row(capsys, dims):
+    # Every detail from closed forms: psi = (d1+1)(d2+1) lines, of which
+    # d1*psi/2, d2*psi/2 and d*psi/2 unordered pairs meet in d2, d1 and 1
+    # points, and as many basis pairs overlap in d1^{-1/2}, d2^{-1/2} and
+    # d^{-1/2}; redundancy psi/(d+1) - 1 = (d1+d2)/(d+1).  The two residuals
+    # depend on BLAS, so only their format is pinned.
+    d1, d2 = dims
+    d, psi = d1 * d2, (d1 + 1) * (d2 + 1)
+    a, b, c = d1 * psi // 2, d2 * psi // 2, d * psi // 2
+    r = Fraction(d1 + d2, d + 1)
+    residual = r"\d\.\d{3}e[-+]\d{2} vs tolerance 1e-09"
+    expected = {
+        "catalog": re.escape(f"{psi} maximal lines"),
+        "line-census": re.escape(f"{a}/{b}/{c} by intersection {d2}/{d1}/1"),
+        "unitarity": f"max defect {residual}",
+        "conjugation": f"max residual {residual}",
+        "overlap-census": re.escape(f"{(a, b, c)} expected {(a, b, c)}"),
+        "duality": re.escape(f"{psi * (psi - 1) // 2} pairs matched"),
+        "partitions": re.escape("line and basis grids compared"),
+        "redundancy": re.escape(f"value {r}"),
+        "summary": re.escape(
+            f"pairs: {a + b + c} | d1^{{-1/2}}:{a} d2^{{-1/2}}:{b} d^{{-1/2}}:{c}"
+            f" | duality: OK | redundancy: {r}"
+        ),
+    }
+    code, rows = verify_rows(capsys, ["--d1", str(d1), "--d2", str(d2)])
+    assert code == 0
+    assert [row["check"] for row in rows] == list(expected)
+    for row in rows:
+        assert row["ok"] and re.fullmatch(expected[row["check"]], row["detail"]), row
+    # The ladder reads both censuses in the order of their keys.
+    catalog = maximal_line_catalog(crt_context(d1, d2))
+    report = duality_report(catalog, build_wmub(catalog))
+    assert list(pair_census(catalog)) == [d2, d1, 1]
+    assert list(report.overlap_census) == list(OverlapCategory)
 
 
 @pytest.mark.parametrize("gate,check", [("unitarity_bound", "unitarity"), ("partitions_hold", "partitions")])

@@ -11,6 +11,7 @@ from wmub.bases import build_wmub
 from wmub.geometry import maximal_line_catalog
 from wmub.hilbert import (
     DimMismatch,
+    DimTooLarge,
     EvenDimension,
     NotOddPrime,
     assemble_tensor_basis,
@@ -277,6 +278,16 @@ def test_prime_mub_rejects_non_odd_primes():
     for bad in (2, 4, 9, 15):
         with pytest.raises(NotOddPrime):
             prime_mub(bad)
+
+
+def test_prime_mub_checks_the_cap_before_primality(monkeypatch):
+    # Trial division takes sqrt(p) steps, over a second at 10**14 + 31, so
+    # a number above the cap is refused before any.
+    calls = []
+    monkeypatch.setattr(wmub.hilbert, "is_prime", lambda n: calls.append(n) or True)
+    with pytest.raises(DimTooLarge, match=r"^dimension 1000003 exceeds the supported cap 105$"):
+        prime_mub(1_000_003)
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
