@@ -15,6 +15,12 @@ def run() -> int:
         # and exit with the status a shell gives a process killed by SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13
+    except OSError as err:
+        # Any other failed write, such as a full disk: one line, and the
+        # EX_IOERR status of sysexits.h, not the 1 of a failed check.
+        print(f"wmub: cannot write output: {err}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 74
     return code
 
 

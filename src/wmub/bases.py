@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import MaximalLineCatalog, catalog_layout, split_entries
+from .geometry import MaximalLineCatalog, partition_lines, split_entries
 from .hilbert import (
     assemble_tensor_basis,
     check_crt_relabelling,
@@ -342,8 +342,8 @@ def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, 
 
 def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
     """Partition the set into d2+1 groups of d1+1 pairwise unbiased bases,
-    as sorted indices: the sets of `catalog_layout`, as for the lines."""
-    return catalog_layout(s.ctx).sets
+    as sorted indices: the sets of `partition_lines`, as for the lines."""
+    return partition_lines(s.ctx)
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,6 @@ class DualityReport:
     row-major order of the catalog's `pair_classes` (as `pair_categories`),
     and `mismatch`, the first pair whose classes disagree (None if all agree)."""
 
-    ctx: CrtContext
     overlap_census: dict[OverlapCategory, int]
     categories: np.ndarray = field(compare=False)
     mismatch: str | None = None
@@ -387,17 +386,17 @@ def duality_report(
             f"against overlap class {_CATEGORIES[codes[k]].value}"
         )
     codes.setflags(write=False)
-    return DualityReport(ctx, overlap_census, codes, mismatch)
+    return DualityReport(overlap_census, codes, mismatch)
 
 
 def partitions_hold(catalog: MaximalLineCatalog, report: DualityReport) -> bool:
-    """What the paper claims of the one partition grid of `catalog_layout`,
+    """What the paper claims of the one partition grid of `partition_lines`,
     shared by both sides, read from the two pair passes: d2+1 groups of d1+1
     cover 1..psi exactly once, the lines of each group meet pairwise only at
     the origin, and the bases of each group are unbiased."""
     ctx = catalog.ctx
     psi = len(catalog)
-    sets = catalog_layout(ctx).sets
+    sets = partition_lines(ctx)
     if [len(group) for group in sets] != [ctx.d1 + 1] * (ctx.d2 + 1):
         return False
     grid = np.sort(sets, axis=1)  # [group, member]

@@ -2,7 +2,8 @@
 the two partition grids, and run the end-to-end duality verification.
 
 Output goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+1 verification failure, 2 usage error; a process of its own also exits
+74 when stdout cannot be written and 141 when its reader closed the pipe.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .bases import (
 )
 from .geometry import (
     catalog_layout,
+    component_generators,
     maximal_line_catalog,
     pair_census,
     partition_lines,
@@ -108,7 +110,9 @@ def _factor_token(slot: int, lam: int | None) -> str:
 
 def lines_document(d1: int, d2: int) -> Document:
     catalog = maximal_line_catalog(crt_context(d1, d2))
-    arrays = (catalog.generators, catalog.matrices, catalog.comps.reshape(-1, 4), catalog.components)
+    comps = [np.stack(component_generators(p, catalog.components[:, f]), axis=-1)
+             for f, p in enumerate((d1, d2))]
+    arrays = (catalog.generators, catalog.matrices, *comps, catalog.components)
     columns = ["index", "generator", "matrix", "component1", "component2"]
 
     def rows(fmt: str, lo: int, hi: int) -> list:
@@ -128,7 +132,7 @@ def wmub_document(d1: int, d2: int) -> Document:
     # The labels and slots of `build_wmub`, from the layout and the sweep
     # table alone: no catalog and no prime-dimension factor family.
     ctx = crt_context(d1, d2)
-    components = catalog_layout(ctx).components
+    components = catalog_layout(ctx)
     labels = sweep_entries(ctx, components)
     columns = ["index", "label", "factor1", "factor2"]
 
@@ -147,14 +151,8 @@ def wmub_document(d1: int, d2: int) -> Document:
 
 
 def partitions_document(d1: int, d2: int, side: str) -> Document:
-    ctx = crt_context(d1, d2)
-    if side == "lines":
-        sets = partition_lines(ctx)
-        set_prefix, member_prefix = "S", "L"
-    else:
-        # The sets `partition_bases` returns; no factor family is built.
-        sets = catalog_layout(ctx).sets
-        set_prefix, member_prefix = "T", "B"
+    sets = partition_lines(crt_context(d1, d2))
+    set_prefix, member_prefix = ("S", "L") if side == "lines" else ("T", "B")
     columns = [f"{set_prefix}_{n}" for n in range(len(sets))]
 
     def rows(fmt: str, lo: int, hi: int) -> list:

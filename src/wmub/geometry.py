@@ -201,16 +201,14 @@ def sweep_entries(ctx: CrtContext, components: np.ndarray) -> np.ndarray:
 class MaximalLineCatalog:
     """The maximal lines as integer arrays, row index - 1 for each 1-based
     index: `components` the component indices (i1, i2) of `catalog_layout`,
-    `generators` the display generators (nu, mu), `matrices` the sweep
-    matrix entries (kappa, lam, mu, nu), and `comps` the component
-    generators [row, factor, 2].  All four are read-only: the basis set of
-    `bases.build_wmub` shares `components` and `matrices`."""
+    `generators` the display generators (nu, mu), and `matrices` the sweep
+    matrix entries (kappa, lam, mu, nu).  All three are read-only: the basis
+    set of `bases.build_wmub` shares `components` and `matrices`."""
 
     ctx: CrtContext
     components: np.ndarray
     generators: np.ndarray
     matrices: np.ndarray
-    comps: np.ndarray
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -227,37 +225,28 @@ class MaximalLineCatalog:
         return pairs
 
 
-class CatalogLayout(NamedTuple):
-    """The one index layout of the catalog and the basis set.
-
-    `components[index - 1]` holds the component indices (i1, i2) of each
-    1-based index: the all-vertical entry first, then the second-component
+def catalog_layout(ctx: CrtContext) -> np.ndarray:
+    """The one index layout of the catalog and the basis set: row index - 1
+    of the (psi, 2) array holds the component indices (i1, i2) of each
+    1-based index, the all-vertical entry first, then the second-component
     sweep, the first-component sweep, and the double sweep in row-major
-    order.  `sets[n]` holds the sorted indices of the components
-    (i, i+n mod d2+1) for i = 0..d1: the origin-only partition.
-    """
-
-    components: np.ndarray
-    sets: list[tuple[int, ...]]
-
-
-def catalog_layout(ctx: CrtContext) -> CatalogLayout:
-    d1, d2 = ctx.d1, ctx.d2
-    grid = np.moveaxis(np.indices((d1 + 1, d2 + 1)), 0, -1)  # [k1, k2] -> (k1, k2)
-    # Row k1 = 0 (the all-vertical entry, then the second-component sweep),
-    # column k2 = 0 (the first-component sweep), then the double sweep.
-    components = np.concatenate([grid[0], grid[1:, 0], grid[1:, 1:].reshape(-1, 2)])
-    index = np.empty((d1 + 1, d2 + 1), dtype=np.int64)
-    index[components[:, 0], components[:, 1]] = np.arange(1, len(components) + 1)
-    i = np.arange(d1 + 1)
-    grid = index[i, (i + np.arange(d2 + 1)[:, None]) % (d2 + 1)]  # [n, i]
-    return CatalogLayout(components, [tuple(row) for row in np.sort(grid, axis=1).tolist()])
+    order."""
+    grid = np.moveaxis(np.indices((ctx.d1 + 1, ctx.d2 + 1)), 0, -1)  # [k1, k2] -> (k1, k2)
+    return np.concatenate([grid[0], grid[1:, 0], grid[1:, 1:].reshape(-1, 2)])
 
 
 def partition_lines(ctx: CrtContext) -> list[tuple[int, ...]]:
     """Partition the catalog into d2+1 sets of d1+1 lines meeting only at 0,
-    as sorted catalog indices: the sets of `catalog_layout`."""
-    return catalog_layout(ctx).sets
+    as sorted catalog indices: set n holds the indices of the components
+    (i, i+n mod d2+1) for i = 0..d1.  The same sets group the bases into
+    pairwise unbiased groups."""
+    d1, d2 = ctx.d1, ctx.d2
+    components = catalog_layout(ctx)
+    index = np.empty((d1 + 1, d2 + 1), dtype=np.int64)
+    index[components[:, 0], components[:, 1]] = np.arange(1, len(components) + 1)
+    i = np.arange(d1 + 1)
+    grid = index[i, (i + np.arange(d2 + 1)[:, None]) % (d2 + 1)]  # [n, i]
+    return [tuple(row) for row in np.sort(grid, axis=1).tolist()]
 
 
 def sweep_value(k: int) -> int | None:
@@ -280,7 +269,7 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     route first.  The size is left to `verify`'s catalog check.
     """
     check_point_map(ctx)
-    components = catalog_layout(ctx).components
+    components = catalog_layout(ctx)
     comp1 = component_generators(ctx.d1, components[:, 0])
     comp2 = component_generators(ctx.d2, components[:, 1])
     nu, mu = product_generator(comp1, comp2, ctx)
@@ -296,11 +285,10 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
         row = int(bad[0])
         route = "product" if product_fails[row] else "matrix"
         raise RuntimeError(f"catalog entry {row + 1}: {route} route disagrees")
-    comps = np.stack([np.stack(comp1, axis=-1), np.stack(comp2, axis=-1)], axis=1)
     generators = np.stack([nu, mu], axis=-1)
-    for array in (components, generators, matrices, comps):
+    for array in (components, generators, matrices):
         array.setflags(write=False)
-    return MaximalLineCatalog(ctx, components, generators, matrices, comps)
+    return MaximalLineCatalog(ctx, components, generators, matrices)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from wmub.geometry import (
     ModulusMismatch,
     NotMaximal,
     catalog_layout,
+    component_generators,
     factor_keys,
     line,
     product_generator,
@@ -210,7 +211,7 @@ def scalar_catalog_rows(ctx: CrtContext):
     """Per catalog index, in order: (generator, matrix entries, comp1, comp2),
     each entry built on its own from its sweep values."""
     rows = []
-    for i1, i2 in catalog_layout(ctx).components.tolist():
+    for i1, i2 in catalog_layout(ctx).tolist():
         lam1, lam2 = sweep_value(i1), sweep_value(i2)
         comp1, comp2 = component_generator(ctx.d1, lam1), component_generator(ctx.d2, lam2)
         generator = product_generator(comp1, comp2, ctx)
@@ -278,13 +279,18 @@ class CatalogEntry:
 def catalog_entries(catalog: MaximalLineCatalog) -> tuple[CatalogEntry, ...]:
     """The per-entry view of the catalog arrays, one `CatalogEntry` per row;
     the entry with 1-based index k sits at position k - 1."""
-    d = catalog.ctx.d
+    ctx = catalog.ctx
+    d = ctx.d
+    comp1, comp2 = (
+        np.stack(component_generators(p, catalog.components[:, f]), axis=-1).tolist()
+        for f, p in enumerate((ctx.d1, ctx.d2))
+    )
     rows = zip(catalog.generators.tolist(), catalog.matrices.tolist(),
-               catalog.comps.tolist(), catalog.components.tolist())
+               comp1, comp2, catalog.components.tolist())
     return tuple(
         CatalogEntry(index, line(d, nu, mu), (nu, mu), SymplecticMatrix(d, *matrix),
                      tuple(comp1), tuple(comp2), sweep_value(i1), sweep_value(i2))
-        for index, ((nu, mu), matrix, (comp1, comp2), (i1, i2)) in enumerate(rows, start=1)
+        for index, ((nu, mu), matrix, comp1, comp2, (i1, i2)) in enumerate(rows, start=1)
     )
 
 

@@ -290,7 +290,7 @@ def test_duality_report(catalogs, wmub_sets):
         psi = dedekind_psi(d)
         assert len(catalogs[d].pair_classes.size) == psi * (psi - 1) // 2
         assert sum(report.overlap_census.values()) == psi * (psi - 1) // 2
-        d1, d2 = report.ctx.d1, report.ctx.d2
+        d1, d2 = catalogs[d].ctx.d1, catalogs[d].ctx.d2
         line_census = pair_census(catalogs[d])
         assert line_census == {d2: d1 * psi // 2, d1: d2 * psi // 2, 1: d * psi // 2}
         assert report.overlap_census[OverlapCategory.SUB_D1] == d1 * psi // 2

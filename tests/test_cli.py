@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import importlib
@@ -318,6 +319,29 @@ def test_lines_table_makes_no_json_rows(capsys, monkeypatch):
     assert code == 0 and len(swept) == 2 * 24
 
 
+TABLES = [
+    [command, "--format", fmt] for command in ("lines", "wmub") for fmt in ("table", "csv", "json")
+] + [
+    ["partitions", "--side", side, "--format", fmt]
+    for side in ("lines", "bases") for fmt in ("table", "csv", "json")
+]
+
+
+@pytest.mark.parametrize("argv", [*TABLES, ["verify"], ["verify", "--json"]], ids=" ".join)
+def test_partition_grid_is_built_only_where_it_is_read(capsys, monkeypatch, argv):
+    # The lines and bases tables read the component array of the layout
+    # alone; each partition table and the `partitions` check build the
+    # grid once.
+    ctx = crt_context(3, 5)
+    components = wmub.geometry.catalog_layout(ctx)
+    assert components.dtype.kind == "i" and components.shape == (24, 2)
+    assert np.array_equal(components, maximal_line_catalog(ctx).components)
+    grids = count_calls(monkeypatch, wmub.geometry.partition_lines)
+    code, _, _ = run_cli(capsys, [argv[0], "--d1", "3", "--d2", "5", *argv[1:]])
+    assert code == 0
+    assert len(grids) == (0 if argv[0] in ("lines", "wmub") else 1)
+
+
 def test_verify_json_goes_through_the_one_writer(capsys, monkeypatch):
     rendered = []
     render = wmub.cli.Document.render
@@ -530,17 +554,16 @@ def duplicate_member(sets):
 @pytest.mark.parametrize("grid", ["partition_lines", "partition_bases"])
 @pytest.mark.parametrize("fault", [swap_members, duplicate_member])
 def test_verify_names_partitions_on_a_wrong_grid(capsys, monkeypatch, grid, fault):
-    # Both sides share the one grid of `catalog_layout`, which the check reads:
-    # the fault goes into that grid, and each side's partition returns it.
+    # Both sides share the one grid of `partition_lines`, which the check
+    # reads: the fault goes into that grid, and each side's partition returns it.
     ctx = crt_context(3, 5)
-    arg = {"partition_lines": ctx, "partition_bases": build_wmub(maximal_line_catalog(ctx))}[grid]
-    real = wmub.geometry.catalog_layout
-    wrong = fault(real(ctx).sets)
-    for module in (wmub.geometry, wmub.bases):
-        monkeypatch.setattr(
-            module, "catalog_layout", lambda c: real(c)._replace(sets=fault(real(c).sets))
-        )
-    assert getattr(wmub, grid)(arg) == wrong
+    module, arg = {"partition_lines": (wmub.geometry, ctx),
+                   "partition_bases": (wmub.bases, build_wmub(maximal_line_catalog(ctx)))}[grid]
+    real = wmub.geometry.partition_lines
+    wrong = fault(real(ctx))
+    for bound in (wmub.geometry, wmub.bases):
+        monkeypatch.setattr(bound, "partition_lines", lambda c: fault(real(c)))
+    assert getattr(module, grid)(arg) == wrong
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL partitions: line and basis grids compared"
@@ -552,7 +575,7 @@ def test_verify_names_catalog_on_a_wrong_size(capsys, monkeypatch):
     real = wmub.geometry.catalog_layout
     monkeypatch.setattr(
         wmub.geometry, "catalog_layout",
-        lambda ctx: real(ctx)._replace(components=real(ctx).components[:-1]),
+        lambda ctx: real(ctx)[:-1],
     )
     code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert (code, out, err) == (1, "FAIL catalog: 23 maximal lines\n", "")
@@ -625,6 +648,18 @@ def test_readme_session_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     out = capsys.readouterr().out
     assert ": 36, " in out and out.endswith(" 1/2\n")
+
+
+def test_readme_sample_rows_match_the_cli(capsys):
+    # Each `$ wmub ...` line under "Sample rows", run in process, prints the
+    # line the README shows under it, after its `sed -n Np` pick if any.
+    block = re.search(r"Sample rows:\n\n```\n(.*?)```", README.read_text(), flags=re.DOTALL)[1]
+    samples = re.findall(r"^\$ wmub (.*?)(?: \| sed -n (\d+)p)?\n(.*)$", block, flags=re.MULTILINE)
+    assert len(samples) == 3
+    for command, pick, shown in samples:
+        code, out, err = run_cli(capsys, command.split())
+        assert (code, err) == (0, "")
+        assert (out.splitlines(keepends=True)[int(pick) - 1] if pick else out) == shown + "\n"
 
 
 def test_verify_json(capsys):
@@ -848,3 +883,19 @@ def test_entry_points_on_a_pipe_closed_mid_stream_exit_141_without_traceback(ent
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert first.startswith("L_1 | ") and err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["verify", "--d1", "3", "--d2", "5"], ["lines", "--d1", "3", "--d2", "10007"]], ids=" ".join
+)
+@ENTRY_POINTS
+def test_entry_points_on_a_failed_write_exit_74_with_one_line(entry, argv):
+    # A write that fails for any reason but a closed pipe, here a full
+    # device, is an I/O error (EX_IOERR), not a failed check.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *entry, *argv], stdout=full, stderr=subprocess.PIPE, text=True, timeout=60
+        )
+    assert proc.returncode == 74
+    assert proc.stderr == f"wmub: cannot write output: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"

@@ -18,6 +18,7 @@ from wmub.geometry import (
     catalog_layout,
     check_point_map,
     classify_line_pair,
+    component_generators,
     factor_keys,
     line,
     line_key,
@@ -404,7 +405,7 @@ def test_catalog_matches_reference_table(catalog15):
 @pytest.mark.parametrize(
     "name",
     [
-        "components", "generators", "matrices", "comps",
+        "components", "generators", "matrices",
         "pair_classes.i", "pair_classes.j", "pair_classes.size",
     ],
 )
@@ -434,7 +435,7 @@ def test_catalog_matrices_reproduce_lines_from_the_vertical_line(catalog15):
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS + [(31, 97)], ids=lambda dims: f"d={dims[0] * dims[1]}")
 def test_sweep_entries_match_the_scalar_oracle(dims):
     ctx = crt_context(*dims)
-    components = catalog_layout(ctx).components
+    components = catalog_layout(ctx)
     table = sweep_entries(ctx, components).tolist()
     assert len(table) == dedekind_psi(ctx.d)
     for (i1, i2), row in zip(components.tolist(), table):
@@ -448,7 +449,7 @@ def test_sweep_entries_match_the_scalar_oracle(dims):
 def test_sweep_entries_name_the_first_row_without_unit_determinant(d1, d2, field):
     ctx = crt_context(d1, d2)
     wrong = replace(ctx, **{field: getattr(ctx, field) + 1})
-    components = catalog_layout(ctx).components
+    components = catalog_layout(ctx)
     first = None
     for index, (i1, i2) in enumerate(components.tolist(), start=1):
         try:
@@ -470,8 +471,10 @@ def test_catalog_arrays_match_the_scalar_route(dims):
     rows = scalar_catalog_rows(ctx)
     assert catalog.generators.tolist() == [list(generator) for generator, *_ in rows]
     assert catalog.matrices.tolist() == [list(matrix) for _, matrix, *_ in rows]
-    assert catalog.comps.tolist() == [[list(comp1), list(comp2)] for *_, comp1, comp2 in rows]
-    assert catalog.components.tolist() == catalog_layout(ctx).components.tolist()
+    comps = [np.stack(component_generators(p, catalog.components[:, f]), axis=-1)
+             for f, p in enumerate((ctx.d1, ctx.d2))]
+    assert np.stack(comps, axis=1).tolist() == [[list(comp1), list(comp2)] for *_, comp1, comp2 in rows]
+    assert catalog.components.tolist() == catalog_layout(ctx).tolist()
     assert len(catalog) == len(rows)
     for e, (generator, matrix, comp1, comp2) in zip(catalog_entries(catalog), rows):
         assert (e.generator, e.matrix.entries, e.comp1, e.comp2) == (generator, matrix, comp1, comp2)
@@ -480,15 +483,15 @@ def test_catalog_arrays_match_the_scalar_route(dims):
 
 
 def test_catalog_layout_reference(ctx15, catalog15):
-    layout = catalog_layout(ctx15)
+    components = catalog_layout(ctx15)
     expected = (
         [(0, 0)]
         + [(0, k) for k in range(1, 6)]
         + [(k, 0) for k in range(1, 4)]
         + [(k1, k2) for k1 in range(1, 4) for k2 in range(1, 6)]
     )
-    assert [tuple(c) for c in layout.components.tolist()] == expected
-    assert layout.sets == PARTITION_15
+    assert [tuple(c) for c in components.tolist()] == expected
+    assert partition_lines(ctx15) == PARTITION_15
     # component index 0 is the vertical line, k >= 1 the sweep value k - 1
     to_index = lambda lam: 0 if lam is None else lam + 1
     assert [(to_index(e.lambda1), to_index(e.lambda2)) for e in catalog_entries(catalog15)] == expected
@@ -496,17 +499,31 @@ def test_catalog_layout_reference(ctx15, catalog15):
 
 def test_catalog_layout_covers_the_component_grid(contexts):
     for d, ctx in contexts.items():
-        layout = catalog_layout(ctx)
-        comps = [tuple(c) for c in layout.components.tolist()]
+        comps = [tuple(c) for c in catalog_layout(ctx).tolist()]
+        sets = partition_lines(ctx)
         assert sorted(comps) == [
             (i1, i2) for i1 in range(ctx.d1 + 1) for i2 in range(ctx.d2 + 1)
         ]
-        assert len(layout.sets) == ctx.d2 + 1
-        for n, group in enumerate(layout.sets):
+        assert len(sets) == ctx.d2 + 1
+        for n, group in enumerate(sets):
             assert list(group) == sorted(group)
             assert sorted(comps[k - 1] for k in group) == [
                 (i, (i + n) % (ctx.d2 + 1)) for i in range(ctx.d1 + 1)
             ]
+
+
+def test_catalog_layout_builds_only_the_component_array():
+    # The partition grid is built by `partition_lines` alone, so the layout
+    # peaks within a small multiple of the (psi, 2) array it returns.
+    ctx = crt_context(3, 10007)
+    tracemalloc.start()
+    try:
+        components = catalog_layout(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert components.shape == (dedekind_psi(ctx.d), 2)
+    assert peak < 4 * components.nbytes
 
 
 def test_catalog_keeps_no_point_sets():
