@@ -318,16 +318,16 @@ def _census(s: WmubSet, i, j, tol: float):
 
     The first pair in the given order that fits no template raises
     NotWeaklyUnbiased naming it, with how far its table lies from the flat
-    template, read from the `_match` templates of that one pair.
+    template, read from the `_match` templates of all the pairs.
     """
-    codes = pair_categories(s, i, j, tol)
+    templates, codes = _match(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
-        first = int(i[unfit[0]]), int(j[unfit[0]])
-        _, top, bottom, _, flat = _match(s, *first, tol)[0][0]
-        worst = max(top - flat, flat - bottom)
+        k = unfit[0]
+        _, top, bottom, _, flat = templates[0]
+        worst = max(top[k] - flat, flat - bottom[k])
         raise NotWeaklyUnbiased(
-            f"bases {first} fit no overlap template within {tol} "
+            f"bases ({i[k]}, {j[k]}) fit no overlap template within {tol} "
             f"(flat-template residual {worst:.3e})"
         )
     counts = np.bincount(codes, minlength=len(_CATEGORIES)).tolist()
@@ -340,9 +340,9 @@ def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, 
     return _census(s, i + 1, j + 1, tol)[1]
 
 
-def partition_bases(s: WmubSet) -> list[tuple[int, ...]]:
-    """Partition the set into d2+1 groups of d1+1 pairwise unbiased bases,
-    as sorted indices: the sets of `partition_lines`, as for the lines."""
+def partition_bases(s: WmubSet) -> np.ndarray:
+    """Partition the set into d2+1 groups of d1+1 pairwise unbiased bases:
+    the read-only (d2+1, d1+1) grid of `partition_lines`, as for the lines."""
     return partition_lines(s.ctx)
 
 
@@ -396,10 +396,9 @@ def partitions_hold(catalog: MaximalLineCatalog, report: DualityReport) -> bool:
     the origin, and the bases of each group are unbiased."""
     ctx = catalog.ctx
     psi = len(catalog)
-    sets = partition_lines(ctx)
-    if [len(group) for group in sets] != [ctx.d1 + 1] * (ctx.d2 + 1):
+    grid = np.sort(partition_lines(ctx), axis=1)  # [group, member]
+    if grid.shape != (ctx.d2 + 1, ctx.d1 + 1):
         return False
-    grid = np.sort(sets, axis=1)  # [group, member]
     if not np.array_equal(np.sort(grid, axis=None), np.arange(1, psi + 1)):
         return False
     first, second = np.triu_indices(ctx.d1 + 1, k=1)

@@ -66,9 +66,9 @@ BLOCK = 1 << 14
 class Document:
     """A table with a stable JSON shape, made and written in blocks of rows.
 
-    `rows(fmt, lo, hi)` makes the rows lo..hi-1 of one format: cell lists
-    for "table" and "csv", JSON objects for "json"; past the last row it
-    makes fewer rows, or none.
+    `rows(fmt, lo, hi)` makes the rows lo..hi-1 of one format: cell
+    iterables for "table" and "csv", JSON objects for "json"; past the last
+    row it makes fewer rows, or none.
     """
 
     kind: str
@@ -161,9 +161,9 @@ def partitions_document(d1: int, d2: int, side: str) -> Document:
         if fmt == "json":
             return [
                 {"set": name, "members": [f"{member_prefix}_{k}" for k in group]}
-                for name, group in zip(columns[lo:hi], sets[lo:hi])
+                for name, group in zip(columns[lo:hi], sets[lo:hi].tolist())
             ]
-        return [[f"{member_prefix}_{group[i]}" for group in sets] for i in range(lo, min(hi, d1 + 1))]
+        return [(f"{member_prefix}_{k}" for k in members.tolist()) for members in sets.T[lo:hi]]
 
     return Document(f"partitions-{side}", d1, d2, columns, rows, table_header=True)
 

@@ -235,18 +235,20 @@ def catalog_layout(ctx: CrtContext) -> np.ndarray:
     return np.concatenate([grid[0], grid[1:, 0], grid[1:, 1:].reshape(-1, 2)])
 
 
-def partition_lines(ctx: CrtContext) -> list[tuple[int, ...]]:
+def partition_lines(ctx: CrtContext) -> np.ndarray:
     """Partition the catalog into d2+1 sets of d1+1 lines meeting only at 0,
-    as sorted catalog indices: set n holds the indices of the components
-    (i, i+n mod d2+1) for i = 0..d1.  The same sets group the bases into
-    pairwise unbiased groups."""
+    as one read-only (d2+1, d1+1) array whose row n holds the sorted catalog
+    indices of set n: the components (i, i+n mod d2+1) for i = 0..d1.  The
+    same sets group the bases into pairwise unbiased groups."""
     d1, d2 = ctx.d1, ctx.d2
     components = catalog_layout(ctx)
     index = np.empty((d1 + 1, d2 + 1), dtype=np.int64)
     index[components[:, 0], components[:, 1]] = np.arange(1, len(components) + 1)
     i = np.arange(d1 + 1)
     grid = index[i, (i + np.arange(d2 + 1)[:, None]) % (d2 + 1)]  # [n, i]
-    return [tuple(row) for row in np.sort(grid, axis=1).tolist()]
+    grid.sort(axis=1)
+    grid.setflags(write=False)
+    return grid
 
 
 def sweep_value(k: int) -> int | None:

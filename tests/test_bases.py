@@ -32,6 +32,7 @@ from wmub.geometry import (
     line,
     maximal_line_catalog,
     pair_census,
+    partition_lines,
     split_entries,
     sweep_value,
 )
@@ -62,12 +63,12 @@ FACTOR_LABELS_15 = [
 ]
 
 PARTITION_15 = [
-    (1, 10, 16, 22),
-    (2, 11, 17, 23),
-    (3, 12, 18, 24),
-    (4, 9, 13, 19),
-    (5, 8, 14, 20),
-    (6, 7, 15, 21),
+    [1, 10, 16, 22],
+    [2, 11, 17, 23],
+    [3, 12, 18, 24],
+    [4, 9, 13, 19],
+    [5, 8, 14, 20],
+    [6, 7, 15, 21],
 ]
 
 
@@ -228,17 +229,17 @@ def test_factor_stacks_are_read_only(catalog15):
 
 def test_cached_arrays_are_read_only(catalog15):
     # `duality_report` reads the cached factor extrema and `partitions_hold`
-    # the report's categories; a write into either must raise.  A fresh
-    # set: the fixtures are shared.
+    # the report's categories and the partition grid; a write into any of
+    # them must raise.  A fresh set: the fixtures are shared.
     s = build_wmub(catalog15)
     report = duality_report(catalog15, s)
-    for array in (*s.factor_extrema, report.categories):
+    for array in (*s.factor_extrema, report.categories, partition_lines(s.ctx), partition_bases(s)):
         with pytest.raises(ValueError, match="read-only"):
             array[:] = 1
 
 
 def test_partition_reference_grid(wmub15):
-    assert partition_bases(wmub15) == PARTITION_15
+    assert partition_bases(wmub15).tolist() == PARTITION_15
 
 
 def test_partitions_hold_reads_both_pair_passes(catalog15, wmub15):

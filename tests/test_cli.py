@@ -242,7 +242,7 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     # side, and no per-pair call.
     factorizations = count_calls(monkeypatch, wmub.geometry.factor_keys)
     line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
-    basis_passes = count_calls(monkeypatch, wmub.bases.pair_categories)
+    basis_passes = count_calls(monkeypatch, wmub.bases._match)
     single = count_calls(monkeypatch, wmub.bases.classify_pair)
     single += count_calls(monkeypatch, wmub.geometry.classify_line_pair)
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
@@ -415,16 +415,17 @@ def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeyp
 
 def relabel_pairs(monkeypatch, relabel: dict) -> None:
     """Make the basis pair pass report the given categories for some pairs."""
-    real = wmub.bases.pair_categories
+    real = wmub.bases._match
     categories = tuple(OverlapCategory)
 
-    def patched(s, i, j, tol=wmub.bases.OVERLAP_ATOL):
-        codes = real(s, i, j, tol).copy()
+    def patched(s, i, j, tol):
+        templates, codes = real(s, i, j, tol)
+        codes = codes.copy()
         for (a, b), category in relabel.items():
             codes[(i == a) & (j == b)] = categories.index(category)
-        return codes
+        return templates, codes
 
-    monkeypatch.setattr(wmub.bases, "pair_categories", patched)
+    monkeypatch.setattr(wmub.bases, "_match", patched)
 
 
 def test_verify_names_overlap_census_on_wrong_counts(capsys, monkeypatch):
@@ -539,20 +540,31 @@ def test_verify_names_catalog_on_a_wrong_crt_idempotent(capsys, monkeypatch):
 
 def swap_members(sets):
     """Members 1 and 2 trade places between the first two sets."""
-    sets = [list(group) for group in sets]
-    sets[0][sets[0].index(1)], sets[1][sets[1].index(2)] = 2, 1
-    return [tuple(sorted(group)) for group in sets]
+    sets = sets.copy()
+    sets[0][sets[0] == 1], sets[1][sets[1] == 2] = 2, 1
+    return np.sort(sets, axis=1)
 
 
 def duplicate_member(sets):
     """The last member of the first set repeats the last of the second."""
-    sets = list(sets)
-    sets[0] = (*sets[0][:-1], sets[1][-1])
+    sets = sets.copy()
+    sets[0, -1] = sets[1, -1]
     return sets
 
 
+def drop_member(sets):
+    """Every set is one member short."""
+    return sets[:, :-1]
+
+
+def halve_sets(sets):
+    """Each set splits in two: the grid still covers every index once and
+    each new set is still pairwise unbiased, so only its shape is wrong."""
+    return sets.reshape(-1, sets.shape[1] // 2)
+
+
 @pytest.mark.parametrize("grid", ["partition_lines", "partition_bases"])
-@pytest.mark.parametrize("fault", [swap_members, duplicate_member])
+@pytest.mark.parametrize("fault", [swap_members, duplicate_member, drop_member, halve_sets])
 def test_verify_names_partitions_on_a_wrong_grid(capsys, monkeypatch, grid, fault):
     # Both sides share the one grid of `partition_lines`, which the check
     # reads: the fault goes into that grid, and each side's partition returns it.
@@ -563,7 +575,7 @@ def test_verify_names_partitions_on_a_wrong_grid(capsys, monkeypatch, grid, faul
     wrong = fault(real(ctx))
     for bound in (wmub.geometry, wmub.bases):
         monkeypatch.setattr(bound, "partition_lines", lambda c: fault(real(c)))
-    assert getattr(module, grid)(arg) == wrong
+    assert np.array_equal(getattr(module, grid)(arg), wrong)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL partitions: line and basis grids compared"

@@ -93,12 +93,12 @@ CATALOG_15 = [
 ]
 
 PARTITION_15 = [
-    (1, 10, 16, 22),
-    (2, 11, 17, 23),
-    (3, 12, 18, 24),
-    (4, 9, 13, 19),
-    (5, 8, 14, 20),
-    (6, 7, 15, 21),
+    [1, 10, 16, 22],
+    [2, 11, 17, 23],
+    [3, 12, 18, 24],
+    [4, 9, 13, 19],
+    [5, 8, 14, 20],
+    [6, 7, 15, 21],
 ]
 
 
@@ -491,7 +491,7 @@ def test_catalog_layout_reference(ctx15, catalog15):
         + [(k1, k2) for k1 in range(1, 4) for k2 in range(1, 6)]
     )
     assert [tuple(c) for c in components.tolist()] == expected
-    assert partition_lines(ctx15) == PARTITION_15
+    assert partition_lines(ctx15).tolist() == PARTITION_15
     # component index 0 is the vertical line, k >= 1 the sweep value k - 1
     to_index = lambda lam: 0 if lam is None else lam + 1
     assert [(to_index(e.lambda1), to_index(e.lambda2)) for e in catalog_entries(catalog15)] == expected
@@ -524,6 +524,20 @@ def test_catalog_layout_builds_only_the_component_array():
         tracemalloc.stop()
     assert components.shape == (dedekind_psi(ctx.d), 2)
     assert peak < 4 * components.nbytes
+
+
+def test_partition_grid_is_built_as_one_array():
+    # The grid is one (d2+1, d1+1) integer array, gathered from the layout
+    # and sorted in place; a tuple per set peaked at 13 times its size.
+    ctx = crt_context(3, 10007)
+    tracemalloc.start()
+    try:
+        grid = partition_lines(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (ctx.d2 + 1, ctx.d1 + 1) and grid.dtype == np.int64
+    assert peak < 8 * grid.nbytes
 
 
 def test_catalog_keeps_no_point_sets():
@@ -665,7 +679,7 @@ def test_redundancy_identity_exact():
 
 
 def test_partition_reference_grid(ctx15):
-    assert partition_lines(ctx15) == PARTITION_15
+    assert partition_lines(ctx15).tolist() == PARTITION_15
 
 
 def test_partition_sets_intersect_only_at_origin(contexts, catalogs):
