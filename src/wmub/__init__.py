@@ -16,7 +16,6 @@ from .bases import (
     conjugation_bound,
     duality_report,
     overlap_table,
-    pair_categories,
     partition_bases,
     unitarity_bound,
     wmub_census,

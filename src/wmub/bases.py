@@ -210,15 +210,12 @@ def conjugation_bound(s: WmubSet) -> float:
 
 def _check_indices(s: WmubSet, i, j) -> tuple[np.ndarray, np.ndarray]:
     """i and j, two ints or two integer sequences of one shape, as arrays of
-    1-based basis indices; two empty sequences give two empty integer
-    arrays.  Raises ValueError on unequal shapes, TypeError on indices that
-    are not integers (bools included), and IndexError naming the first pair
-    with an index out of range."""
+    1-based basis indices.  Raises ValueError on unequal shapes, TypeError
+    on indices that are not integers (bools included), and IndexError naming
+    the first pair with an index out of range."""
     i, j = np.asarray(i), np.asarray(j)
     if i.shape != j.shape:
         raise ValueError(f"basis index arrays of unequal shapes {i.shape} and {j.shape}")
-    if not i.size:
-        return i.astype(np.intp), j.astype(np.intp)
     for side in (i, j):
         if side.dtype.kind not in "iu":
             raise TypeError(f"basis indices must be integers, got dtype {side.dtype}")
@@ -291,25 +288,12 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
     No d x d table is formed; `unitarity_bound` and `conjugation_bound`
     tie the same factor families to the labels.  This is the census of
-    the one pair, whose test `pair_categories` runs on many at once.
+    the one pair.
 
     A table fitting no template raises NotWeaklyUnbiased, which signals a
     construction bug rather than a user error.
     """
     return _CATEGORIES[_census(s, [i], [j], tol)[0][0]]
-
-
-def pair_categories(
-    s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float = OVERLAP_ATOL
-) -> np.ndarray:
-    """Category of each pair of distinct bases (i[k], j[k]), 1-based, as its
-    position in `OverlapCategory` order, or -1 where no template fits.
-
-    The template test of `classify_pair`, run on all pairs in one array
-    pass, with the same index checks; the codes are the category positions
-    `_match` selects.
-    """
-    return _match(s, i, j, tol)[1]
 
 
 def _census(s: WmubSet, i, j, tol: float):
@@ -349,8 +333,8 @@ def partition_bases(s: WmubSet) -> np.ndarray:
 @dataclass(frozen=True)
 class DualityReport:
     """The overlap census, the category code of every basis pair in the
-    row-major order of the catalog's `pair_classes` (as `pair_categories`),
-    and `mismatch`, the first pair whose classes disagree (None if all agree)."""
+    row-major order of the catalog's `pair_classes`, and `mismatch`, the
+    first pair whose classes disagree (None if all agree)."""
 
     overlap_census: dict[OverlapCategory, int]
     categories: np.ndarray = field(compare=False)

@@ -57,75 +57,72 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# Rows per block: each block of a table is made, formatted and written in
-# one piece, so no table is held whole.
-BLOCK = 1 << 14
+# Values per block: a table is made, formatted and written one block at a
+# time, never whole; a row wider than a block is a block of its own.
+BLOCK = 1 << 17
+
+
+def _formats(kind: str, d1: int, d2: int, fields: dict[str, str], columns=(), cells=(), table_head=""):
+    """Head, row template, glue between rows and tail per format: "table" and
+    "csv" join the cells, under a header line or none; "json" writes what
+    `json.dumps(payload, indent=2)` writes, a row per object of fields."""
+    body = ",\n".join(f'      "{key}": {value}' for key, value in fields.items())
+    head = '{\n  "d": %d,\n  "d1": %d,\n  "d2": %d,\n  "kind": "%s",\n  "rows": [\n' % (d1 * d2, d1, d2, kind)
+    return {
+        "table": (table_head, " | ".join(cells), "\n", "\n"),
+        "csv": (",".join(columns) + "\n", ",".join(cells), "\n", "\n"),
+        "json": (head, "    {\n" + body + "\n    }", ",\n", "\n  ]\n}\n"),
+    }
 
 
 @dataclass
 class Document:
-    """A table with a stable JSON shape, made and written in blocks of rows.
-
-    `rows(fmt, lo, hi)` makes the rows lo..hi-1 of one format: cell
-    iterables for "table" and "csv", JSON objects for "json"; past the last
-    row it makes fewer rows, or none.
+    """A table with a stable JSON shape, made and written in blocks of rows:
+    `formats` maps each format to its head, the `%` template of one row, the
+    glue between rows and the tail, and `values(fmt, lo, hi)` makes the flat
+    values that fill the rows lo..hi-1 of a format, fewer past the last row,
+    or none.  No table is empty.
     """
 
     kind: str
-    d1: int
-    d2: int
-    columns: list[str]
-    rows: Callable[[str, int, int], list]
-    table_header: bool = False
+    formats: dict[str, tuple[str, str, str, str]]
+    values: Callable[[str, int, int], list]
 
     def render(self, fmt: str, out: TextIO) -> None:
-        blocks = (self.rows(fmt, lo, lo + BLOCK) for lo in itertools.count(0, BLOCK))
-        blocks = itertools.takewhile(len, blocks)
-        if fmt == "json":
-            # Byte for byte `json.dumps(payload, indent=2)`: one dumps per
-            # block, whose rows sit one level deeper in the payload.
-            payload = {"d": self.d1 * self.d2, "d1": self.d1, "d2": self.d2, "kind": self.kind, "rows": []}
-            head, tail = json.dumps(payload, indent=2).split("[]")
-            out.write(head + "[")
-            sep = "\n"
-            for block in blocks:
-                out.write(sep + "  " + json.dumps(block, indent=2)[2:-2].replace("\n", "\n  "))
-                sep = ",\n"
-            out.write(("]" if sep == "\n" else "\n  ]") + tail + "\n")
-            return
-        sep = " | " if fmt == "table" else ","
-        if fmt == "csv" or self.table_header:
-            out.write(sep.join(self.columns) + "\n")
-        for block in blocks:
-            # The newline is its own write, as `print` made it: a write cut
-            # short by a closed pipe raises nothing, so a later one must.
-            out.write("\n".join(map(sep.join, block)))
-            out.write("\n")
-
-
-def _factor_token(slot: int, lam: int | None) -> str:
-    # The swept factors keep the signed parameter notation of their labels.
-    return f"X{slot}" if lam is None else f"X{slot}(0,1|-1,{-lam})"
+        head, row, glue, tail = self.formats[fmt]
+        width = row.count("%")
+        rows = max(1, BLOCK // width)
+        out.write(head)
+        sep = ""
+        for lo in itertools.count(0, rows):
+            values = self.values(fmt, lo, lo + rows)
+            if not values:
+                break
+            out.write(sep + glue.join([row] * (len(values) // width)) % tuple(values))
+            sep = glue
+        # The tail is its own write: a write cut short by a closed pipe
+        # raises nothing, so a later one must.
+        out.write(tail)
 
 
 def lines_document(d1: int, d2: int) -> Document:
     catalog = maximal_line_catalog(crt_context(d1, d2))
     comps = [np.stack(component_generators(p, catalog.components[:, f]), axis=-1)
              for f, p in enumerate((d1, d2))]
-    arrays = (catalog.generators, catalog.matrices, *comps, catalog.components)
+    arrays = (catalog.generators, catalog.matrices, *comps)
+    # The JSON sweep of each component index: null, or the sweep value itself.
+    sweeps = [["null" if lam is None else lam for lam in map(sweep_value, range(p + 1))] for p in (d1, d2)]
     columns = ["index", "generator", "matrix", "component1", "component2"]
+    cells = ["L(%d,%d)", "g(%d,%d|%d,%d)", "L1(%d,%d)", "L2(%d,%d)"]
+    fields = dict(zip(columns, ["%d", *(f'"{t}"' for t in cells)]), sweep1="%s", sweep2="%s")
 
-    def rows(fmt: str, lo: int, hi: int) -> list:
-        table = np.concatenate([a[lo:hi] for a in arrays], axis=1).tolist()
-        made = []
-        for index, (nu, mu, k, l, m, n, a1, b1, a2, b2, i1, i2) in enumerate(table, start=lo + 1):
-            row = [f"L_{index}", f"L({nu},{mu})", f"g({k},{l}|{m},{n})", f"L1({a1},{b1})", f"L2({a2},{b2})"]
-            if fmt == "json":
-                row = dict(zip(columns, [index, *row[1:]]), sweep1=sweep_value(i1), sweep2=sweep_value(i2))
-            made.append(row)
-        return made
+    def values(fmt: str, lo: int, hi: int) -> list:
+        cols = np.column_stack([a[lo:hi] for a in arrays]).T.tolist()
+        if fmt == "json":
+            cols += [[s[i] for i in col] for s, col in zip(sweeps, catalog.components[lo:hi].T.tolist())]
+        return list(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *cols)))
 
-    return Document("lines", d1, d2, columns, rows)
+    return Document("lines", _formats("lines", d1, d2, fields, columns, ["L_%d", *cells]), values)
 
 
 def wmub_document(d1: int, d2: int) -> Document:
@@ -133,39 +130,39 @@ def wmub_document(d1: int, d2: int) -> Document:
     # table alone: no catalog and no prime-dimension factor family.
     ctx = crt_context(d1, d2)
     components = catalog_layout(ctx)
-    labels = sweep_entries(ctx, components)
+    # Entries below d fit in int32, which makes room for the token lists.
+    labels = sweep_entries(ctx, components).astype(np.int32)
+    # The swept factors keep the signed parameter notation of their labels.
+    factors = [[f"X{n}" if lam is None else f"X{n}(0,1|-1,{-lam})" for lam in map(sweep_value, range(p + 1))]
+               for n, p in ((1, d1), (2, d2))]
     columns = ["index", "label", "factor1", "factor2"]
+    cells = ["X(%d,%d|%d,%d)", "%s", "%s"]
+    fields = dict(zip(columns, ["%d", *(f'"{t}"' for t in cells)]))
 
-    def rows(fmt: str, lo: int, hi: int) -> list:
-        made = []
-        block = zip(components[lo:hi].tolist(), labels[lo:hi].tolist())
-        for j, ((i1, i2), (k, l, m, n)) in enumerate(block, start=lo + 1):
-            row = [f"B_{j}", f"X({k},{l}|{m},{n})",
-                   _factor_token(1, sweep_value(i1)), _factor_token(2, sweep_value(i2))]
-            if fmt == "json":
-                row = dict(zip(columns, [j, *row[1:]]))
-            made.append(row)
-        return made
+    def values(fmt: str, lo: int, hi: int) -> list:
+        block = labels[lo:hi]
+        tokens = [[f[i] for i in col] for f, col in zip(factors, components[lo:hi].T.tolist())]
+        return list(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *block.T.tolist(), *tokens)))
 
-    return Document("wmub", d1, d2, columns, rows)
+    return Document("wmub", _formats("wmub", d1, d2, fields, columns, ["B_%d", *cells]), values)
 
 
 def partitions_document(d1: int, d2: int, side: str) -> Document:
     sets = partition_lines(crt_context(d1, d2))
     set_prefix, member_prefix = ("S", "L") if side == "lines" else ("T", "B")
     columns = [f"{set_prefix}_{n}" for n in range(len(sets))]
+    members = ",\n".join([f'        "{member_prefix}_%d"'] * (d1 + 1))
+    fields = {"set": f'"{set_prefix}_%d"', "members": f"[\n{members}\n      ]"}
 
-    def rows(fmt: str, lo: int, hi: int) -> list:
+    def values(fmt: str, lo: int, hi: int) -> list:
         # The table is the transpose of the JSON rows: one row per member
         # position, one JSON object per set.
-        if fmt == "json":
-            return [
-                {"set": name, "members": [f"{member_prefix}_{k}" for k in group]}
-                for name, group in zip(columns[lo:hi], sets[lo:hi].tolist())
-            ]
-        return [(f"{member_prefix}_{k}" for k in members.tolist()) for members in sets.T[lo:hi]]
+        if fmt != "json":
+            return sets.T[lo:hi].ravel().tolist()
+        return list(itertools.chain.from_iterable(zip(range(lo, hi), *sets[lo:hi].T.tolist())))
 
-    return Document(f"partitions-{side}", d1, d2, columns, rows, table_header=True)
+    kind, cells = f"partitions-{side}", [f"{member_prefix}_%d"] * len(sets)
+    return Document(kind, _formats(kind, d1, d2, fields, columns, cells, " | ".join(columns) + "\n"), values)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +327,11 @@ def main(argv: list[str] | None = None) -> int:
             if not args.json:
                 print(v.summary())
                 return code
+            # The one output with free text: each value is escaped as JSON.
             checks = [*v.checks, {"check": "summary", "ok": v.ok, "detail": v.summary()}]
-            doc = Document("verify", args.d1, args.d2, [], lambda _, lo, hi: checks[lo:hi])
+            values = [json.dumps(value) for check in checks for value in check.values()]
+            formats = _formats("verify", args.d1, args.d2, dict.fromkeys(checks[0], "%s"))
+            doc = Document("verify", formats, lambda _, lo, hi: values[3 * lo:3 * hi])
     except (ModulusTooLarge, DimTooLarge, UsageError) as err:
         print(err, file=sys.stderr)
         return USAGE_ERROR

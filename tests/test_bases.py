@@ -19,14 +19,13 @@ from wmub.bases import (
     conjugation_bound,
     duality_report,
     overlap_table,
-    pair_categories,
     partition_bases,
     partitions_hold,
     unitarity_bound,
     wmub_census,
 )
-from wmub.bases import _factor_extrema
-from wmub.cli import wmub_document
+from wmub.bases import _census, _factor_extrema, _match
+from wmub.cli import main
 from wmub.geometry import (
     classify_line_pair,
     line,
@@ -115,6 +114,12 @@ def test_overlap_table_index_range(wmub15):
         overlap_table(wmub15, 1, 25)
 
 
+def pair_codes(s, i, j, tol=1e-9):
+    """The category position of each pair (i[k], j[k]), -1 where no template
+    fits: the template match of the census, which raises on a -1 instead."""
+    return _match(s, i, j, tol)[1]
+
+
 def test_classify_pair_examples(wmub15):
     assert classify_pair(wmub15, 1, 7) is OverlapCategory.SUB_D1
     assert classify_pair(wmub15, 1, 2) is OverlapCategory.SUB_D2
@@ -126,40 +131,40 @@ def test_classify_pair_examples(wmub15):
     with pytest.raises(IndexError):
         classify_pair(wmub15, 1, 25)
     with pytest.raises(IndexError):
-        pair_categories(wmub15, np.array([1, 0]), np.array([2, 5]))
+        _census(wmub15, np.array([1, 0]), np.array([2, 5]), 1e-9)
     with pytest.raises(IndexError):
-        pair_categories(wmub15, np.array([1]), np.array([25]))
+        _census(wmub15, np.array([1]), np.array([25]), 1e-9)
 
 
-def test_pair_categories_checks_its_indices(wmub15):
+def test_pair_census_checks_its_indices(wmub15):
     # Unequal shapes neither broadcast nor reach a numpy reduction, and a
     # pair of one basis is refused, not reported as fitting no template.
     # Lists are read as index arrays.
     categories = tuple(OverlapCategory)
-    codes = pair_categories(wmub15, [1, 1], [2, 10])
+    codes, _ = _census(wmub15, [1, 1], [2, 10], 1e-9)
     assert [categories[code] for code in codes] == [OverlapCategory.SUB_D2, OverlapCategory.FULL]
     with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(2,\) and \(1,\)$"):
-        pair_categories(wmub15, [1, 2], [3])
+        _census(wmub15, [1, 2], [3], 1e-9)
     with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(1,\) and \(0,\)$"):
-        pair_categories(wmub15, [1], [])
+        _census(wmub15, [1], [], 1e-9)
     with pytest.raises(ValueError, match=r"^pair classification needs two distinct bases, got \(2, 2\)$"):
-        pair_categories(wmub15, [2], [2])
+        _census(wmub15, [2], [2], 1e-9)
     with pytest.raises(IndexError, match=r"^basis indices \(3, 25\) out of range 1..24$"):
-        pair_categories(wmub15, [1, 3], [2, 25])
+        _census(wmub15, [1, 3], [2, 25], 1e-9)
 
 
 def test_pair_indices_must_be_integers(wmub15):
     # Floats and bools are refused before numpy reads them as indices (a
-    # bool would classify the pair (1, 2)), and two empty lists, which numpy
-    # makes float arrays, classify no pair.
+    # bool would classify the pair (1, 2)), and so are two empty lists,
+    # which numpy makes float arrays.
     with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
-        pair_categories(wmub15, [1.5], [2])
+        _census(wmub15, [1.5], [2], 1e-9)
     with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
         classify_pair(wmub15, 1.5, 2)
     with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype bool$"):
-        pair_categories(wmub15, True, 2)
-    codes = pair_categories(wmub15, [], [])
-    assert codes.shape == (0,) and codes.dtype.kind == "i"
+        classify_pair(wmub15, True, 2)
+    with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
+        _census(wmub15, [], [], 1e-9)
 
 
 def test_classify_pair_rejects_impossible_tolerance(wmub15):
@@ -333,7 +338,7 @@ def test_pair_pass_names_the_first_unfit_pair(catalogs, wmub15):
         duality_report(catalogs[15], tampered)
     with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(1, 2\) fit no overlap template"):
         wmub_census(tampered)
-    codes = pair_categories(tampered, np.array([1, 2, 1]), np.array([2, 3, 3]))
+    codes = pair_codes(tampered, np.array([1, 2, 1]), np.array([2, 3, 3]))
     assert codes[:2].tolist() == [-1, -1] and codes[2] >= 0
 
 
@@ -381,7 +386,7 @@ def test_off_support_weight_fits_no_template(wmub15):
     sq = np.abs(b7.conj().T @ b1) ** 2
     for tol in (1e-9, 0.5 / ctx.d):
         assert dense_classify(sq, ctx, tol) is None
-        assert pair_categories(tampered, np.array([1]), np.array([7]), tol).tolist() == [-1]
+        assert pair_codes(tampered, np.array([1]), np.array([7]), tol).tolist() == [-1]
         with pytest.raises(NotWeaklyUnbiased, match=r"bases \(1, 7\)"):
             classify_pair(tampered, 1, 7, tol)
 
@@ -483,7 +488,7 @@ def assert_routes_agree(s, pairs, tols) -> None:
         OverlapCategory.SUB_D2: (ctx.d2 ** -0.5, ctx.d * ctx.d2),
     }
     first, second = (np.array(side) for side in zip(*pairs))
-    codes = {tol: pair_categories(s, first, second, tol) for tol in tols}
+    codes = {tol: pair_codes(s, first, second, tol) for tol in tols}
     categories = tuple(OverlapCategory)
     bases = {j: assembled_basis(s, j) for j in {*first.tolist(), *second.tolist()}}
     i, j = pairs[0]
@@ -518,7 +523,7 @@ def test_factored_route_matches_dense_oracle_on_every_pair(dims):
     pairs = [(i, j) for i in range(1, len(s) + 1) for j in range(i + 1, len(s) + 1)]
     assert_routes_agree(s, pairs, (1e-15, 1e-9, 0.5 / s.ctx.d, 0.0))
     first, second = (np.array(side) for side in zip(*pairs))
-    assert (pair_categories(s, first, second, 0.0) == -1).all()
+    assert (pair_codes(s, first, second, 0.0) == -1).all()
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
@@ -569,7 +574,7 @@ def test_mirrored_extrema_classify_every_pair_as_the_full_tables_do(dims, monkey
     full = replace(s)
     i, j = np.nonzero(~np.eye(len(s), dtype=bool))
     for tol in (1e-15, 2e-15, 3e-15, 1e-9):
-        got, want = pair_categories(s, i + 1, j + 1, tol), pair_categories(full, i + 1, j + 1, tol)
+        got, want = pair_codes(s, i + 1, j + 1, tol), pair_codes(full, i + 1, j + 1, tol)
         assert np.array_equal(got, want), (s.ctx.d, tol)
 
 
@@ -628,7 +633,7 @@ def test_sampled_pairs_above_the_cap_match_the_dense_and_point_set_oracles(dims)
             pairs.append((min(a, b) + 1, max(a, b) + 1))
             wanted.append(want)
     i, j = (np.array(side) for side in zip(*pairs))
-    codes = pair_categories(s, i, j, 1e-9)
+    codes = pair_codes(s, i, j, 1e-9)
     # Row-major position of (i, j), i < j, in the catalog's pair pass.
     at = (i - 1) * psi - (i - 1) * i // 2 + (j - i - 1)
     sizes = catalog.pair_classes.size[at]
@@ -654,12 +659,15 @@ def test_dense_residuals_above_the_cap_stay_under_the_bounds(dims, monkeypatch):
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
-def test_wmub_table_matches_the_set_built_from_the_catalog(dims):
-    # `wmub_document` renders the labels and factors from the layout and the
-    # sweep table; the set reads its labels and slots from the catalog.
+def test_wmub_table_matches_the_set_built_from_the_catalog(dims, capsys):
+    # The `wmub` table renders the labels and factors from the layout and
+    # the sweep table; the set reads its labels and slots from the catalog.
     s = supported_set(*dims)
+    assert main(["wmub", "--d1", str(dims[0]), "--d2", str(dims[1])]) == 0
     labels, slots = [], []
-    for _, label, *factors in wmub_document(*dims).rows("table", 0, len(s)):
+    for j, text in enumerate(capsys.readouterr().out.splitlines(), start=1):
+        index, label, *factors = text.split(" | ")
+        assert index == f"B_{j}"
         entries = re.fullmatch(r"X\((\d+),(\d+)\|(\d+),(\d+)\)", label).groups()
         labels.append([int(entry) for entry in entries])
         row = []

@@ -99,7 +99,6 @@ def test_json_schema_and_round_trip(capsys):
         assert list(payload) == ["d", "d1", "d2", "kind", "rows"]
         assert (payload["d"], payload["d1"], payload["d2"]) == (15, 3, 5)
         assert len(payload["rows"]) == 24
-        assert json.dumps(payload, indent=2) + "\n" == out
     for side in ("lines", "bases"):
         _, out, _ = run_cli(
             capsys,
@@ -108,7 +107,19 @@ def test_json_schema_and_round_trip(capsys):
         payload = json.loads(out)
         assert payload["kind"] == f"partitions-{side}"
         assert [len(row["members"]) for row in payload["rows"]] == [4] * 6
-        assert json.dumps(payload, indent=2) + "\n" == out
+    # The row templates write JSON without escaping a cell, so every JSON
+    # output must be what `json.dumps(payload, indent=2)` writes: the four
+    # tables at every supported d, and `verify --json` passing and failing.
+    for d1, d2 in SUPPORTED_DIMS:
+        dims = ["--d1", str(d1), "--d2", str(d2)]
+        calls = [[*command, *dims, "--format", "json"]
+                 for command in (["lines"], ["wmub"], ["partitions", "--side", "lines"],
+                                 ["partitions", "--side", "bases"])]
+        calls += [["verify", *dims, "--json"], ["verify", *dims, "--json", "--tolerance", "1e-17"]]
+        for argv in calls:
+            code, out, _ = run_cli(capsys, argv)
+            assert code == (1 if "1e-17" in argv else 0), argv
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out, argv
 
 
 def test_csv_output(capsys):
@@ -309,16 +320,6 @@ def test_wmub_table_builds_no_factor_family(capsys, monkeypatch):
     assert built == []
 
 
-def test_lines_table_makes_no_json_rows(capsys, monkeypatch):
-    # A table call makes only its cells: the sweep values live in the JSON
-    # rows alone.
-    swept = count_calls(monkeypatch, wmub.geometry.sweep_value)
-    code, _, _ = run_cli(capsys, ["lines", "--d1", "3", "--d2", "5"])
-    assert code == 0 and swept == []
-    code, _, _ = run_cli(capsys, ["lines", "--d1", "3", "--d2", "5", "--format", "json"])
-    assert code == 0 and len(swept) == 2 * 24
-
-
 TABLES = [
     [command, "--format", fmt] for command in ("lines", "wmub") for fmt in ("table", "csv", "json")
 ] + [
@@ -362,10 +363,11 @@ TABLE_CALLS = [
 ] + [["verify", "--d1", "3", "--d2", "5", "--json"], ["verify", "--d1", "5", "--d2", "7", "--json"]]
 
 
-@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("block", [1, 2, 5, 64])
 def test_output_does_not_depend_on_the_block_size(capsys, monkeypatch, block):
     # The tier-1 tables all fit in one default block; small blocks put
-    # every join between blocks to the test.
+    # every join between blocks to the test.  Blocks count values: up to 5,
+    # every row is a block of its own; 64 holds several rows of each table.
     whole = [run_cli(capsys, argv) for argv in TABLE_CALLS]
     monkeypatch.setattr(wmub.cli, "BLOCK", block)
     for argv, expected in zip(TABLE_CALLS, whole):
@@ -880,9 +882,10 @@ def test_entry_points_on_a_pipe_closed_mid_stream_exit_141_without_traceback(ent
     # closes the pipe while most of the rows, far more than a pipe buffer
     # holds, are still to be written.  A write cut short by the close
     # returns without an error, so a later write has to raise: after the
-    # one block of the 4040 rows at d2=1009, and between the three blocks
-    # of the 40032 rows at d2=10007.
-    assert 4 * (1009 + 1) < wmub.cli.BLOCK < 2 * wmub.cli.BLOCK < 4 * (10007 + 1)
+    # one block of the 4040 rows at d2=1009, and between the blocks of the
+    # 40032 rows at d2=10007.  A block holds BLOCK values, 11 per row.
+    rows = wmub.cli.BLOCK // 11
+    assert 4 * (1009 + 1) <= rows < 4 * (10007 + 1)
     proc = subprocess.Popen(
         [sys.executable, *entry, "lines", "--d1", "3", "--d2", str(d2)],
         stdout=subprocess.PIPE,
