@@ -30,8 +30,10 @@ from .bases import (
     unitarity_bound,
 )
 from .geometry import (
+    DetNotOne,
     catalog_layout,
-    component_generators,
+    catalog_rows,
+    check_point_map,
     maximal_line_catalog,
     pair_census,
     partition_lines,
@@ -106,10 +108,9 @@ class Document:
 
 
 def lines_document(d1: int, d2: int) -> Document:
-    catalog = maximal_line_catalog(crt_context(d1, d2))
-    comps = [np.stack(component_generators(p, catalog.components[:, f]), axis=-1)
-             for f, p in enumerate((d1, d2))]
-    arrays = (catalog.generators, catalog.matrices, *comps)
+    ctx = crt_context(d1, d2)
+    check_point_map(ctx)
+    components = catalog_layout(ctx)
     # The JSON sweep of each component index: null, or the sweep value itself.
     sweeps = [["null" if lam is None else lam for lam in map(sweep_value, range(p + 1))] for p in (d1, d2)]
     columns = ["index", "generator", "matrix", "component1", "component2"]
@@ -117,9 +118,10 @@ def lines_document(d1: int, d2: int) -> Document:
     fields = dict(zip(columns, ["%d", *(f'"{t}"' for t in cells)]), sweep1="%s", sweep2="%s")
 
     def values(fmt: str, lo: int, hi: int) -> list:
-        cols = np.column_stack([a[lo:hi] for a in arrays]).T.tolist()
+        # Each block is checked as it is made: only the layout is held whole.
+        cols = np.column_stack(catalog_rows(ctx, components[lo:hi], lo)).T.tolist()
         if fmt == "json":
-            cols += [[s[i] for i in col] for s, col in zip(sweeps, catalog.components[lo:hi].T.tolist())]
+            cols += [[s[i] for i in col] for s, col in zip(sweeps, components[lo:hi].T.tolist())]
         return list(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *cols)))
 
     return Document("lines", _formats("lines", d1, d2, fields, columns, ["L_%d", *cells]), values)
@@ -130,8 +132,6 @@ def wmub_document(d1: int, d2: int) -> Document:
     # table alone: no catalog and no prime-dimension factor family.
     ctx = crt_context(d1, d2)
     components = catalog_layout(ctx)
-    # Entries below d fit in int32, which makes room for the token lists.
-    labels = sweep_entries(ctx, components).astype(np.int32)
     # The swept factors keep the signed parameter notation of their labels.
     factors = [[f"X{n}" if lam is None else f"X{n}(0,1|-1,{-lam})" for lam in map(sweep_value, range(p + 1))]
                for n, p in ((1, d1), (2, d2))]
@@ -140,9 +140,9 @@ def wmub_document(d1: int, d2: int) -> Document:
     fields = dict(zip(columns, ["%d", *(f'"{t}"' for t in cells)]))
 
     def values(fmt: str, lo: int, hi: int) -> list:
-        block = labels[lo:hi]
+        labels = sweep_entries(ctx, components[lo:hi], lo)
         tokens = [[f[i] for i in col] for f, col in zip(factors, components[lo:hi].T.tolist())]
-        return list(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *block.T.tolist(), *tokens)))
+        return list(itertools.chain.from_iterable(zip(range(lo + 1, hi + 1), *labels.T.tolist(), *tokens)))
 
     return Document("wmub", _formats("wmub", d1, d2, fields, columns, ["B_%d", *cells]), values)
 
@@ -266,7 +266,7 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     for name in CHECKS:
         try:
             ok, detail = next(ladder)
-        except (RuntimeError, NotWeaklyUnbiased) as err:
+        except (RuntimeError, DetNotOne, NotWeaklyUnbiased) as err:
             ok, detail = False, str(err)
         v.checks.append({"check": name, "ok": ok, "detail": detail})
         if not ok:
@@ -332,14 +332,17 @@ def main(argv: list[str] | None = None) -> int:
             values = [json.dumps(value) for check in checks for value in check.values()]
             formats = _formats("verify", args.d1, args.d2, dict.fromkeys(checks[0], "%s"))
             doc = Document("verify", formats, lambda _, lo, hi: values[3 * lo:3 * hi])
+        # Every usage error has run; `verify --json` writes JSON.
+        doc.render(getattr(args, "format", "json"), sys.stdout)
     except (ModulusTooLarge, DimTooLarge, UsageError) as err:
         print(err, file=sys.stderr)
         return USAGE_ERROR
     except InvalidDims:
         print("d1 and d2 must be distinct odd primes with d1<d2", file=sys.stderr)
         return USAGE_ERROR
-    # Every usage error and cross-check has run; `verify --json` writes JSON.
-    doc.render(getattr(args, "format", "json"), sys.stdout)
+    except (RuntimeError, DetNotOne) as err:  # a table's cross-check, after its earlier blocks
+        print(f"wmub {args.command}: {err}", file=sys.stderr)
+        return VERIFY_ERROR
     return code
 
 

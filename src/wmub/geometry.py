@@ -168,14 +168,14 @@ def component_generators(p: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return (k != 0).astype(np.int64), np.where(k == 0, 1, (1 - k) % p)
 
 
-def sweep_entries(ctx: CrtContext, components: np.ndarray) -> np.ndarray:
+def sweep_entries(ctx: CrtContext, components: np.ndarray, start: int = 0) -> np.ndarray:
     """Sweep matrices of the rows (i1, i2) of component indices, as a
     (len, 4) array of entries (kappa, lam, mu, nu) reduced mod d.
 
     The sweep matrix is the matrix over Z(d) whose action on the vertical
     line produces the catalog entry with those components; the same matrix
     labels the basis with factor sweep values (i1 - 1, i2 - 1).  Raises
-    DetNotOne naming the first 1-based row whose determinant is not 1.
+    DetNotOne naming the first row without unit determinant: entry start+row+1.
     """
     d, d1, d2, s1, s2, t1, t2 = ctx.d, ctx.d1, ctx.d2, ctx.s1, ctx.s2, ctx.t1, ctx.t2
     i1, i2 = np.asarray(components, dtype=np.int64).T
@@ -193,7 +193,7 @@ def sweep_entries(ctx: CrtContext, components: np.ndarray) -> np.ndarray:
     if bad.size:
         row = int(bad[0])
         k, l, m, n = entries[row].tolist()
-        raise DetNotOne(f"sweep entry {row + 1}: det g({k},{l}|{m},{n}) = {det[row]} != 1 (mod {d})")
+        raise DetNotOne(f"sweep entry {start + row + 1}: det g({k},{l}|{m},{n}) = {det[row]} != 1 (mod {d})")
     return entries
 
 
@@ -257,21 +257,20 @@ def sweep_value(k: int) -> int | None:
     return None if k == 0 else k - 1
 
 
-def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
-    """Enumerate all dedekind_psi(d) maximal lines in `catalog_layout` order.
+def catalog_rows(ctx: CrtContext, components: np.ndarray, start: int = 0):
+    """Check the catalog entries whose component indices (i1, i2) are the
+    rows of `components`, row 0 being entry `start` + 1, in both of their
+    guises in one array pass; return the rows of their generators (nu, mu),
+    sweep matrices and component generators (a, b) over Z(d1) and Z(d2).
 
-    Every entry is verified on construction in both of its guises, from
-    generators alone, in one array pass over all entries.  Product route:
-    with the point map certified once per context, the entry line is the
-    product of its component lines iff its split generator spans comp1 over
-    Z(d1) and comp2 over Z(d2), and gcd(nu, mu, d) = 1 makes it maximal.
-    Matrix route: the sweep matrix must map the vertical line onto it; over
-    squarefree d two maximal lines are equal iff det[a; b] = 0 (mod d).  The
-    first entry failing a route raises RuntimeError naming it, the product
-    route first.  The size is left to `verify`'s catalog check.
+    Product route: with the point map certified (`check_point_map`), the
+    entry line is the product of its component lines iff its split
+    generator spans comp1 over Z(d1) and comp2 over Z(d2), and
+    gcd(nu, mu, d) = 1 makes it maximal.  Matrix route: the sweep matrix
+    must map the vertical line onto it; over squarefree d two maximal lines
+    are equal iff det[a; b] = 0 (mod d).  The first entry failing a route
+    raises RuntimeError naming it, the product route first.
     """
-    check_point_map(ctx)
-    components = catalog_layout(ctx)
     comp1 = component_generators(ctx.d1, components[:, 0])
     comp2 = component_generators(ctx.d2, components[:, 1])
     nu, mu = product_generator(comp1, comp2, ctx)
@@ -279,15 +278,23 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     product_fails = (np.gcd(np.gcd(nu, mu), ctx.d) != 1) | ~(
         _same_prime_line(raw1, comp1, ctx.d1) & _same_prime_line(raw2, comp2, ctx.d2)
     )
-    matrices = sweep_entries(ctx, components)
+    matrices = sweep_entries(ctx, components, start)
     # The sweep matrix sends the vertical generator (0, 1) to (lam, nu).
     matrix_fails = (matrices[:, 1] * mu - matrices[:, 3] * nu) % ctx.d != 0
     bad = np.flatnonzero(product_fails | matrix_fails)
     if bad.size:
         row = int(bad[0])
         route = "product" if product_fails[row] else "matrix"
-        raise RuntimeError(f"catalog entry {row + 1}: {route} route disagrees")
-    generators = np.stack([nu, mu], axis=-1)
+        raise RuntimeError(f"catalog entry {start + row + 1}: {route} route disagrees")
+    return np.stack([nu, mu], axis=-1), matrices, np.stack(comp1, axis=-1), np.stack(comp2, axis=-1)
+
+
+def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
+    """All dedekind_psi(d) maximal lines in `catalog_layout` order, checked by
+    `catalog_rows` as one block; the size is left to `verify`'s catalog check."""
+    check_point_map(ctx)
+    components = catalog_layout(ctx)
+    generators, matrices, _, _ = catalog_rows(ctx, components)
     for array in (components, generators, matrices):
         array.setflags(write=False)
     return MaximalLineCatalog(ctx, components, generators, matrices)

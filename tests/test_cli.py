@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -608,8 +609,8 @@ def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):
     # vertical line: the matrix route fails while the product route holds.
     real = wmub.geometry.sweep_entries
 
-    def patched(ctx, components):
-        entries = real(ctx, components).copy()
+    def patched(ctx, components, start=0):
+        entries = real(ctx, components, start).copy()
         assert components[7 - 1].tolist() == [1, 0]
         entries[7 - 1] = (1, 0, 0, 1)
         return entries
@@ -618,6 +619,83 @@ def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL catalog: catalog entry 7: matrix route disagrees"
+
+
+def test_verify_names_catalog_on_a_sweep_matrix_without_unit_determinant(capsys, monkeypatch):
+    # With t1 one off, the sweep matrices whose first component is swept
+    # lose their unit determinant; entry 7 (components (1, 0)) is the first.
+    real = wmub.geometry.sweep_entries
+    monkeypatch.setattr(
+        wmub.geometry, "sweep_entries", lambda ctx, *args: real(replace(ctx, t1=ctx.t1 + 1), *args)
+    )
+    code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert (code, out, err) == (1, "FAIL catalog: sweep entry 7: det g(6,0|10,6) = 6 != 1 (mod 15)\n", "")
+
+
+def fault_entry(monkeypatch, command: str, ctx: CrtContext, entry: int) -> str:
+    """Make the cross-check of one table fail at the given 1-based entry, and
+    return the pattern of its stderr line: `lines` gets a wrong product
+    generator for that entry alone, `wmub` a wrong t1 from that entry on."""
+    if command == "lines":
+        real = wmub.geometry.product_generator
+        k1, k2 = wmub.geometry.catalog_layout(ctx)[entry - 1]
+        target = (*wmub.geometry.component_generators(ctx.d1, k1), *wmub.geometry.component_generators(ctx.d2, k2))
+
+        def faulty(comp1, comp2, ctx):
+            # The rows with the components of `entry` get b1 + 1: a wrong first component.
+            hit = np.all([column == value for column, value in zip((*comp1, *comp2), target)], axis=0)
+            return real((comp1[0], comp1[1] + hit), comp2, ctx)
+
+        monkeypatch.setattr(wmub.geometry, "product_generator", faulty)
+        return re.escape(f"wmub lines: catalog entry {entry}: product route disagrees\n")
+    real = wmub.geometry.sweep_entries
+
+    def faulty(ctx, components, start=0):
+        k = min(max(0, entry - 1 - start), len(components))
+        wrong = replace(ctx, t1=ctx.t1 + 1)
+        return np.concatenate([real(ctx, components[:k], start), real(wrong, components[k:], start + k)])
+
+    monkeypatch.setattr(wmub.cli, "sweep_entries", faulty)
+    return rf"wmub wmub: sweep entry {entry}: det g\(\d+,\d+\|\d+,\d+\) = \d+ != 1 \(mod {ctx.d}\)\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command", ["lines", "wmub"])
+def test_table_cross_check_failing_mid_stream_exits_1_with_one_line(capsys, monkeypatch, command, fmt):
+    # Entry 20000 of the 40032 at d=3*10007 lies in a later block in every
+    # format: stdout holds the whole blocks before it, and the one stderr
+    # line names the entry by its number in the table, not in its block.
+    ctx = crt_context(3, 10007)
+    doc = getattr(wmub.cli, f"{command}_document")(3, 10007)
+    head, row, glue, _ = doc.formats[fmt]
+    rows = wmub.cli.BLOCK // row.count("%")
+    written = (20000 - 1) // rows * rows
+    assert written > 0
+    expected = head + glue.join([row] * written) % tuple(doc.values(fmt, 0, written))
+    message = fault_entry(monkeypatch, command, ctx, 20000)
+    code, out, err = run_cli(capsys, [command, "--d1", "3", "--d2", "10007", "--format", fmt])
+    assert code == 1 and out == expected
+    assert re.fullmatch(message, err), err
+
+
+@pytest.mark.parametrize("command", ["lines", "wmub"])
+def test_catalog_tables_hold_only_the_layout_whole(monkeypatch, command):
+    # Each block of rows is made, checked and written in turn.  Building
+    # the layout peaks at 2.75 times its size; holding the whole catalog
+    # (`lines`) or the whole label array (`wmub`) as well peaked at 9.5 and
+    # 4.2 times.
+    layout = wmub.geometry.catalog_layout(crt_context(3, 10007))
+    monkeypatch.setattr(wmub.cli, "BLOCK", 1 << 10)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main([command, "--d1", "3", "--d2", "10007"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 3.5 * layout.nbytes, peak / layout.nbytes
 
 
 def test_verify_names_line_census_on_a_failed_cross_check(capsys, monkeypatch):
