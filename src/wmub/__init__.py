@@ -12,24 +12,15 @@ from .bases import (
     OverlapCategory,
     WmubSet,
     build_wmub,
-    classify_pair,
     conjugation_bound,
     duality_report,
-    overlap_table,
-    partition_bases,
     unitarity_bound,
-    wmub_census,
 )
 from .geometry import (
     DetNotOne,
-    Line,
     LinePairs,
     MaximalLineCatalog,
-    ModulusMismatch,
-    NotMaximal,
     catalog_layout,
-    classify_line_pair,
-    line,
     maximal_line_catalog,
     pair_census,
     partition_lines,
@@ -41,7 +32,6 @@ from .hilbert import (
     DimTooLarge,
     EvenDimension,
     NotOddPrime,
-    assemble_tensor_basis,
     check_crt_relabelling,
     conjugation_defect,
     fourier,

@@ -230,9 +230,15 @@ def catalog_layout(ctx: CrtContext) -> np.ndarray:
     of the (psi, 2) array holds the component indices (i1, i2) of each
     1-based index, the all-vertical entry first, then the second-component
     sweep, the first-component sweep, and the double sweep in row-major
-    order."""
-    grid = np.moveaxis(np.indices((ctx.d1 + 1, ctx.d2 + 1)), 0, -1)  # [k1, k2] -> (k1, k2)
-    return np.concatenate([grid[0], grid[1:, 0], grid[1:, 1:].reshape(-1, 2)])
+    order.  It is filled in place, one allocation of its own size."""
+    d1, d2 = ctx.d1, ctx.d2
+    components = np.zeros(((d1 + 1) * (d2 + 1), 2), dtype=np.int64)
+    components[1 : d2 + 1, 1] = np.arange(1, d2 + 1)
+    components[d2 + 1 : d1 + d2 + 1, 0] = np.arange(1, d1 + 1)
+    sweep = components[d1 + d2 + 1 :].reshape(d1, d2, 2)  # a view: [k1-1, k2-1] -> (k1, k2)
+    sweep[..., 0] = np.arange(1, d1 + 1)[:, None]
+    sweep[..., 1] = np.arange(1, d2 + 1)
+    return components
 
 
 def partition_lines(ctx: CrtContext) -> np.ndarray:

@@ -24,15 +24,18 @@ class ModulusTooLarge(InvalidDims):
     """d1, d2 or d1*d2 is above MAX_MODULUS."""
 
 
+def _least_divisor(n: int) -> int:
+    """The least prime divisor of n >= 2, by trial division (n if prime)."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and _least_divisor(n) == n
 
 
 @lru_cache(maxsize=None)
@@ -44,17 +47,12 @@ def prime_factorization(d: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"modulus {d} exceeds the supported cap {MAX_MODULUS}")
     factors = []
     n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors.append((p, e))
-        p += 1
-    if n > 1:
-        factors.append((n, 1))
+    while n > 1:
+        p, e = _least_divisor(n), 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors.append((p, e))
     return tuple(factors)
 
 

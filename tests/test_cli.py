@@ -5,6 +5,7 @@ import functools
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wmub
 import wmub.bases
 import wmub.cli
 import wmub.geometry
@@ -392,6 +394,42 @@ def test_every_traced_name_resolves_in_the_package(monkeypatch):
         if not callable(found):
             unresolved.append(f"{module_name}.{qualname}")
     assert tracing.TRACED and unresolved == []
+
+
+def test_every_function_the_package_exports_runs_on_some_command(capsys):
+    # The package root exports the pipeline the commands run; a function
+    # only the tests call is imported from its module.  Classes, exceptions
+    # and constants are exempt.  Cleared caches make the lru-cached exports
+    # run their own code again.
+    exported = {}
+    for name, value in vars(wmub).items():
+        function = inspect.unwrap(value)
+        if inspect.isfunction(function):
+            exported[name] = function.__code__
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for d1, d2 in ((3, 5), (3, 7), (5, 7)):
+            dims = ["--d1", str(d1), "--d2", str(d2)]
+            for command, *side in (["lines"], ["wmub"], ["partitions", "--side", "lines"],
+                                   ["partitions", "--side", "bases"]):
+                for fmt in ("table", "csv", "json"):
+                    main([command, *dims, *side, "--format", fmt])
+            main(["verify", *dims])
+            main(["verify", *dims, "--json"])
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    idle = sorted(name for name, code in exported.items() if code not in called)
+    assert len(exported) > 10
+    assert idle == [], f"exported, but run by no command: {', '.join(idle)}"
 
 
 @pytest.mark.parametrize("command", ["lines", "verify"])

@@ -49,6 +49,24 @@ def test_prime_factorization():
         prime_factorization(1)
 
 
+def test_trial_division_against_a_sieve():
+    limit = 2000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, limit):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    for n in range(2, limit):
+        factors = prime_factorization(n)
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes)) and all(sieve[p] for p in primes)
+        assert all(e >= 1 for _, e in factors)
+        assert math.prod(p**e for p, e in factors) == n
+    # is_prime has no cap: both lie above the 2**20 cap of prime_factorization.
+    assert is_prime(2**31 - 1)
+    assert not is_prime(2**31 + 1)  # 3 * 715827883
+
+
 @pytest.mark.parametrize("d,expected", [(15, 8), (3, 2), (9, 6)])
 def test_euler_phi_examples(d, expected):
     assert euler_phi(d) == expected
