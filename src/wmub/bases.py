@@ -243,37 +243,37 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
 
 
 def _match(s: WmubSet, i, j, tol: float):
-    """Match the pairs (i[k], j[k]) of distinct bases against the three
-    templates at once (or the one pair (i, j), given two ints).
+    """Match the pairs (i[k], j[k]) of distinct bases against the templates,
+    flat first, then d1**-0.5 and d2**-0.5 on the pairs still unmatched.
 
-    Returns the templates, each (category position, top, bottom, off_top,
-    value) with arrays over the pairs, in matching order, and for each pair
-    the category position of the first template it fits, -1 if none.  Raises
-    as `_check_indices`, and ValueError naming the first pair with i == j.
+    Returns each pair's category position in the first template it fits, -1
+    if none, and the flat template's top and bottom over all the pairs.
+    Raises as `_check_indices`, and ValueError naming the first i == j pair.
     """
     i, j = _check_indices(s, i, j)
     same = np.flatnonzero(i == j)
     if same.size:
         k = i.flat[same[0]]
         raise ValueError(f"pair classification needs two distinct bases, got ({k}, {k})")
-    # Each factor's five fields at the pairs' slots, [field, pair], read
-    # through one flat index into the square (p+1, p+1) fields.
+    # Each factor's fields at the pairs' slots, [field, pair], by flat index.
+    fields = [extrema.reshape(5, -1) for extrema in s.factor_extrema]
+    at = [s.slots[j - 1, f] * len(e[0]) + s.slots[i - 1, f] for f, e in enumerate(s.factor_extrema)]
+    (max1, min1), (max2, min2) = (field[:2].take(k, axis=1) for field, k in zip(fields, at))
+    top, bottom = max1 * max2, min1 * min2
+    flat = 1.0 / s.ctx.d
+    # Codes are positions in `_CATEGORIES`: FULL 2, SUB_D1 0, SUB_D2 1.
+    codes = np.where((top - flat <= tol) & (flat - bottom <= tol) & (0.0 <= tol), 2, -1)
+    rest = np.flatnonzero(codes < 0)
     (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
-        extrema.reshape(5, -1).take(s.slots[j - 1, f] * len(extrema[0]) + s.slots[i - 1, f], axis=1)
-        for f, extrema in enumerate(s.factor_extrema)
+        field.take(k[rest], axis=1) for field, k in zip(fields, at)
     )
-    ctx = s.ctx
-    # FULL, SUB_D1 and SUB_D2, each led by its position in `_CATEGORIES`.
-    templates = (
-        (2, max1 * max2, min1 * min2, 0.0, 1.0 / ctx.d),
-        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
-        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
-    )
-    fits = [
-        (top - value <= tol) & (value - bottom <= tol) & (off_top <= tol)
-        for _, top, bottom, off_top, value in templates
-    ]
-    return templates, np.select(fits, [code for code, *_ in templates], default=-1)
+    for code, top_k, bottom_k, off_top, value in (
+        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / s.ctx.d1),
+        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / s.ctx.d2),
+    ):
+        fit = (top_k - value <= tol) & (value - bottom_k <= tol) & (off_top <= tol)
+        codes[rest[fit & (codes[rest] < 0)]] = code
+    return codes, top, bottom
 
 
 def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapCategory:
@@ -302,14 +302,13 @@ def _census(s: WmubSet, i, j, tol: float):
 
     The first pair in the given order that fits no template raises
     NotWeaklyUnbiased naming it, with how far its table lies from the flat
-    template, read from the `_match` templates of all the pairs.
+    template, read from the flat template's top and bottom of `_match`.
     """
-    templates, codes = _match(s, i, j, tol)
+    codes, top, bottom = _match(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
         k = unfit[0]
-        _, top, bottom, _, flat = templates[0]
-        worst = max(top[k] - flat, flat - bottom[k])
+        worst = max(top[k] - 1.0 / s.ctx.d, 1.0 / s.ctx.d - bottom[k])
         raise NotWeaklyUnbiased(
             f"bases ({i[k]}, {j[k]}) fit no overlap template within {tol} "
             f"(flat-template residual {worst:.3e})"
@@ -359,10 +358,11 @@ def duality_report(
         raise ValueError("catalog and basis set were built from different contexts")
     pairs = catalog.pair_classes
     codes, overlap_census = _census(s, pairs.i, pairs.j, tol)
-    # Lines meeting in d2, d1 and 1 points pair with the categories in order.
-    want = np.select([pairs.size == size for size in (ctx.d2, ctx.d1, 1)], range(len(_CATEGORIES)))
+    # Lines meeting in d2, d1 and 1 points want the categories in order.
+    want = np.zeros(ctx.d + 1, dtype=np.int64)  # indexed by intersection size
+    want[[1, ctx.d1, ctx.d2]] = 2, 1, 0
     mismatch = None
-    mismatched = np.flatnonzero(codes != want)
+    mismatched = np.flatnonzero(codes != want[pairs.size])
     if mismatched.size:
         k = mismatched[0]
         mismatch = (

@@ -333,7 +333,7 @@ def _intersection_sizes(
     """
     nu, mu = generators.T
     key1, key2 = factor_keys(generators, ctx).T
-    sizes = np.gcd((nu[i] * mu[j] - mu[i] * nu[j]) % ctx.d, ctx.d)
+    sizes = np.gcd(np.arange(ctx.d), ctx.d)[(nu[i] * mu[j] - mu[i] * nu[j]) % ctx.d]
     expected = np.where(key2[i] == key2[j], ctx.d2, np.where(key1[i] == key1[j], ctx.d1, 1))
     wrong = np.flatnonzero(sizes != expected)
     if wrong.size:

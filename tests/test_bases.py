@@ -117,7 +117,7 @@ def test_overlap_table_index_range(wmub15):
 def pair_codes(s, i, j, tol=1e-9):
     """The category position of each pair (i[k], j[k]), -1 where no template
     fits: the template match of the census, which raises on a -1 instead."""
-    return _match(s, i, j, tol)[1]
+    return _match(s, i, j, tol)[0]
 
 
 def test_classify_pair_examples(wmub15):
@@ -576,6 +576,66 @@ def test_mirrored_extrema_classify_every_pair_as_the_full_tables_do(dims, monkey
     for tol in (1e-15, 2e-15, 3e-15, 1e-9):
         got, want = pair_codes(s, i + 1, j + 1, tol), pair_codes(full, i + 1, j + 1, tol)
         assert np.array_equal(got, want), (s.ctx.d, tol)
+
+
+def three_template_match(s, i, j, tol):
+    """The three-template first-fit rule, kept as the oracle of `_match`: all
+    three templates on every pair, and the category position of the first one
+    each pair fits (FULL, then SUB_D1, then SUB_D2), -1 for none; with the
+    flat template's top and bottom."""
+    (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
+        extrema[:, s.slots[j - 1, f], s.slots[i - 1, f]] for f, extrema in enumerate(s.factor_extrema)
+    )
+    ctx = s.ctx
+    templates = (
+        (2, max1 * max2, min1 * min2, 0.0, 1.0 / ctx.d),
+        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
+        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
+    )
+    fits = [
+        (top - value <= tol) & (value - bottom <= tol) & (off_top <= tol)
+        for _, top, bottom, off_top, value in templates
+    ]
+    codes = np.select(fits, [code for code, *_ in templates], default=-1)
+    return codes, templates[0][1], templates[0][2]
+
+
+def tampered_15(case: str, s):
+    """The d = 15 set with one factor basis tampered: a generic unitary in the
+    second factor, a NaN entry, or a mix of two bases in the first factor."""
+    if case == "generic":
+        return tampered_factor(s, 1, 2, generic_unitary(5, seed=7))
+    first = s.factor_stacks[0]
+    if case == "nan":
+        broken = first[2].copy()
+        broken[0, 0] = math.nan
+        return tampered_factor(s, 0, 2, broken)
+    # P + e^{it} (1 - P), P the projector on the all-ones vector, cos t = -1/4:
+    # the squared table of first-factor slots 0 and 1 is 4/9 on the diagonal
+    # and 5/18 off it, so at tolerance 0.3 the pairs with those slots and one
+    # second-factor slot fit both congruence templates, not the flat one.
+    projector = np.full((3, 3), 1 / 3)
+    mixed = projector + np.exp(1j * math.acos(-0.25)) * (np.eye(3) - projector)
+    return tampered_factor(s, 0, 1, first[0] @ mixed)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [*SUPPORTED_DIMS, "generic", "nan", "mixed"],
+    ids=lambda c: c if isinstance(c, str) else dims_id(c),
+)
+def test_flat_first_pass_equals_the_three_template_rule(case, wmub15):
+    # At 0.3 the templates overlap, so the order of the first fit matters;
+    # the generic and NaN sets have pairs that fit none.
+    s = tampered_15(case, wmub15) if isinstance(case, str) else supported_set(*case)
+    i, j = np.nonzero(~np.eye(len(s), dtype=bool))
+    i, j = i + 1, j + 1
+    for tol in (-1e-9, 0.0, 1e-15, 1e-9, 1e-3, 0.5 / s.ctx.d, 0.3):
+        codes, top, bottom = _match(s, i, j, tol)
+        want_codes, want_top, want_bottom = three_template_match(s, i, j, tol)
+        assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes), (s.ctx.d, tol)
+        assert np.array_equal(top, want_top, equal_nan=True), (s.ctx.d, tol)
+        assert np.array_equal(bottom, want_bottom, equal_nan=True), (s.ctx.d, tol)
 
 
 @pytest.mark.parametrize("block", [1, 10 * 7 * 7])

@@ -267,6 +267,25 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     assert single == []
 
 
+def test_verify_runs_no_select_and_no_gcd_over_the_pairs(capsys, monkeypatch):
+    # The pair passes read tables: at d = 95 no `numpy.gcd` argument is
+    # longer than max(d, psi) = 120, against 7140 pairs, and `numpy.select`
+    # never runs.
+    calls = {"select": [], "gcd": []}
+    for name, record in calls.items():
+        real = getattr(np, name)
+
+        def spy(*args, real=real, record=record, **kwargs):
+            record.append(max(np.size(arg) for arg in args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    code, _, _ = run_cli(capsys, ["verify", "--d1", "5", "--d2", "19"])
+    assert code == 0
+    assert calls["select"] == []
+    assert calls["gcd"] and max(calls["gcd"]) <= 120
+
+
 def test_verify_builds_each_catalog_fact_once(capsys, monkeypatch):
     # The basis set reads its labels from the catalog's sweep table, and the
     # line census and the redundancy are each formed by one check.
@@ -460,11 +479,11 @@ def relabel_pairs(monkeypatch, relabel: dict) -> None:
     categories = tuple(OverlapCategory)
 
     def patched(s, i, j, tol):
-        templates, codes = real(s, i, j, tol)
+        codes, top, bottom = real(s, i, j, tol)
         codes = codes.copy()
         for (a, b), category in relabel.items():
             codes[(i == a) & (j == b)] = categories.index(category)
-        return templates, codes
+        return codes, top, bottom
 
     monkeypatch.setattr(wmub.bases, "_match", patched)
 
