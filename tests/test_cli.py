@@ -33,6 +33,8 @@ from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.geometry import maximal_line_catalog, pair_census
 from wmub.zring import CrtContext, crt_context
 
+import record_digests
+
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -57,6 +59,15 @@ def test_golden_files(capsys, argv, golden):
     code, out, err = run_cli(capsys, argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_every_frozen_output_matches_its_recorded_digest():
+    # The manifest covers exactly the calls its writer lists, and each call
+    # still gives its recorded exit code, stdout digest and stderr.
+    manifest = json.loads(record_digests.MANIFEST.read_text())
+    assert [entry["argv"] for entry in manifest] == record_digests.calls()
+    for entry in manifest:
+        assert record_digests.run(entry["argv"]) == entry
 
 
 def test_reference_rows(capsys):
