@@ -18,7 +18,6 @@ from .bases import (
 )
 from .geometry import (
     DetNotOne,
-    LinePairs,
     MaximalLineCatalog,
     catalog_layout,
     maximal_line_catalog,

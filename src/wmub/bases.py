@@ -6,13 +6,13 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .geometry import MaximalLineCatalog, partition_lines, split_entries
+from .geometry import MaximalLineCatalog, _intersection_sizes, _pair_blocks, partition_lines, split_entries
 from .hilbert import (
     assemble_tensor_basis,
     check_crt_relabelling,
@@ -25,8 +25,13 @@ from .zring import CrtContext
 # Overlap templates are compared on squared magnitudes.  The closest two
 # admissible squared values {0, 1/d, 1/d2, 1/d1} are 0 and 1/d, so a
 # tolerance is unambiguous only up to half that gap, 1/(2d) (0.0053 at
-# d = 95); `wmub verify` rejects anything larger.
+# d = 95); `_check_tolerance` rejects anything larger, and anything below 0.
 OVERLAP_ATOL = 1e-9
+
+
+def _check_tolerance(tol: float, d: int) -> None:
+    if not 0 <= tol <= 0.5 / d:  # also rejects nan
+        raise ValueError(f"tolerance must lie in [0, 1/(2d)] = [0, {0.5 / d:.4g}] at d={d}, got {tol:g}")
 
 
 class NotWeaklyUnbiased(ValueError):
@@ -264,6 +269,8 @@ def _match(s: WmubSet, i, j, tol: float):
     # Codes are positions in `_CATEGORIES`: FULL 2, SUB_D1 0, SUB_D2 1.
     codes = np.where((top - flat <= tol) & (flat - bottom <= tol) & (0.0 <= tol), 2, -1)
     rest = np.flatnonzero(codes < 0)
+    if not rest.size:
+        return codes, top, bottom
     (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
         field.take(k[rest], axis=1) for field, k in zip(fields, at)
     )
@@ -288,22 +295,17 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
     No d x d table is formed; `unitarity_bound` and `conjugation_bound`
     tie the same factor families to the labels.  This is the census of
-    the one pair.
-
-    A table fitting no template raises NotWeaklyUnbiased, which signals a
+    the one pair.  A tolerance outside [0, 1/(2d)] raises ValueError; a
+    table fitting no template raises NotWeaklyUnbiased, which signals a
     construction bug rather than a user error.
     """
-    return _CATEGORIES[_census(s, [i], [j], tol)[0][0]]
+    return _CATEGORIES[_census(s, [i], [j], tol)[0]]
 
 
-def _census(s: WmubSet, i, j, tol: float):
-    """Categories of the pairs (i[k], j[k]) and their counts per category;
-    `classify_pair` is the census of one pair.
-
-    The first pair in the given order that fits no template raises
-    NotWeaklyUnbiased naming it, with how far its table lies from the flat
-    template, read from the flat template's top and bottom of `_match`.
-    """
+def _census(s: WmubSet, i, j, tol: float) -> np.ndarray:
+    """The category positions of the pairs (i[k], j[k]), after `_check_tolerance`; the
+    first unfit pair in the given order raises NotWeaklyUnbiased with its flat-template residual."""
+    _check_tolerance(tol, s.ctx.d)
     codes, top, bottom = _match(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
@@ -313,14 +315,15 @@ def _census(s: WmubSet, i, j, tol: float):
             f"bases ({i[k]}, {j[k]}) fit no overlap template within {tol} "
             f"(flat-template residual {worst:.3e})"
         )
-    counts = np.bincount(codes, minlength=len(_CATEGORIES)).tolist()
-    return codes, dict(zip(_CATEGORIES, counts))
+    return codes
 
 
 def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, int]:
-    """Count unordered basis pairs per overlap category."""
-    i, j = np.triu_indices(len(s), k=1)
-    return _census(s, i + 1, j + 1, tol)[1]
+    """Count unordered basis pairs per overlap category, a block of
+    `_pair_blocks` at a time; a tolerance outside [0, 1/(2d)] raises ValueError."""
+    codes = (_census(s, i + 1, j + 1, tol) for _, i, j in _pair_blocks(len(s)))
+    counts = sum(np.bincount(block, minlength=len(_CATEGORIES)) for block in codes)
+    return dict(zip(_CATEGORIES, counts.tolist()))
 
 
 def partition_bases(s: WmubSet) -> np.ndarray:
@@ -331,63 +334,49 @@ def partition_bases(s: WmubSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """The overlap census, the category code of every basis pair in the
-    row-major order of the catalog's `pair_classes`, and `mismatch`, the
-    first pair whose classes disagree (None if all agree)."""
+    """The overlap census and `mismatch`, the first pair in row-major order
+    whose classes disagree (None if all agree)."""
 
     overlap_census: dict[OverlapCategory, int]
-    categories: np.ndarray = field(compare=False)
     mismatch: str | None = None
 
 
-def duality_report(
-    catalog: MaximalLineCatalog, s: WmubSet, tol: float = OVERLAP_ATOL
-) -> DualityReport:
-    """Certify the pairwise dictionary between lines and bases in one pass.
-
-    Every basis pair is classified once, in one array pass over the
-    catalog's pairs, and compared with the intersection size of the line
-    pair with the same indices: size d2 must meet the d1**-0.5 overlap
-    template, size d1 the d2**-0.5 template, and size 1 the flat template.
-    The first pair in row-major order that fits no template raises
-    NotWeaklyUnbiased; the first mismatched pair is named in `mismatch`,
-    next to the census of every pair.
-    """
+def duality_report(catalog: MaximalLineCatalog, s: WmubSet, tol: float = OVERLAP_ATOL) -> DualityReport:
+    """Certify the pairwise dictionary between lines and bases in one pass,
+    a block of `_pair_blocks` at a time: the basis pairs of lines meeting in
+    d2, d1 and 1 points (`pair_classes`) must fit the d1**-0.5, d2**-0.5 and
+    flat templates.  A tolerance outside [0, 1/(2d)] raises ValueError, and
+    the first pair in row-major order that fits no template
+    NotWeaklyUnbiased; the first mismatched pair is named in `mismatch`."""
     ctx = s.ctx
     if catalog.ctx != ctx:
         raise ValueError("catalog and basis set were built from different contexts")
-    pairs = catalog.pair_classes
-    codes, overlap_census = _census(s, pairs.i, pairs.j, tol)
-    # Lines meeting in d2, d1 and 1 points want the categories in order.
-    want = np.zeros(ctx.d + 1, dtype=np.int64)  # indexed by intersection size
-    want[[1, ctx.d1, ctx.d2]] = 2, 1, 0
-    mismatch = None
-    mismatched = np.flatnonzero(codes != want[pairs.size])
-    if mismatched.size:
-        k = mismatched[0]
-        mismatch = (
-            f"pair ({pairs.i[k]}, {pairs.j[k]}): intersection {pairs.size[k]} "
-            f"against overlap class {_CATEGORIES[codes[k]].value}"
-        )
-    codes.setflags(write=False)
-    return DualityReport(overlap_census, codes, mismatch)
+    classes = catalog.pair_classes
+    counts, mismatch = np.zeros(len(_CATEGORIES), dtype=np.int64), None
+    for at, i, j in _pair_blocks(len(s)):
+        codes = _census(s, i + 1, j + 1, tol)
+        counts += np.bincount(codes, minlength=len(_CATEGORIES))
+        mismatched = np.flatnonzero(codes != classes[at])
+        if mismatch is None and mismatched.size:
+            k = mismatched[0]
+            size, category = (ctx.d2, ctx.d1, 1)[classes[at][k]], _CATEGORIES[codes[k]].value
+            mismatch = f"pair ({i[k] + 1}, {j[k] + 1}): intersection {size} against overlap class {category}"
+    return DualityReport(dict(zip(_CATEGORIES, counts.tolist())), mismatch)
 
 
-def partitions_hold(catalog: MaximalLineCatalog, report: DualityReport) -> bool:
+def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, tol: float) -> bool:
     """What the paper claims of the one partition grid of `partition_lines`,
-    shared by both sides, read from the two pair passes: d2+1 groups of d1+1
-    cover 1..psi exactly once, the lines of each group meet pairwise only at
-    the origin, and the bases of each group are unbiased."""
+    shared by both sides: d2+1 groups of d1+1 cover 1..psi exactly once, the
+    lines of each group meet pairwise only at the origin, and the bases of
+    each group are unbiased; both pair passes run on the group pairs alone."""
     ctx = catalog.ctx
-    psi = len(catalog)
     grid = np.sort(partition_lines(ctx), axis=1)  # [group, member]
     if grid.shape != (ctx.d2 + 1, ctx.d1 + 1):
         return False
-    if not np.array_equal(np.sort(grid, axis=None), np.arange(1, psi + 1)):
+    if not np.array_equal(np.sort(grid, axis=None), np.arange(1, len(catalog) + 1)):
         return False
     first, second = np.triu_indices(ctx.d1 + 1, k=1)
-    a, b = grid[:, first], grid[:, second]
-    # (a, b) sits at this position in the row-major order of the pair passes.
-    at = (a - 1) * psi - (a - 1) * a // 2 + (b - a - 1)
-    full = _CATEGORIES.index(OverlapCategory.FULL)
-    return bool((catalog.pair_classes.size[at] == 1).all() and (report.categories[at] == full).all())
+    a, b = grid[:, first].ravel(), grid[:, second].ravel()
+    sizes = _intersection_sizes(catalog.generators, catalog._keys, a - 1, b - 1, ctx)
+    codes = _match(s, a, b, tol)[0]
+    return bool((sizes == 1).all() and (codes == _CATEGORIES.index(OverlapCategory.FULL)).all())

@@ -23,6 +23,7 @@ import numpy as np
 from .bases import (
     OVERLAP_ATOL,
     NotWeaklyUnbiased,
+    _check_tolerance,
     build_wmub,
     conjugation_bound,
     duality_report,
@@ -236,7 +237,7 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
 
     yield report.mismatch is None, report.mismatch or f"{sum(expected)} pairs matched"
 
-    yield partitions_hold(catalog, report), "line and basis grids compared"
+    yield partitions_hold(catalog, s, tol), "line and basis grids compared"
 
     v.redundancy = r = redundancy(ctx.d)
     identity_holds = r * (ctx.d * ctx.d - 1) + (ctx.d * ctx.d - 1) == psi * (ctx.d - 1)
@@ -253,11 +254,10 @@ def run_verification(d1: int, d2: int, tol: float) -> Verification:
     the ladder stops at the first failing check.
     """
     ctx = crt_context(d1, d2)
-    ceiling = 0.5 / ctx.d
-    if not 0 <= tol <= ceiling:  # also rejects nan
-        raise UsageError(
-            f"--tolerance must lie in [0, 1/(2d)] = [0, {ceiling:.4g}] at d={ctx.d}, got {tol:g}"
-        )
+    try:
+        _check_tolerance(tol, ctx.d)
+    except ValueError as err:
+        raise UsageError(f"--{err}") from None
     tol = abs(tol)  # -0.0 passes the range check; the details print 0
     if ctx.d > MAX_DIM:
         raise DimTooLarge(f"d1*d2 = {ctx.d} exceeds the Hilbert-space cap {MAX_DIM}")

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -214,15 +213,21 @@ class MaximalLineCatalog:
         return len(self.generators)
 
     @cached_property
-    def pair_classes(self) -> LinePairs:
-        """Every unordered index pair i < j in row-major order with its
-        intersection size, classified once per catalog in one array pass."""
-        i, j = np.triu_indices(len(self), k=1)
-        sizes = _intersection_sizes(self.generators, i, j, self.ctx)
-        pairs = LinePairs(i + 1, j + 1, sizes)
-        for array in pairs:
-            array.setflags(write=False)
-        return pairs
+    def pair_classes(self) -> np.ndarray:
+        """One read-only int8 per index pair i < j in row-major order: 0, 1 or 2 for
+        lines meeting in d2, d1 or 1 points, the `bases.OverlapCategory` position
+        the basis pair must fit; filled a block of `_pair_blocks` at a time."""
+        n, ctx = len(self), self.ctx
+        classes = np.empty(n * (n - 1) // 2, dtype=np.int8)
+        for at, i, j in _pair_blocks(n):
+            sizes = _intersection_sizes(self.generators, self._keys, i, j, ctx)
+            classes[at] = np.where(sizes == ctx.d2, 0, np.where(sizes == ctx.d1, 1, 2))
+        classes.setflags(write=False)
+        return classes
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return factor_keys(self.generators, self.ctx)
 
 
 def catalog_layout(ctx: CrtContext) -> np.ndarray:
@@ -310,29 +315,38 @@ def maximal_line_catalog(ctx: CrtContext) -> MaximalLineCatalog:
 # pair classification and counting
 # ---------------------------------------------------------------------------
 
-class LinePairs(NamedTuple):
-    """Index pairs (i[k], j[k]), 1-based, of maximal lines sharing size[k] points."""
+# Pairs per block of the pair passes: one block for every d that `verify` serves.
+_PAIR_BLOCK = 2**17
 
-    i: np.ndarray
-    j: np.ndarray
-    size: np.ndarray
+
+def _pair_blocks(n: int):
+    """The index pairs i < j of n items in row-major order, a block of whole rows at a time
+    (at most `_PAIR_BLOCK` pairs, or one row): yields its slice of that order and 0-based (i, j)."""
+    rows, start = max(1, _PAIR_BLOCK // max(1, n - 1)), 0
+    for lo in range(0, n - 1, rows):
+        row = np.arange(lo, min(lo + rows, n - 1))
+        length = n - 1 - row  # row r pairs r with r + 1 .. n - 1
+        i = np.repeat(row, length)
+        j = np.arange(len(i)) + np.repeat(row + 1 + length - np.cumsum(length), length)
+        yield slice(start, start + len(i)), i, j
+        start += len(i)
 
 
 def _intersection_sizes(
-    generators: np.ndarray, i: np.ndarray, j: np.ndarray, ctx: CrtContext
+    generators: np.ndarray, keys: np.ndarray, i: np.ndarray, j: np.ndarray, ctx: CrtContext
 ) -> np.ndarray:
     """Common-point counts of the distinct maximal lines with generators
-    generators[i[k]] and generators[j[k]], from an (n, 2) array.
+    generators[i[k]] and generators[j[k]], from an (n, 2) array and its
+    `factor_keys`.
 
     The size is computed twice, as gcd(det[a;b], d) of the two generators
     (squarefree d: the lines coincide modulo exactly the primes dividing the
     determinant) and by the component rule (d2 common points iff the second
-    components coincide, d1 iff the first do, 1 otherwise), with one array
-    factorization (`factor_keys`) of all the lines; the first disagreeing
-    pair means a bug and raises.
+    components coincide, d1 iff the first do, 1 otherwise) on the keys;
+    the first disagreeing pair means a bug and raises.
     """
     nu, mu = generators.T
-    key1, key2 = factor_keys(generators, ctx).T
+    key1, key2 = keys.T
     sizes = np.gcd(np.arange(ctx.d), ctx.d)[(nu[i] * mu[j] - mu[i] * nu[j]) % ctx.d]
     expected = np.where(key2[i] == key2[j], ctx.d2, np.where(key1[i] == key1[j], ctx.d1, 1))
     wrong = np.flatnonzero(sizes != expected)
@@ -355,15 +369,13 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> int:
     if a == b:
         raise ValueError("pair classification needs two distinct lines")
     generators = np.array([a.generator, b.generator], dtype=np.int64)
-    return int(_intersection_sizes(generators, np.array([0]), np.array([1]), ctx)[0])
+    return int(_intersection_sizes(generators, factor_keys(generators, ctx), [0], [1], ctx)[0])
 
 
 def pair_census(catalog: MaximalLineCatalog) -> dict[int, int]:
-    """Counts of unordered maximal-line pairs keyed by intersection size:
-    d2, d1 and 1."""
+    """Counts of unordered maximal-line pairs keyed by intersection size: d2, d1 and 1."""
     ctx = catalog.ctx
-    sizes = catalog.pair_classes.size
-    return {size: int(np.count_nonzero(sizes == size)) for size in (ctx.d2, ctx.d1, 1)}
+    return dict(zip((ctx.d2, ctx.d1, 1), np.bincount(catalog.pair_classes, minlength=3).tolist()))
 
 
 def redundancy(d: int) -> Fraction:

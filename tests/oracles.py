@@ -23,6 +23,7 @@ from wmub.geometry import (
     MaximalLineCatalog,
     ModulusMismatch,
     NotMaximal,
+    _pair_blocks,
     catalog_layout,
     component_generators,
     factor_keys,
@@ -292,6 +293,16 @@ def catalog_entries(catalog: MaximalLineCatalog) -> tuple[CatalogEntry, ...]:
                      tuple(comp1), tuple(comp2), sweep_value(i1), sweep_value(i2))
         for index, ((nu, mu), matrix, comp1, comp2, (i1, i2)) in enumerate(rows, start=1)
     )
+
+
+def line_pairs(catalog: MaximalLineCatalog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every line pair of the catalog as 1-based (i, j) with its intersection
+    size, in the row-major order of `pair_classes`: the blocks of
+    `_pair_blocks` concatenated, and each class read as its size."""
+    _, i, j = zip(*_pair_blocks(len(catalog)))
+    ctx = catalog.ctx
+    sizes = np.array([ctx.d2, ctx.d1, 1])[catalog.pair_classes]
+    return np.concatenate(i) + 1, np.concatenate(j) + 1, sizes
 
 
 def euler_phi(d: int) -> int:

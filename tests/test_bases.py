@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import wmub.bases
+import wmub.geometry
 import wmub.hilbert
 from wmub.bases import (
     NotWeaklyUnbiased,
@@ -39,7 +40,7 @@ from wmub.hilbert import MAX_DIM, conjugation_defect, prime_mub, unitarity_defec
 from wmub.zring import crt_context, dedekind_psi, is_prime
 
 from dense import assembled_basis, dense_conjugation_defect, overlaps, symplectic_label_defect
-from oracles import SymplecticMatrix, catalog_entries, intersection, matrix_factorize
+from oracles import SymplecticMatrix, catalog_entries, intersection, line_pairs, matrix_factorize
 
 # Symplectic labels of the d = 15 set in index order; same data as the
 # second column of tests/golden/bases_3_5.txt.
@@ -141,7 +142,7 @@ def test_pair_census_checks_its_indices(wmub15):
     # pair of one basis is refused, not reported as fitting no template.
     # Lists are read as index arrays.
     categories = tuple(OverlapCategory)
-    codes, _ = _census(wmub15, [1, 1], [2, 10], 1e-9)
+    codes = _census(wmub15, [1, 1], [2, 10], 1e-9)
     assert [categories[code] for code in codes] == [OverlapCategory.SUB_D2, OverlapCategory.FULL]
     with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(2,\) and \(1,\)$"):
         _census(wmub15, [1, 2], [3], 1e-9)
@@ -233,12 +234,12 @@ def test_factor_stacks_are_read_only(catalog15):
 
 
 def test_cached_arrays_are_read_only(catalog15):
-    # `duality_report` reads the cached factor extrema and `partitions_hold`
-    # the report's categories and the partition grid; a write into any of
-    # them must raise.  A fresh set: the fixtures are shared.
+    # `duality_report` reads the cached factor extrema and the catalog's
+    # pair classes, and `partitions_hold` the partition grid; a write into
+    # any of them must raise.  A fresh set: the fixtures are shared.
     s = build_wmub(catalog15)
-    report = duality_report(catalog15, s)
-    for array in (*s.factor_extrema, report.categories, partition_lines(s.ctx), partition_bases(s)):
+    duality_report(catalog15, s)
+    for array in (*s.factor_extrema, catalog15.pair_classes, partition_lines(s.ctx), partition_bases(s)):
         with pytest.raises(ValueError, match="read-only"):
             array[:] = 1
 
@@ -247,22 +248,24 @@ def test_partition_reference_grid(wmub15):
     assert partition_bases(wmub15).tolist() == PARTITION_15
 
 
-def test_partitions_hold_reads_both_pair_passes(catalog15, wmub15):
+def test_partitions_hold_reads_both_pair_passes(catalog15, wmub15, monkeypatch):
     # Lines 1 and 10 share a set of the grid; one wrong class for that pair,
-    # on either side, fails the check.
-    report = duality_report(catalog15, wmub15)
-    assert partitions_hold(catalog15, report)
-    pairs = catalog15.pair_classes
-    k = np.flatnonzero((pairs.i == 1) & (pairs.j == 10))
-    categories = report.categories.copy()
-    categories[k] = tuple(OverlapCategory).index(OverlapCategory.SUB_D1)
-    assert not partitions_hold(catalog15, replace(report, categories=categories))
-    # A copy of the catalog whose cached line pair pass says they meet in 5.
-    lines = replace(catalog15)
-    size = pairs.size.copy()
-    size[k] = 5
-    lines.__dict__["pair_classes"] = pairs._replace(size=size)
-    assert not partitions_hold(lines, report)
+    # on either side, fails the check: the basis pair pass saying SUB_D1, or
+    # the line pair pass saying the lines meet in 5 points.
+    assert partitions_hold(catalog15, wmub15, 1e-9)
+    real_match, real_sizes = wmub.bases._match, wmub.bases._intersection_sizes
+
+    def match(s, i, j, tol):
+        codes, top, bottom = real_match(s, i, j, tol)
+        return np.where((i == 1) & (j == 10), 0, codes), top, bottom
+
+    def sizes(generators, keys, i, j, ctx):
+        return np.where((i == 0) & (j == 9), 5, real_sizes(generators, keys, i, j, ctx))
+
+    for name, patched in (("_match", match), ("_intersection_sizes", sizes)):
+        with monkeypatch.context() as m:
+            m.setattr(wmub.bases, name, patched)
+            assert not partitions_hold(catalog15, wmub15, 1e-9), name
 
 
 def test_partition_sets_are_mutually_unbiased(wmub_sets):
@@ -294,7 +297,7 @@ def test_duality_report(catalogs, wmub_sets):
     for d in (15, 21, 33):
         report = duality_report(catalogs[d], wmub_sets[d])
         psi = dedekind_psi(d)
-        assert len(catalogs[d].pair_classes.size) == psi * (psi - 1) // 2
+        assert len(catalogs[d].pair_classes) == psi * (psi - 1) // 2
         assert sum(report.overlap_census.values()) == psi * (psi - 1) // 2
         d1, d2 = catalogs[d].ctx.d1, catalogs[d].ctx.d2
         line_census = pair_census(catalogs[d])
@@ -413,8 +416,8 @@ def test_duality_rejects_mismatched_context(catalogs, wmub_sets):
 
 def test_duality_pairwise_dictionary(catalogs, wmub_sets):
     catalog, s = catalogs[15], wmub_sets[15]
-    pairs = catalog.pair_classes
-    by_pair = dict(zip(zip(pairs.i.tolist(), pairs.j.tolist()), pairs.size.tolist()))
+    i, j, sizes = line_pairs(catalog)
+    by_pair = dict(zip(zip(i.tolist(), j.tolist()), sizes.tolist()))
     assert by_pair[(1, 7)] == 5
     entries = catalog_entries(catalog)
     # Lines 1 and 7 share their second component line, so they meet in d2 points.
@@ -638,6 +641,134 @@ def test_flat_first_pass_equals_the_three_template_rule(case, wmub15):
         assert np.array_equal(bottom, want_bottom, equal_nan=True), (s.ctx.d, tol)
 
 
+def test_library_entry_points_reject_a_tolerance_outside_the_gap(catalog15, wmub15):
+    # At d = 15, 1/(2d) = 1/30: below 0 a correct set fits no template, and
+    # above it the templates overlap; nan is refused too.  The bounds pass.
+    ceiling = 0.5 / 15
+    entry_points = (
+        lambda tol: classify_pair(wmub15, 1, 2, tol),
+        lambda tol: wmub_census(wmub15, tol),
+        lambda tol: duality_report(catalog15, wmub15, tol),
+    )
+    for tol in (-1e-9, 0.3, math.nan, math.nextafter(ceiling, 1.0)):
+        message = f"tolerance must lie in [0, 1/(2d)] = [0, 0.03333] at d=15, got {tol:g}"
+        for call in entry_points:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+                call(tol)
+            assert type(err.value) is ValueError
+    assert classify_pair(wmub15, 1, 2, ceiling) is OverlapCategory.SUB_D2
+    assert wmub_census(wmub15, ceiling) == duality_report(catalog15, wmub15, ceiling).overlap_census
+
+
+def with_classes(catalog, changed: dict):
+    """A copy of the catalog whose cached pair classes differ at the given
+    row-major positions."""
+    lines = replace(catalog)
+    classes = catalog.pair_classes.copy()
+    for at, value in changed.items():
+        classes[at] = value
+    classes.setflags(write=False)
+    lines.__dict__["pair_classes"] = classes
+    return lines
+
+
+def block_results(dims):
+    """Every result of the two pair passes on a fresh catalog and set, and the
+    duality mismatch of a copy with two wrong line classes."""
+    catalog = maximal_line_catalog(crt_context(*dims))
+    s = build_wmub(catalog)
+    report = duality_report(catalog, s)
+    n = len(catalog) * (len(catalog) - 1) // 2
+    wrong = with_classes(catalog, {k: (catalog.pair_classes[k] + 1) % 3 for k in (n // 3, n - 1)})
+    return (
+        catalog.pair_classes.tolist(), pair_census(catalog), wmub_census(s),
+        report.overlap_census, report.mismatch, duality_report(wrong, s).mismatch,
+        partitions_hold(catalog, s, 1e-9),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 512])
+@pytest.mark.parametrize("dims", [(3, 5), (3, 31)], ids=dims_id)
+def test_pair_blocks_leave_every_result_unchanged(dims, block, monkeypatch):
+    # d = 93 has 8128 pairs, the most of any supported d, and a block of 512
+    # pairs holds 4 of its rows; a block of one pair holds one row.
+    whole = block_results(dims)
+    assert len(list(wmub.geometry._pair_blocks((dims[0] + 1) * (dims[1] + 1)))) == 1
+    monkeypatch.setattr(wmub.geometry, "_PAIR_BLOCK", block)
+    assert block_results(dims) == whole
+    assert whole[4] is None and whole[5] is not None
+
+
+def block_of(pair: tuple[int, int], n: int) -> int:
+    """The block of `_pair_blocks(n)` that holds the 1-based pair."""
+    for b, (_, i, j) in enumerate(wmub.geometry._pair_blocks(n)):
+        if ((i + 1 == pair[0]) & (j + 1 == pair[1])).any():
+            return b
+
+
+def test_first_mismatch_is_named_across_blocks(monkeypatch):
+    # Two wrong line classes in different later blocks of 512 pairs: the
+    # report names the first in row-major order, not the last block's.
+    catalog = maximal_line_catalog(crt_context(3, 31))
+    s = build_wmub(catalog)
+    i, j, _ = line_pairs(catalog)
+    first, later = 3000, 7000
+    wrong = with_classes(catalog, {k: (catalog.pair_classes[k] + 1) % 3 for k in (first, later)})
+    monkeypatch.setattr(wmub.geometry, "_PAIR_BLOCK", 512)
+    blocks = [block_of((i[k], j[k]), len(catalog)) for k in (first, later)]
+    assert 0 < blocks[0] < blocks[1]
+    assert re.match(rf"pair \({i[first]}, {j[first]}\): ", duality_report(wrong, s).mismatch)
+
+
+@pytest.mark.parametrize("block", [None, 1, 512])
+def test_first_disagreeing_line_pair_raises_across_blocks(block, monkeypatch):
+    # Line 71, components (2, 5), claims the first component of line 98,
+    # (3, 1).  Lines 34 to 36 and 67 to 97 carry component 2 or 3 first, so
+    # the first disagreeing pair is (34, 71), predicted 1 point and meeting
+    # in 3; later pairs such as (35, 71) and (71, 98) read 3 against 1.
+    ctx = crt_context(3, 31)
+    catalog = maximal_line_catalog(ctx)
+    assert catalog.components[[70, 97]].tolist() == [[2, 5], [3, 1]]
+    real = wmub.geometry.factor_keys
+
+    def claimed(generators, ctx):
+        keys = real(generators, ctx).copy()
+        keys[71 - 1, 0] = keys[98 - 1, 0]
+        return keys
+
+    # The disagreeing pairs, from the component rule on the claimed keys
+    # against the intersection sizes of the real catalog.
+    i, j, sizes = line_pairs(catalog)
+    keys = claimed(catalog.generators, ctx)
+    predicted = np.where(keys[i - 1, 1] == keys[j - 1, 1], 31, np.where(keys[i - 1, 0] == keys[j - 1, 0], 3, 1))
+    bad = np.flatnonzero(predicted != sizes)
+    assert (i[bad[0]], j[bad[0]], predicted[bad[0]], sizes[bad[0]]) == (34, 71, 1, 3)
+    assert {(a, b) for a, b in zip(i[bad], j[bad])} >= {(35, 71), (71, 98)}
+    if block is not None:
+        monkeypatch.setattr(wmub.geometry, "_PAIR_BLOCK", block)
+        assert block_of((34, 71), len(catalog)) > 0
+    monkeypatch.setattr(wmub.geometry, "factor_keys", claimed)
+    with pytest.raises(RuntimeError, match=r"^component rule predicts 1 common points, determinant gives 3$"):
+        maximal_line_catalog(ctx).pair_classes
+
+
+@pytest.mark.parametrize("block", [None, 1, 512])
+def test_first_unfit_basis_pair_raises_across_blocks(block, monkeypatch):
+    # First-factor slot 3 holds a copy of slot 2, so bases whose first slots
+    # are 2 and 3 and whose second slots agree overlap in an identity table:
+    # the first such pair is (34, 35), slots (2, 0) and (3, 0).
+    catalog = maximal_line_catalog(crt_context(3, 31))
+    s = build_wmub(catalog)
+    tampered = tampered_factor(s, 0, 3, s.factor_stacks[0][2])
+    assert s.slots[[33, 34]].tolist() == [[2, 0], [3, 0]]
+    if block is not None:
+        monkeypatch.setattr(wmub.geometry, "_PAIR_BLOCK", block)
+        assert block_of((34, 35), len(s)) > 0
+    for call in (lambda: wmub_census(tampered), lambda: duality_report(catalog, tampered)):
+        with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(34, 35\) fit no overlap template within 1e-09 "):
+            call()
+
+
 @pytest.mark.parametrize("block", [1, 10 * 7 * 7])
 def test_factor_extrema_blocks_leave_the_fields_unchanged(block, monkeypatch):
     # At p = 7 the default block holds all 36 tables.  A block of one float
@@ -696,7 +827,7 @@ def test_sampled_pairs_above_the_cap_match_the_dense_and_point_set_oracles(dims)
     codes = pair_codes(s, i, j, 1e-9)
     # Row-major position of (i, j), i < j, in the catalog's pair pass.
     at = (i - 1) * psi - (i - 1) * i // 2 + (j - i - 1)
-    sizes = catalog.pair_classes.size[at]
+    sizes = np.array([ctx.d2, ctx.d1, 1])[catalog.pair_classes[at]]
     categories = tuple(OverlapCategory)
     for k, ((a, b), (category, size)) in enumerate(zip(pairs, wanted)):
         sq = overlaps(assembled_basis(s, b), assembled_basis(s, a)) ** 2

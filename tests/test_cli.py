@@ -264,7 +264,8 @@ def count_calls(monkeypatch, fn) -> list:
 
 def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     # One array factorization of the 24 catalog lines, one array pass per
-    # side, and no per-pair call.
+    # side over the 276 pairs (one block at d = 15), then one per side over
+    # the 6 * 6 pairs of the partition groups alone, and no per-pair call.
     factorizations = count_calls(monkeypatch, wmub.geometry.factor_keys)
     line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
     basis_passes = count_calls(monkeypatch, wmub.bases._match)
@@ -273,8 +274,7 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 0
     assert [args[0].shape for args in factorizations] == [(24, 2)]
-    assert len(line_passes) == len(basis_passes) == 1
-    assert len(line_passes[0][1]) == len(basis_passes[0][1]) == 24 * 23 // 2
+    assert [len(args[2]) for args in line_passes] == [len(args[1]) for args in basis_passes] == [276, 36]
     assert single == []
 
 
