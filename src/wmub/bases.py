@@ -213,22 +213,16 @@ def conjugation_bound(s: WmubSet) -> float:
     return float((r1 * c2 + c1 * r2).max())
 
 
-def _check_indices(s: WmubSet, i, j) -> tuple[np.ndarray, np.ndarray]:
-    """i and j, two ints or two integer sequences of one shape, as arrays of
-    1-based basis indices.  Raises ValueError on unequal shapes, TypeError
-    on indices that are not integers (bools included), and IndexError naming
-    the first pair with an index out of range."""
-    i, j = np.asarray(i), np.asarray(j)
-    if i.shape != j.shape:
-        raise ValueError(f"basis index arrays of unequal shapes {i.shape} and {j.shape}")
-    for side in (i, j):
-        if side.dtype.kind not in "iu":
-            raise TypeError(f"basis indices must be integers, got dtype {side.dtype}")
-    bad = np.flatnonzero((i < 1) | (i > len(s)) | (j < 1) | (j > len(s)))
-    if bad.size:
-        k = bad[0]
-        raise IndexError(f"basis indices ({i.flat[k]}, {j.flat[k]}) out of range 1..{len(s)}")
-    return i, j
+def _check_indices(s: WmubSet, i, j) -> None:
+    """Check one pair of basis indices taken from outside the program: two
+    integer scalars (TypeError otherwise, bools included) in 1..psi (IndexError)."""
+    for index in (i, j):
+        if np.ndim(index):
+            raise TypeError(f"basis indices must be scalars, got shape {np.shape(index)}")
+        if np.asarray(index).dtype.kind not in "iu":
+            raise TypeError(f"basis indices must be integers, got dtype {np.asarray(index).dtype}")
+    if not (1 <= i <= len(s) and 1 <= j <= len(s)):
+        raise IndexError(f"basis indices ({i}, {j}) out of range 1..{len(s)}")
 
 
 def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
@@ -247,22 +241,16 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
     return np.abs(bj.conj().T @ bi)
 
 
-def _match(s: WmubSet, i, j, tol: float):
-    """Match the pairs (i[k], j[k]) of distinct bases against the templates,
-    flat first, then d1**-0.5 and d2**-0.5 on the pairs still unmatched.
+def _match(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
+    """Match the 0-based pairs (i[k], j[k]) of distinct bases, unchecked, against the
+    templates: flat first, then d1**-0.5 and d2**-0.5 on the pairs still unmatched.
 
     Returns each pair's category position in the first template it fits, -1
     if none, and the flat template's top and bottom over all the pairs.
-    Raises as `_check_indices`, and ValueError naming the first i == j pair.
     """
-    i, j = _check_indices(s, i, j)
-    same = np.flatnonzero(i == j)
-    if same.size:
-        k = i.flat[same[0]]
-        raise ValueError(f"pair classification needs two distinct bases, got ({k}, {k})")
     # Each factor's fields at the pairs' slots, [field, pair], by flat index.
     fields = [extrema.reshape(5, -1) for extrema in s.factor_extrema]
-    at = [s.slots[j - 1, f] * len(e[0]) + s.slots[i - 1, f] for f, e in enumerate(s.factor_extrema)]
+    at = [s.slots[j, f] * len(e[0]) + s.slots[i, f] for f, e in enumerate(s.factor_extrema)]
     (max1, min1), (max2, min2) = (field[:2].take(k, axis=1) for field, k in zip(fields, at))
     top, bottom = max1 * max2, min1 * min2
     flat = 1.0 / s.ctx.d
@@ -295,24 +283,29 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
     No d x d table is formed; `unitarity_bound` and `conjugation_bound`
     tie the same factor families to the labels.  This is the census of
-    the one pair.  A tolerance outside [0, 1/(2d)] raises ValueError; a
-    table fitting no template raises NotWeaklyUnbiased, which signals a
+    the one pair.  A tolerance outside [0, 1/(2d)] or i == j raises
+    ValueError, and bad indices raise as `_check_indices` says; a table
+    fitting no template raises NotWeaklyUnbiased, which signals a
     construction bug rather than a user error.
     """
-    return _CATEGORIES[_census(s, [i], [j], tol)[0]]
-
-
-def _census(s: WmubSet, i, j, tol: float) -> np.ndarray:
-    """The category positions of the pairs (i[k], j[k]), after `_check_tolerance`; the
-    first unfit pair in the given order raises NotWeaklyUnbiased with its flat-template residual."""
     _check_tolerance(tol, s.ctx.d)
+    _check_indices(s, i, j)
+    if i == j:
+        raise ValueError(f"pair classification needs two distinct bases, got ({i}, {j})")
+    return _CATEGORIES[_census(s, np.array([i - 1]), np.array([j - 1]), tol)[0]]
+
+
+def _census(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float) -> np.ndarray:
+    """The category positions of the pairs (i[k], j[k]), 0-based and unchecked, as `_match`
+    reads them; the first unfit pair in the given order raises NotWeaklyUnbiased, naming
+    the pair 1-based with its flat-template residual.  The caller checks the tolerance."""
     codes, top, bottom = _match(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
         k = unfit[0]
         worst = max(top[k] - 1.0 / s.ctx.d, 1.0 / s.ctx.d - bottom[k])
         raise NotWeaklyUnbiased(
-            f"bases ({i[k]}, {j[k]}) fit no overlap template within {tol} "
+            f"bases ({i[k] + 1}, {j[k] + 1}) fit no overlap template within {tol} "
             f"(flat-template residual {worst:.3e})"
         )
     return codes
@@ -321,7 +314,8 @@ def _census(s: WmubSet, i, j, tol: float) -> np.ndarray:
 def wmub_census(s: WmubSet, tol: float = OVERLAP_ATOL) -> dict[OverlapCategory, int]:
     """Count unordered basis pairs per overlap category, a block of
     `_pair_blocks` at a time; a tolerance outside [0, 1/(2d)] raises ValueError."""
-    codes = (_census(s, i + 1, j + 1, tol) for _, i, j in _pair_blocks(len(s)))
+    _check_tolerance(tol, s.ctx.d)
+    codes = (_census(s, i, j, tol) for _, i, j in _pair_blocks(len(s)))
     counts = sum(np.bincount(block, minlength=len(_CATEGORIES)) for block in codes)
     return dict(zip(_CATEGORIES, counts.tolist()))
 
@@ -351,10 +345,11 @@ def duality_report(catalog: MaximalLineCatalog, s: WmubSet, tol: float = OVERLAP
     ctx = s.ctx
     if catalog.ctx != ctx:
         raise ValueError("catalog and basis set were built from different contexts")
+    _check_tolerance(tol, ctx.d)
     classes = catalog.pair_classes
     counts, mismatch = np.zeros(len(_CATEGORIES), dtype=np.int64), None
     for at, i, j in _pair_blocks(len(s)):
-        codes = _census(s, i + 1, j + 1, tol)
+        codes = _census(s, i, j, tol)
         counts += np.bincount(codes, minlength=len(_CATEGORIES))
         mismatched = np.flatnonzero(codes != classes[at])
         if mismatch is None and mismatched.size:
@@ -368,15 +363,17 @@ def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, tol: float) -> bool
     """What the paper claims of the one partition grid of `partition_lines`,
     shared by both sides: d2+1 groups of d1+1 cover 1..psi exactly once, the
     lines of each group meet pairwise only at the origin, and the bases of
-    each group are unbiased; both pair passes run on the group pairs alone."""
+    each group are unbiased.  Both pair passes run on the group pairs alone,
+    0-based; a tolerance outside [0, 1/(2d)] raises ValueError."""
     ctx = catalog.ctx
-    grid = np.sort(partition_lines(ctx), axis=1)  # [group, member]
+    _check_tolerance(tol, ctx.d)
+    grid = partition_lines(ctx) - 1  # [group, member], 0-based
     if grid.shape != (ctx.d2 + 1, ctx.d1 + 1):
         return False
-    if not np.array_equal(np.sort(grid, axis=None), np.arange(1, len(catalog) + 1)):
+    if not np.array_equal(np.sort(grid, axis=None), np.arange(len(catalog))):
         return False
     first, second = np.triu_indices(ctx.d1 + 1, k=1)
     a, b = grid[:, first].ravel(), grid[:, second].ravel()
-    sizes = _intersection_sizes(catalog.generators, catalog._keys, a - 1, b - 1, ctx)
+    sizes = _intersection_sizes(catalog.generators, catalog._keys, a, b, ctx)
     codes = _match(s, a, b, tol)[0]
     return bool((sizes == 1).all() and (codes == _CATEGORIES.index(OverlapCategory.FULL)).all())

@@ -116,8 +116,9 @@ def test_overlap_table_index_range(wmub15):
 
 
 def pair_codes(s, i, j, tol=1e-9):
-    """The category position of each pair (i[k], j[k]), -1 where no template
-    fits: the template match of the census, which raises on a -1 instead."""
+    """The category position of each 0-based pair (i[k], j[k]), -1 where no
+    template fits: the template match of the census, which raises on a -1
+    instead."""
     return _match(s, i, j, tol)[0]
 
 
@@ -131,41 +132,37 @@ def test_classify_pair_examples(wmub15):
         classify_pair(wmub15, 0, 5)
     with pytest.raises(IndexError):
         classify_pair(wmub15, 1, 25)
-    with pytest.raises(IndexError):
-        _census(wmub15, np.array([1, 0]), np.array([2, 5]), 1e-9)
-    with pytest.raises(IndexError):
-        _census(wmub15, np.array([1]), np.array([25]), 1e-9)
 
 
 def test_pair_census_checks_its_indices(wmub15):
-    # Unequal shapes neither broadcast nor reach a numpy reduction, and a
-    # pair of one basis is refused, not reported as fitting no template.
-    # Lists are read as index arrays.
+    # The one-pair entry points take indices from outside the program and
+    # check them; a pair of one basis is refused, not reported as fitting no
+    # template.  The pair passes hand `_census` 0-based pairs unchecked.
     categories = tuple(OverlapCategory)
-    codes = _census(wmub15, [1, 1], [2, 10], 1e-9)
+    codes = _census(wmub15, np.array([0, 0]), np.array([1, 9]), 1e-9)
     assert [categories[code] for code in codes] == [OverlapCategory.SUB_D2, OverlapCategory.FULL]
-    with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(2,\) and \(1,\)$"):
-        _census(wmub15, [1, 2], [3], 1e-9)
-    with pytest.raises(ValueError, match=r"^basis index arrays of unequal shapes \(1,\) and \(0,\)$"):
-        _census(wmub15, [1], [], 1e-9)
     with pytest.raises(ValueError, match=r"^pair classification needs two distinct bases, got \(2, 2\)$"):
-        _census(wmub15, [2], [2], 1e-9)
-    with pytest.raises(IndexError, match=r"^basis indices \(3, 25\) out of range 1..24$"):
-        _census(wmub15, [1, 3], [2, 25], 1e-9)
+        classify_pair(wmub15, 2, 2)
+    for call in (classify_pair, overlap_table):
+        with pytest.raises(IndexError, match=r"^basis indices \(3, 25\) out of range 1..24$"):
+            call(wmub15, 3, 25)
+        with pytest.raises(IndexError, match=r"^basis indices \(0, 3\) out of range 1..24$"):
+            call(wmub15, np.int64(0), 3)
 
 
 def test_pair_indices_must_be_integers(wmub15):
-    # Floats and bools are refused before numpy reads them as indices (a
-    # bool would classify the pair (1, 2)), and so are two empty lists,
-    # which numpy makes float arrays.
+    # Floats, bools and arrays are refused before numpy reads them as
+    # indices (a bool would classify the pair (1, 2)).
     with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
-        _census(wmub15, [1.5], [2], 1e-9)
+        classify_pair(wmub15, 2, 1.5)
     with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
         classify_pair(wmub15, 1.5, 2)
     with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype bool$"):
         classify_pair(wmub15, True, 2)
-    with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype float64$"):
-        _census(wmub15, [], [], 1e-9)
+    with pytest.raises(TypeError, match=r"^basis indices must be integers, got dtype bool$"):
+        overlap_table(wmub15, 1, np.True_)
+    with pytest.raises(TypeError, match=r"^basis indices must be scalars, got shape \(1,\)$"):
+        classify_pair(wmub15, [1], [2])
 
 
 def test_classify_pair_rejects_impossible_tolerance(wmub15):
@@ -257,7 +254,7 @@ def test_partitions_hold_reads_both_pair_passes(catalog15, wmub15, monkeypatch):
 
     def match(s, i, j, tol):
         codes, top, bottom = real_match(s, i, j, tol)
-        return np.where((i == 1) & (j == 10), 0, codes), top, bottom
+        return np.where((i == 0) & (j == 9), 0, codes), top, bottom
 
     def sizes(generators, keys, i, j, ctx):
         return np.where((i == 0) & (j == 9), 5, real_sizes(generators, keys, i, j, ctx))
@@ -341,7 +338,7 @@ def test_pair_pass_names_the_first_unfit_pair(catalogs, wmub15):
         duality_report(catalogs[15], tampered)
     with pytest.raises(NotWeaklyUnbiased, match=r"^bases \(1, 2\) fit no overlap template"):
         wmub_census(tampered)
-    codes = pair_codes(tampered, np.array([1, 2, 1]), np.array([2, 3, 3]))
+    codes = pair_codes(tampered, np.array([0, 1, 0]), np.array([1, 2, 2]))
     assert codes[:2].tolist() == [-1, -1] and codes[2] >= 0
 
 
@@ -389,7 +386,7 @@ def test_off_support_weight_fits_no_template(wmub15):
     sq = np.abs(b7.conj().T @ b1) ** 2
     for tol in (1e-9, 0.5 / ctx.d):
         assert dense_classify(sq, ctx, tol) is None
-        assert pair_codes(tampered, np.array([1]), np.array([7]), tol).tolist() == [-1]
+        assert pair_codes(tampered, np.array([0]), np.array([6]), tol).tolist() == [-1]
         with pytest.raises(NotWeaklyUnbiased, match=r"bases \(1, 7\)"):
             classify_pair(tampered, 1, 7, tol)
 
@@ -491,7 +488,7 @@ def assert_routes_agree(s, pairs, tols) -> None:
         OverlapCategory.SUB_D2: (ctx.d2 ** -0.5, ctx.d * ctx.d2),
     }
     first, second = (np.array(side) for side in zip(*pairs))
-    codes = {tol: pair_codes(s, first, second, tol) for tol in tols}
+    codes = {tol: pair_codes(s, first - 1, second - 1, tol) for tol in tols}
     categories = tuple(OverlapCategory)
     bases = {j: assembled_basis(s, j) for j in {*first.tolist(), *second.tolist()}}
     i, j = pairs[0]
@@ -526,7 +523,7 @@ def test_factored_route_matches_dense_oracle_on_every_pair(dims):
     pairs = [(i, j) for i in range(1, len(s) + 1) for j in range(i + 1, len(s) + 1)]
     assert_routes_agree(s, pairs, (1e-15, 1e-9, 0.5 / s.ctx.d, 0.0))
     first, second = (np.array(side) for side in zip(*pairs))
-    assert (pair_codes(s, first, second, 0.0) == -1).all()
+    assert (pair_codes(s, first - 1, second - 1, 0.0) == -1).all()
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
@@ -577,17 +574,17 @@ def test_mirrored_extrema_classify_every_pair_as_the_full_tables_do(dims, monkey
     full = replace(s)
     i, j = np.nonzero(~np.eye(len(s), dtype=bool))
     for tol in (1e-15, 2e-15, 3e-15, 1e-9):
-        got, want = pair_codes(s, i + 1, j + 1, tol), pair_codes(full, i + 1, j + 1, tol)
+        got, want = pair_codes(s, i, j, tol), pair_codes(full, i, j, tol)
         assert np.array_equal(got, want), (s.ctx.d, tol)
 
 
 def three_template_match(s, i, j, tol):
     """The three-template first-fit rule, kept as the oracle of `_match`: all
-    three templates on every pair, and the category position of the first one
-    each pair fits (FULL, then SUB_D1, then SUB_D2), -1 for none; with the
-    flat template's top and bottom."""
+    three templates on every 0-based pair, and the category position of the
+    first one each pair fits (FULL, then SUB_D1, then SUB_D2), -1 for none;
+    with the flat template's top and bottom."""
     (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
-        extrema[:, s.slots[j - 1, f], s.slots[i - 1, f]] for f, extrema in enumerate(s.factor_extrema)
+        extrema[:, s.slots[j, f], s.slots[i, f]] for f, extrema in enumerate(s.factor_extrema)
     )
     ctx = s.ctx
     templates = (
@@ -632,7 +629,6 @@ def test_flat_first_pass_equals_the_three_template_rule(case, wmub15):
     # the generic and NaN sets have pairs that fit none.
     s = tampered_15(case, wmub15) if isinstance(case, str) else supported_set(*case)
     i, j = np.nonzero(~np.eye(len(s), dtype=bool))
-    i, j = i + 1, j + 1
     for tol in (-1e-9, 0.0, 1e-15, 1e-9, 1e-3, 0.5 / s.ctx.d, 0.3):
         codes, top, bottom = _match(s, i, j, tol)
         want_codes, want_top, want_bottom = three_template_match(s, i, j, tol)
@@ -649,6 +645,7 @@ def test_library_entry_points_reject_a_tolerance_outside_the_gap(catalog15, wmub
         lambda tol: classify_pair(wmub15, 1, 2, tol),
         lambda tol: wmub_census(wmub15, tol),
         lambda tol: duality_report(catalog15, wmub15, tol),
+        lambda tol: partitions_hold(catalog15, wmub15, tol),
     )
     for tol in (-1e-9, 0.3, math.nan, math.nextafter(ceiling, 1.0)):
         message = f"tolerance must lie in [0, 1/(2d)] = [0, 0.03333] at d=15, got {tol:g}"
@@ -658,6 +655,7 @@ def test_library_entry_points_reject_a_tolerance_outside_the_gap(catalog15, wmub
             assert type(err.value) is ValueError
     assert classify_pair(wmub15, 1, 2, ceiling) is OverlapCategory.SUB_D2
     assert wmub_census(wmub15, ceiling) == duality_report(catalog15, wmub15, ceiling).overlap_census
+    assert partitions_hold(catalog15, wmub15, ceiling)
 
 
 def with_classes(catalog, changed: dict):
@@ -824,7 +822,7 @@ def test_sampled_pairs_above_the_cap_match_the_dense_and_point_set_oracles(dims)
             pairs.append((min(a, b) + 1, max(a, b) + 1))
             wanted.append(want)
     i, j = (np.array(side) for side in zip(*pairs))
-    codes = pair_codes(s, i, j, 1e-9)
+    codes = pair_codes(s, i - 1, j - 1, 1e-9)
     # Row-major position of (i, j), i < j, in the catalog's pair pass.
     at = (i - 1) * psi - (i - 1) * i // 2 + (j - i - 1)
     sizes = np.array([ctx.d2, ctx.d1, 1])[catalog.pair_classes[at]]

@@ -278,6 +278,18 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     assert single == []
 
 
+def test_verify_checks_no_basis_index_it_generates(monkeypatch):
+    # Only the one-pair entry points take basis indices from outside; the
+    # pair passes of `verify` run on pairs they generate, unchecked.
+    def refuse(*args):
+        raise AssertionError("basis indices checked")
+
+    monkeypatch.setattr(wmub.bases, "_check_indices", refuse)
+    v = wmub.cli.run_verification(3, 5, 1e-9)
+    assert [(row["check"], row["ok"]) for row in v.checks] == [(name, True) for name in wmub.cli.CHECKS]
+    assert len(v.checks) == 8
+
+
 def test_verify_runs_no_select_and_no_gcd_over_the_pairs(capsys, monkeypatch):
     # The pair passes read tables: at d = 95 no `numpy.gcd` argument is
     # longer than max(d, psi) = 120, against 7140 pairs, and `numpy.select`
@@ -485,7 +497,8 @@ def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeyp
 
 
 def relabel_pairs(monkeypatch, relabel: dict) -> None:
-    """Make the basis pair pass report the given categories for some pairs."""
+    """Make the basis pair pass report the given categories for some 1-based
+    pairs; the pass reads its pairs 0-based."""
     real = wmub.bases._match
     categories = tuple(OverlapCategory)
 
@@ -493,7 +506,7 @@ def relabel_pairs(monkeypatch, relabel: dict) -> None:
         codes, top, bottom = real(s, i, j, tol)
         codes = codes.copy()
         for (a, b), category in relabel.items():
-            codes[(i == a) & (j == b)] = categories.index(category)
+            codes[(i == a - 1) & (j == b - 1)] = categories.index(category)
         return codes, top, bottom
 
     monkeypatch.setattr(wmub.bases, "_match", patched)

@@ -661,6 +661,25 @@ def test_pair_census(contexts, catalogs):
         assert sum(counts.values()) == psi * (psi - 1) // 2
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 2**17])
+def test_pair_blocks_tile_the_upper_triangle_in_row_major_order(block, monkeypatch):
+    # The pair passes check no index they generate, so the blocks alone must
+    # give every pair i < j in range once, in row-major order, with slices
+    # that tile 0..n(n-1)/2 in order.
+    monkeypatch.setattr(wmub.geometry, "_PAIR_BLOCK", block)
+    for n in range(41):
+        slices, i, j = [], [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for at, block_i, block_j in wmub.geometry._pair_blocks(n):
+            slices.append(at)
+            i.append(block_i)
+            j.append(block_j)
+        want_i, want_j = np.triu_indices(n, 1)
+        assert np.array_equal(np.concatenate(i), want_i) and np.array_equal(np.concatenate(j), want_j), n
+        stops = [0, *(at.stop for at in slices)]
+        assert slices == [slice(lo, hi) for lo, hi in zip(stops, stops[1:])], n
+        assert stops[-1] == n * (n - 1) // 2 and all(hi > lo for lo, hi in zip(stops, stops[1:])), n
+
+
 # ---------------------------------------------------------------------------
 # redundancy and partition
 # ---------------------------------------------------------------------------
