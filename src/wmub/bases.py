@@ -6,9 +6,9 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -103,12 +103,78 @@ def _factor_extrema(stack: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class FactorFamily:
+    """A family of p+1 factor bases of C^p, as one read-only (p+1, p, p)
+    stack, with the certificates the factor gates read of it.  Each is a
+    fact about the stack alone, so it is computed on first use and kept on
+    the family: `extrema`, `unitarity`, `row_norms`, and the residual of
+    each (slot, component label) that `residuals` has measured.
+
+    `factor_family(p)` keeps one family of `prime_mub(p)` per process.  A
+    family made from any other stack is certified afresh, on its own; the
+    family marks the stack it is given read-only.
+    """
+
+    stack: np.ndarray
+    # (slot, component label) as one mixed-radix integer -> its unscaled
+    # `conjugation_defect` residual.  Two racing calls may both measure a
+    # key; they store the same value.
+    _residuals: dict[int, float] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.stack.setflags(write=False)
+
+    @cached_property
+    def extrema(self) -> np.ndarray:
+        """The `_factor_extrema` of the stack."""
+        return _factor_extrema(self.stack)
+
+    @cached_property
+    def unitarity(self) -> float:
+        """The largest `unitarity_defect` of the p+1 bases; NaN propagates."""
+        return float(np.max(unitarity_defect(self.stack)))
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """The largest row 2-norm of each basis, by slot."""
+        norms = np.linalg.norm(self.stack, axis=2).max(axis=1)
+        norms.setflags(write=False)
+        return norms
+
+    def residuals(self, slots: np.ndarray, comp) -> np.ndarray:
+        """The `conjugation_defect` residual of the basis at each slot against
+        its component label, whose four entries `comp` holds as arrays.  The
+        (slot, label) pairs not measured before are measured in one call."""
+        p = self.stack.shape[-1]
+        # Slots and component entries are < p + 1, so one mixed-radix
+        # integer keys each distinct (slot, component label).
+        key = slots
+        for entry in comp:
+            key = key * (p + 1) + entry
+        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        keys = keys.tolist()
+        new = np.flatnonzero([k not in self._residuals for k in keys])
+        if new.size:
+            at = first[new]
+            measured = conjugation_defect(p, self.stack[slots[at]], [entry[at] for entry in comp])
+            self._residuals.update(zip((keys[n] for n in new), measured.tolist()))
+        return np.array([self._residuals[k] for k in keys])[inverse]
+
+
+@cache
+def factor_family(p: int) -> FactorFamily:
+    """The `FactorFamily` of `prime_mub(p)`, built and certified once per
+    process; `prime_mub` raises for p above MAX_DIM or not an odd prime."""
+    return FactorFamily(prime_mub(p))
+
+
+@dataclass(frozen=True, eq=False)
 class WmubSet:
     """The indexed family of weak mutually unbiased bases over C^d.
 
     Indexing is 1-based and follows `catalog_layout`: row j - 1 of each
-    array belongs to basis j.  `factor_stacks` holds the two
-    prime-dimension families the bases are tensor products of, each the
+    array belongs to basis j.  `families` holds the two prime-dimension
+    families the bases are tensor products of, each a `FactorFamily` of the
     (p+1, p, p) stack of `prime_mub`; `slots` holds the row of each factor
     basis in its stack, which is the catalog's component index (i1, i2);
     and `labels` holds the entries (kappa, lam, mu, nu) of the catalog's
@@ -120,32 +186,31 @@ class WmubSet:
     ctx: CrtContext
     slots: np.ndarray
     labels: np.ndarray
-    factor_stacks: tuple[np.ndarray, np.ndarray]
+    families: tuple[FactorFamily, FactorFamily]
 
     def __len__(self) -> int:
         return len(self.slots)
 
-    @cached_property
+    @property
     def factor_extrema(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per factor, the `_factor_extrema` of its prime-dimension family,
-        computed once per set from the (d1+1)(d1+2)/2 + (d2+1)(d2+2)/2
-        tables with j <= i, of at most d2 x d2; the others are mirrored."""
-        return tuple(_factor_extrema(stack) for stack in self.factor_stacks)
+        """Per factor, the `_factor_extrema` of its family, kept on the
+        family: (d1+1)(d1+2)/2 + (d2+1)(d2+2)/2 tables with j <= i, of at
+        most d2 x d2, once per family; the others are mirrored."""
+        return self.families[0].extrema, self.families[1].extrema
 
 
 def build_wmub(catalog: MaximalLineCatalog) -> WmubSet:
     """The dedekind_psi(d) weak mutually unbiased bases of the catalog's
     context, paired index by index with its lines: the catalog's component
     indices as slots, its sweep matrices as labels, and the two
-    prime-dimension factor families; no d x d matrix is formed.
+    prime-dimension factor families of `factor_family`; no d x d matrix is
+    formed.
 
     `d` is not capped here; `prime_mub` caps each factor prime at MAX_DIM.
     """
     ctx = catalog.ctx
-    stacks = (prime_mub(ctx.d1), prime_mub(ctx.d2))
-    for stack in stacks:
-        stack.setflags(write=False)
-    return WmubSet(ctx, catalog.components, catalog.matrices, stacks)
+    families = (factor_family(ctx.d1), factor_family(ctx.d2))
+    return WmubSet(ctx, catalog.components, catalog.matrices, families)
 
 
 def unitarity_bound(s: WmubSet) -> float:
@@ -155,9 +220,10 @@ def unitarity_bound(s: WmubSet) -> float:
     B^dag B is the CRT relabelling of (I + E1) (x) (I + E2) for the factor
     defects E1 and E2, so with e_i the largest defect over the d_i+1 bases
     of factor i, every |B^dag B - I| entry is at most e1 + e2 + e1*e2.
-    One `unitarity_defect` call per family; a NaN defect propagates.
+    One `unitarity_defect` call per family, kept on the family; a NaN
+    defect propagates.
     """
-    e1, e2 = (float(np.max(unitarity_defect(stack))) for stack in s.factor_stacks)
+    e1, e2 = (family.unitarity for family in s.families)
     return e1 + e2 + e1 * e2
 
 
@@ -177,9 +243,8 @@ def conjugation_bound(s: WmubSet) -> float:
     component label and c_i the largest row norm of U_i, the residual of B
     is at most q1*r1*c2 + c1*q2*r2, where
     q_i = min(t_i, d_i - t_i) bounds the growth of the X residual from X to
-    X^t_i (X^t is also X^-(d_i - t_i)).  Each (factor, factor basis,
-    component label) is checked once, all of a factor in one
-    `conjugation_defect` call on the gathered factor bases.
+    X^t_i (X^t is also X^-(d_i - t_i)).  Each (factor basis, component
+    label) is measured once per family, by `FactorFamily.residuals`.
 
     All labels are split in one array pass.  Each component label must have
     determinant 1 mod d_i, which by the CRT is the unit determinant of the
@@ -196,20 +261,10 @@ def conjugation_bound(s: WmubSet) -> float:
         j = int(bad[0]) + 1
         k, l, m, n = s.labels[j - 1].tolist()
         raise RuntimeError(f"B_{j} label X({k},{l}|{m},{n}): determinant is not 1 (mod {ctx.d})")
-    terms = []
-    for factor, (di, comp) in enumerate(factors):
-        # Slots and component entries are < di + 1, so one mixed-radix
-        # integer keys each distinct (slot, component label).
-        slots = s.slots[:, factor]
-        key = slots
-        for entry in comp:
-            key = key * (di + 1) + entry
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        stack = s.factor_stacks[factor][slots[first]]
-        residuals = powers[factor] * conjugation_defect(di, stack, [entry[first] for entry in comp])
-        norms = np.linalg.norm(stack, axis=2).max(axis=1)
-        terms.append((residuals[inverse], norms[inverse]))
-    (r1, c1), (r2, c2) = terms
+    (r1, c1), (r2, c2) = (
+        (power * family.residuals(slots, comp), family.row_norms[slots])
+        for power, family, slots, (_, comp) in zip(powers, s.families, s.slots.T, factors)
+    )
     return float((r1 * c2 + c1 * r2).max())
 
 
@@ -233,7 +288,7 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
     route for tests.
     """
     _check_indices(s, i, j)
-    stack1, stack2 = s.factor_stacks
+    stack1, stack2 = (family.stack for family in s.families)
     bj, bi = (
         assemble_tensor_basis(stack1[slot1], stack2[slot2], s.ctx)
         for slot1, slot2 in s.slots[[j - 1, i - 1]]

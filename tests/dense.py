@@ -119,8 +119,8 @@ def dense_conjugation_defect(d: int, u: np.ndarray, label: tuple[int, int, int, 
 
 def assembled_basis(s: WmubSet, j: int) -> np.ndarray:
     """The d x d unitary of basis j, assembled from its two factor slots."""
-    (stack1, stack2), (slot1, slot2) = s.factor_stacks, s.slots[j - 1]
-    return assemble_tensor_basis(stack1[slot1], stack2[slot2], s.ctx)
+    (family1, family2), (slot1, slot2) = s.families, s.slots[j - 1]
+    return assemble_tensor_basis(family1.stack[slot1], family2.stack[slot2], s.ctx)
 
 
 def symplectic_label_defect(s: WmubSet, j: int) -> float:

@@ -13,6 +13,7 @@ import wmub.bases
 import wmub.geometry
 import wmub.hilbert
 from wmub.bases import (
+    FactorFamily,
     NotWeaklyUnbiased,
     OverlapCategory,
     build_wmub,
@@ -220,12 +221,14 @@ def test_factor_structure(wmub15):
 
 
 def test_factor_stacks_are_read_only(catalog15):
-    # `factor_extrema` is cached per set, so an in-place write to a factor
-    # stack would leave the unitarity gate and the extrema reading different
-    # families; it must raise instead.  A fresh set: the fixtures are shared.
+    # Each family keeps its certificates, and `factor_family` keeps the
+    # family for the process, so an in-place write to a factor stack would
+    # leave the gates reading certificates of another stack; it must raise
+    # instead, also on a family made from a stack of the caller's.
     s = build_wmub(catalog15)
     s.factor_extrema
-    for stack in s.factor_stacks:
+    own = FactorFamily(s.families[0].stack.copy())
+    for stack in (*(family.stack for family in s.families), own.stack):
         with pytest.raises(ValueError, match="read-only"):
             stack[2] = 0
 
@@ -236,7 +239,8 @@ def test_cached_arrays_are_read_only(catalog15):
     # any of them must raise.  A fresh set: the fixtures are shared.
     s = build_wmub(catalog15)
     duality_report(catalog15, s)
-    for array in (*s.factor_extrema, catalog15.pair_classes, partition_lines(s.ctx), partition_bases(s)):
+    row_norms = (family.row_norms for family in s.families)
+    for array in (*s.factor_extrema, *row_norms, catalog15.pair_classes, partition_lines(s.ctx), partition_bases(s)):
         with pytest.raises(ValueError, match="read-only"):
             array[:] = 1
 
@@ -563,15 +567,15 @@ def test_factor_extrema_match_a_per_pair_overlaps_loop(p):
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
 def test_mirrored_extrema_classify_every_pair_as_the_full_tables_do(dims, monkeypatch):
-    # `_factor_extrema` forms the tables j <= i and mirrors them; a fresh
-    # set whose extrema come from one table per ordered pair must give every
-    # ordered pair the same code, also at tolerances a few ulps wide.
+    # `_factor_extrema` forms the tables j <= i and mirrors them; a set of
+    # fresh families whose extrema come from one table per ordered pair must
+    # give every ordered pair the same code, also at tolerances a few ulps wide.
     s = supported_set(*dims)
     for fields in s.factor_extrema:
         for field in fields:
             assert np.array_equal(field, field.T)
     monkeypatch.setattr(wmub.bases, "_factor_extrema", per_pair_extrema)
-    full = replace(s)
+    full = replace(s, families=tuple(FactorFamily(family.stack) for family in s.families))
     i, j = np.nonzero(~np.eye(len(s), dtype=bool))
     for tol in (1e-15, 2e-15, 3e-15, 1e-9):
         got, want = pair_codes(s, i, j, tol), pair_codes(full, i, j, tol)
@@ -605,7 +609,7 @@ def tampered_15(case: str, s):
     second factor, a NaN entry, or a mix of two bases in the first factor."""
     if case == "generic":
         return tampered_factor(s, 1, 2, generic_unitary(5, seed=7))
-    first = s.factor_stacks[0]
+    first = s.families[0].stack
     if case == "nan":
         broken = first[2].copy()
         broken[0, 0] = math.nan
@@ -757,7 +761,7 @@ def test_first_unfit_basis_pair_raises_across_blocks(block, monkeypatch):
     # the first such pair is (34, 35), slots (2, 0) and (3, 0).
     catalog = maximal_line_catalog(crt_context(3, 31))
     s = build_wmub(catalog)
-    tampered = tampered_factor(s, 0, 3, s.factor_stacks[0][2])
+    tampered = tampered_factor(s, 0, 3, s.families[0].stack[2])
     assert s.slots[[33, 34]].tolist() == [[2, 0], [3, 0]]
     if block is not None:
         monkeypatch.setattr(wmub.geometry, "_PAIR_BLOCK", block)
@@ -892,11 +896,13 @@ BOUND_SLACK = 1e-13
 
 
 def tampered_factor(s, factor: int, slot: int, matrix: np.ndarray):
-    """The set with factor basis `slot` of factor `factor` replaced by `matrix`."""
-    stacks = list(s.factor_stacks)
-    stacks[factor] = stacks[factor].copy()
-    stacks[factor][slot] = matrix
-    return replace(s, factor_stacks=tuple(stacks))
+    """The set with factor basis `slot` of factor `factor` replaced by
+    `matrix`, in a family of its own, certified afresh."""
+    families = list(s.families)
+    stack = families[factor].stack.copy()
+    stack[slot] = matrix
+    families[factor] = FactorFamily(stack)
+    return replace(s, families=tuple(families))
 
 
 def assert_bounds_hold(s, indices) -> None:
@@ -930,7 +936,8 @@ def test_factored_bounds_hold_under_small_factor_faults(dims):
     s = supported_set(*dims)
     rng = np.random.default_rng(s.ctx.d)
     phased, scaled = s, s
-    for factor, stack in enumerate(s.factor_stacks):
+    for factor, family in enumerate(s.families):
+        stack = family.stack
         dim = stack.shape[-1]
         for slot, b in enumerate(stack):
             phases = np.exp(1e-6j * (np.arange(dim) + rng.random(dim)))
@@ -956,8 +963,8 @@ def test_factored_conjugation_rejects_factor_faults(dims):
     ceiling = 0.5 / s.ctx.d
     rng = np.random.default_rng(s.ctx.d)
     assert conjugation_bound(s) <= ceiling
-    for factor, stack in enumerate(s.factor_stacks):
-        u = stack[1]
+    for factor, family in enumerate(s.families):
+        u = family.stack[1]
         dim = len(u)
         faults = {
             "swapped columns": u[:, [1, 0, *range(2, dim)]],

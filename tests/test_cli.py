@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,12 +29,13 @@ import wmub.bases
 import wmub.cli
 import wmub.geometry
 import wmub.hilbert
-from wmub.bases import OverlapCategory, build_wmub, duality_report
+from wmub.bases import FactorFamily, OverlapCategory, build_wmub, duality_report
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.geometry import maximal_line_catalog, pair_census
 from wmub.zring import CrtContext, crt_context
 
 import record_digests
+from test_bases import tampered_15
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -336,12 +338,85 @@ def test_basis_commands_assemble_no_dense_basis(capsys, monkeypatch, argv):
 def test_verify_certifies_each_factor_family_in_one_call(capsys, monkeypatch):
     # One unitarity and one conjugation kernel call per factor family, each
     # on a stack; at d = 15 every factor slot carries one component label.
+    # A cleared cache: an earlier test may have certified both families.
+    wmub.bases.factor_family.cache_clear()
     unitarity = count_calls(monkeypatch, wmub.hilbert.unitarity_defect)
     conjugation = count_calls(monkeypatch, wmub.hilbert.conjugation_defect)
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 0
     assert [args[0].shape for args in unitarity] == [(4, 3, 3), (6, 5, 5)]
     assert [args[1].shape for args in conjugation] == [(4, 3, 3), (6, 5, 5)]
+
+
+def test_verify_certifies_each_prime_once_per_process(monkeypatch):
+    # d = 21 shares p = 3 with d = 15, so only the p = 7 family is built and
+    # certified; a repeat at d = 15 runs no factor-level kernel at all and
+    # gives the same rows.
+    wmub.bases.factor_family.cache_clear()
+    first = wmub.cli.run_verification(3, 5, 1e-9)
+    kernels = ("prime_mub", "unitarity_defect", "conjugation_defect")
+    calls = {name: count_calls(monkeypatch, getattr(wmub.hilbert, name)) for name in kernels}
+    calls["_factor_extrema"] = count_calls(monkeypatch, wmub.bases._factor_extrema)
+    assert wmub.cli.run_verification(3, 7, 1e-9).ok
+    assert calls["prime_mub"] == [(7,)]
+    assert [args[0].shape for args in calls["unitarity_defect"]] == [(8, 7, 7)]
+    assert [args[1].shape for args in calls["conjugation_defect"]] == [(8, 7, 7)]
+    assert [args[0].shape for args in calls["_factor_extrema"]] == [(8, 7, 7)]
+    for log in calls.values():
+        log.clear()
+    assert wmub.cli.run_verification(3, 5, 1e-9) == first
+    assert calls == {name: [] for name in calls}
+
+
+def test_threads_sharing_the_family_cache_agree_with_one_thread():
+    # The family cache and each family's certificates are filled without a
+    # lock: a race may build a family or measure a certificate twice, but
+    # must store and report what one thread alone does.
+    dims = [(3, 5), (3, 7), (5, 7), (3, 11)]
+    wmub.bases.factor_family.cache_clear()
+    want = [wmub.cli.run_verification(d1, d2, 1e-9) for d1, d2 in dims]
+    residuals = {p: dict(wmub.bases.factor_family(p)._residuals) for p in (3, 5, 7, 11)}
+    wmub.bases.factor_family.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(wmub.cli.run_verification, d1, d2, 1e-9) for _ in range(4) for d1, d2 in dims]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 4
+    assert {p: wmub.bases.factor_family(p)._residuals for p in residuals} == residuals
+
+
+@pytest.mark.parametrize(
+    "case,summary",
+    [
+        ("nan", "FAIL unitarity: max defect nan vs tolerance 1e-09"),
+        ("generic", "FAIL conjugation: max residual 3.248e+00 vs tolerance 1e-09"),
+        ("mixed", "FAIL conjugation: max residual 1.512e+00 vs tolerance 1e-09"),
+    ],
+)
+def test_a_warm_cache_vouches_for_no_tampered_family(capsys, monkeypatch, case, summary):
+    # A tampered family is a family of its own, so after a clean run has
+    # certified both primes it fails the gate it fails on a cold cache, with
+    # the same summary; the overlap pass reads its own extrema too, and some
+    # pair fits no template, which the cached extrema would not give.
+    summaries, codes = [], []
+    for warm in (True, False):
+        wmub.bases.factor_family.cache_clear()
+        if warm:
+            assert run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])[0] == 0
+        tampered = tampered_15(case, build_wmub(maximal_line_catalog(crt_context(3, 5))))
+        monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: tampered)
+        code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+        assert (code, err) == (1, "")
+        summaries.append(out.strip())
+        with np.errstate(invalid="ignore"):
+            codes.append(wmub.bases._match(tampered, *np.triu_indices(len(tampered), k=1), 1e-9)[0])
+        monkeypatch.undo()
+    assert summaries == [summary, summary]
+    assert np.array_equal(*codes) and (codes[0] < 0).any()
 
 
 def test_partitions_bases_builds_no_factor_family(capsys, monkeypatch):
@@ -487,10 +562,11 @@ def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeyp
     # A NaN in any factor basis, not only the first of its family, fails
     # the unitarity gate by name.
     s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
-    stack1, stack2 = s.factor_stacks
-    broken = stack1.copy()
+    family1, family2 = s.families
+    broken = family1.stack.copy()
     broken[2, 0, 0] = math.nan
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: replace(s, factor_stacks=(broken, stack2)))
+    tampered = replace(s, families=(FactorFamily(broken), family2))
+    monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: tampered)
     code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1 and err == ""
     assert out.strip() == "FAIL unitarity: max defect nan vs tolerance 1e-09"
@@ -535,10 +611,10 @@ def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
     s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
     rng = np.random.default_rng(2024)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    stack1, stack2 = s.factor_stacks
-    generic = stack2.copy()
+    family1, family2 = s.families
+    generic = family2.stack.copy()
     generic[1] = q
-    tampered = replace(s, factor_stacks=(stack1, generic))
+    tampered = replace(s, families=(family1, FactorFamily(generic)))
     monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: tampered)
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
