@@ -8,14 +8,12 @@ between intersection sizes and overlap templates.
 
 from .bases import (
     DualityReport,
-    FactorFamily,
     NotWeaklyUnbiased,
     OverlapCategory,
     WmubSet,
     build_wmub,
     conjugation_bound,
     duality_report,
-    factor_family,
     unitarity_bound,
 )
 from .geometry import (

@@ -421,23 +421,29 @@ def test_a_warm_cache_vouches_for_no_tampered_family(capsys, monkeypatch, case, 
 
 def test_partitions_bases_builds_no_factor_family(capsys, monkeypatch):
     # The basis grid is the catalog layout's, so d is not capped at 105.
+    # Counting `factor_family` lookups, with the cache cleared, sees a
+    # family taken from the cache as well as one built.
+    wmub.bases.factor_family.cache_clear()
+    looked_up = count_calls(monkeypatch, wmub.bases.factor_family)
     built = count_calls(monkeypatch, wmub.hilbert.prime_mub)
     code, out, _ = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "5", "--side", "bases"])
     assert code == 0 and out == (GOLDEN / "partitions_bases_3_5.txt").read_text()
-    assert built == []
+    assert looked_up == built == []
     code, _, err = run_cli(capsys, ["partitions", "--d1", "3", "--d2", "37", "--side", "bases"])
     assert (code, err) == (0, "")
-    assert built == []
+    assert looked_up == built == []
 
 
 def test_wmub_table_builds_no_factor_family(capsys, monkeypatch):
     # The basis table reads only the labels, so d is not capped at 105.
+    wmub.bases.factor_family.cache_clear()
+    looked_up = count_calls(monkeypatch, wmub.bases.factor_family)
     built = count_calls(monkeypatch, wmub.hilbert.prime_mub)
     code, out, _ = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "5"])
     assert code == 0 and out == (GOLDEN / "bases_3_5.txt").read_text()
     code, _, err = run_cli(capsys, ["wmub", "--d1", "3", "--d2", "37"])
     assert (code, err) == (0, "")
-    assert built == []
+    assert looked_up == built == []
 
 
 TABLES = [
@@ -517,7 +523,9 @@ def test_every_function_the_package_exports_runs_on_some_command(capsys):
     # The package root exports the pipeline the commands run; a function
     # only the tests call is imported from its module.  Classes, exceptions
     # and constants are exempt.  Cleared caches make the lru-cached exports
-    # run their own code again.
+    # run their own code again; `prime_mub` runs only where `verify` builds
+    # a family that is not cached yet.
+    wmub.bases.factor_family.cache_clear()
     exported = {}
     for name, value in vars(wmub).items():
         function = inspect.unwrap(value)
