@@ -32,6 +32,7 @@ from .bases import (
 )
 from .geometry import (
     DetNotOne,
+    MaximalLineCatalog,
     catalog_layout,
     catalog_rows,
     check_point_map,
@@ -103,6 +104,8 @@ class Document:
                 break
             out.write(sep + glue.join([row] * (len(values) // width)) % tuple(values))
             sep = glue
+            if len(values) < rows * width:  # the last row: ask for no empty block
+                break
         # The tail is its own write: a write cut short by a closed pipe
         # raises nothing, so a later one must.
         out.write(tail)
@@ -202,6 +205,16 @@ class Verification:
         )
 
 
+@functools.cache
+def verified_catalog(ctx: CrtContext) -> MaximalLineCatalog:
+    """The `maximal_line_catalog` of a context, checked once per process, with
+    its `pair_classes` kept on it: neither depends on the tolerance.  Only
+    `verify` reads it, after `run_verification` has capped d at MAX_DIM, so
+    it holds at most the 16 supported catalogs; a raise is not cached, so a
+    broken context fails on every call."""
+    return maximal_line_catalog(ctx)
+
+
 def _ladder(ctx: CrtContext, tol: float, v: Verification):
     """Yield (ok, detail) for each check of CHECKS in turn."""
     psi = dedekind_psi(ctx.d)
@@ -211,7 +224,7 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
 
     # The catalog and the line classifier cross-check two routes each and
     # raise RuntimeError on disagreement; that fails the check by name.
-    catalog = maximal_line_catalog(ctx)
+    catalog = verified_catalog(ctx)
     yield len(catalog) == psi, f"{len(catalog)} maximal lines"
 
     counts = tuple(pair_census(catalog).values())  # keyed d2, d1, 1

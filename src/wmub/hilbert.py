@@ -6,6 +6,8 @@ symplectic unitaries the kernels are checked against live in tests/dense.py."""
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .zring import CrtContext, is_prime, mod_inverse
@@ -118,6 +120,7 @@ def prime_mub(p: int) -> np.ndarray:
     return np.concatenate([np.eye(p)[None], phases[:, :, None] * f])
 
 
+@cache
 def check_crt_relabelling(ctx: CrtContext) -> None:
     """Certify that the relabelling of C^d as C^d1 (x) C^d2 by the index
     maps n -> (n*t1 mod d1, n*t2 mod d2), `ctx.map2_split`, factorizes the
@@ -130,6 +133,10 @@ def check_crt_relabelling(ctx: CrtContext) -> None:
     omega_d^e = omega_d1^e1 * omega_d2^e2 exactly when e = e1*d2 + e2*d1
     (mod d).  The Z identity also makes the relabelling a bijection.
     Raises RuntimeError naming the first identity that fails.
+
+    A fact of the context alone, so a context that passes is certified once
+    per process; a raise is not cached, so a failing context fails on every
+    call.
     """
     d, d1, d2 = ctx.d, ctx.d1, ctx.d2
     n = np.arange(d)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import wmub.cli
+import wmub.hilbert
 from wmub.bases import build_wmub
 from wmub.geometry import maximal_line_catalog
 from wmub.zring import crt_context
@@ -37,3 +39,17 @@ def wmub15(catalog15):
 @pytest.fixture(scope="session")
 def wmub_sets(catalogs):
     return {d: build_wmub(catalog) for d, catalog in catalogs.items()}
+
+
+@pytest.fixture
+def cold_context_caches():
+    """Clear the per-context certificates of `verify`, the checked catalog and
+    the CRT relabelling, before and after the test: a fault injected below
+    them must be seen, a cold call's passes counted, and nothing the test
+    certified may reach a later test."""
+    caches = (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

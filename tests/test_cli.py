@@ -264,7 +264,7 @@ def count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def test_verify_classifies_each_pair_once(capsys, monkeypatch):
+def test_verify_classifies_each_pair_once(capsys, monkeypatch, cold_context_caches):
     # One array factorization of the 24 catalog lines, one array pass per
     # side over the 276 pairs (one block at d = 15), then one per side over
     # the 6 * 6 pairs of the partition groups alone, and no per-pair call.
@@ -280,6 +280,51 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch):
     assert single == []
 
 
+def test_verify_certifies_each_context_once_per_process(capsys, monkeypatch, cold_context_caches):
+    # The catalog, its line pair classes and the CRT relabelling are facts
+    # of (d1, d2): a second call factorizes no line and passes over none of
+    # the 276 line pairs again, while the 36 pairs of the partition groups
+    # are checked on each call.
+    factorizations = count_calls(monkeypatch, wmub.geometry.factor_keys)
+    line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
+    first = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+    assert run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"]) == first and first[0] == 0
+    assert [args[0].shape for args in factorizations] == [(24, 2)]
+    assert [len(args[2]) for args in line_passes] == [276, 36, 36]
+    for cache in (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling):
+        assert cache.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_verify_reads_the_tolerance_on_every_call(capsys, monkeypatch, cold_context_caches):
+    # No cached certificate reads the tolerance: with the context and both
+    # families warm, a call at another tolerance matches every basis pair
+    # again, and a failing tolerance fails the same gate as on a cold run.
+    wmub.bases.factor_family.cache_clear()
+    argv = ["verify", "--d1", "3", "--d2", "5", "--json"]
+    cold = run_cli(capsys, [*argv, "--tolerance", "0"])
+    assert cold[0] == 1 and json.loads(cold[1])["rows"][-1]["detail"].startswith("FAIL unitarity: ")
+    assert run_cli(capsys, argv)[0] == 0
+    basis_passes = count_calls(monkeypatch, wmub.bases._match)
+    assert run_cli(capsys, [*argv, "--tolerance", "1e-12"])[0] == 0
+    assert [len(args[1]) for args in basis_passes] == [276, 36]
+    assert run_cli(capsys, [*argv, "--tolerance", "0"]) == cold
+
+
+def test_a_warm_catalog_cache_vouches_for_no_tampered_context(capsys, monkeypatch, cold_context_caches):
+    # With s1 one off, map1_join no longer inverts map1_split.  The tampered
+    # context is a key of its own and a failed check is not cached, so it
+    # fails the catalog check by name on a cold cache, after the genuine
+    # context is cached, and again; the genuine context passes after it.
+    ctx = crt_context(3, 5)
+    tampered = replace(ctx, s1=ctx.s1 + 1)
+    passed = (0, "pairs: 276 | d1^{-1/2}:36 d2^{-1/2}:60 d^{-1/2}:180 | duality: OK | redundancy: 1/2\n", "")
+    failed = (1, "FAIL catalog: CRT point map: map1_join does not invert map1_split\n", "")
+    for context, expected in ((tampered, failed), (ctx, passed), (tampered, failed), (ctx, passed)):
+        monkeypatch.setattr(wmub.cli, "crt_context", lambda d1, d2, context=context: context)
+        assert run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"]) == expected
+    assert wmub.cli.verified_catalog.cache_info().currsize == 1
+
+
 def test_verify_checks_no_basis_index_it_generates(monkeypatch):
     # Only the one-pair entry points take basis indices from outside; the
     # pair passes of `verify` run on pairs they generate, unchecked.
@@ -292,7 +337,7 @@ def test_verify_checks_no_basis_index_it_generates(monkeypatch):
     assert len(v.checks) == 8
 
 
-def test_verify_runs_no_select_and_no_gcd_over_the_pairs(capsys, monkeypatch):
+def test_verify_runs_no_select_and_no_gcd_over_the_pairs(capsys, monkeypatch, cold_context_caches):
     # The pair passes read tables: at d = 95 no `numpy.gcd` argument is
     # longer than max(d, psi) = 120, against 7140 pairs, and `numpy.select`
     # never runs.
@@ -311,7 +356,7 @@ def test_verify_runs_no_select_and_no_gcd_over_the_pairs(capsys, monkeypatch):
     assert calls["gcd"] and max(calls["gcd"]) <= 120
 
 
-def test_verify_builds_each_catalog_fact_once(capsys, monkeypatch):
+def test_verify_builds_each_catalog_fact_once(capsys, monkeypatch, cold_context_caches):
     # The basis set reads its labels from the catalog's sweep table, and the
     # line census and the redundancy are each formed by one check.
     sweeps = count_calls(monkeypatch, wmub.geometry.sweep_entries)
@@ -368,15 +413,18 @@ def test_verify_certifies_each_prime_once_per_process(monkeypatch):
     assert calls == {name: [] for name in calls}
 
 
-def test_threads_sharing_the_family_cache_agree_with_one_thread():
-    # The family cache and each family's certificates are filled without a
-    # lock: a race may build a family or measure a certificate twice, but
-    # must store and report what one thread alone does.
+def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_caches):
+    # The family and context caches and each family's certificates are
+    # filled without a lock: a race may build a family or a catalog, or
+    # measure a certificate, twice, but must store and report what one
+    # thread alone does.
     dims = [(3, 5), (3, 7), (5, 7), (3, 11)]
+    caches = (wmub.bases.factor_family, wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling)
     wmub.bases.factor_family.cache_clear()
     want = [wmub.cli.run_verification(d1, d2, 1e-9) for d1, d2 in dims]
     residuals = {p: dict(wmub.bases.factor_family(p)._residuals) for p in (3, 5, 7, 11)}
-    wmub.bases.factor_family.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -387,6 +435,7 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread():
         sys.setswitchinterval(interval)
     assert got == want * 4
     assert {p: wmub.bases.factor_family(p)._residuals for p in residuals} == residuals
+    assert [cache.cache_info().currsize for cache in caches] == [4, 4, 4]
 
 
 @pytest.mark.parametrize(
@@ -454,6 +503,24 @@ TABLES = [
 ]
 
 
+def test_tables_fill_no_context_cache(capsys, cold_context_caches):
+    # Only `verify` keeps a catalog: at the 2**20 cap a kept catalog would
+    # hold about 89 MB, against the tables' 120 MB bound.
+    for argv in TABLES:
+        assert run_cli(capsys, [argv[0], "--d1", "3", "--d2", "5", *argv[1:]])[0] == 0
+    for cache in (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling):
+        assert cache.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("command,maker", [("lines", "catalog_rows"), ("wmub", "sweep_entries")])
+def test_a_table_makes_no_block_past_its_last_row(capsys, monkeypatch, command, maker, fmt):
+    # The 24 rows at d = 15 fill less than one block, so one block is made.
+    blocks = count_calls(monkeypatch, getattr(wmub.geometry, maker))
+    code, _, _ = run_cli(capsys, [command, "--d1", "3", "--d2", "5", "--format", fmt])
+    assert code == 0 and len(blocks) == 1
+
+
 @pytest.mark.parametrize("argv", [*TABLES, ["verify"], ["verify", "--json"]], ids=" ".join)
 def test_partition_grid_is_built_only_where_it_is_read(capsys, monkeypatch, argv):
     # The lines and bases tables read the component array of the layout
@@ -519,7 +586,7 @@ def test_every_traced_name_resolves_in_the_package(monkeypatch):
     assert tracing.TRACED and unresolved == []
 
 
-def test_every_function_the_package_exports_runs_on_some_command(capsys):
+def test_every_function_the_package_exports_runs_on_some_command(capsys, cold_context_caches):
     # The package root exports the pipeline the commands run; a function
     # only the tests call is imported from its module.  Classes, exceptions
     # and constants are exempt.  Cleared caches make the lru-cached exports
@@ -558,7 +625,7 @@ def test_every_function_the_package_exports_runs_on_some_command(capsys):
 
 
 @pytest.mark.parametrize("command", ["lines", "verify"])
-def test_catalog_commands_build_no_line_object(capsys, monkeypatch, command):
+def test_catalog_commands_build_no_line_object(capsys, monkeypatch, command, cold_context_caches):
     # The catalog, the pair pass and the table read the catalog arrays.
     built = count_calls(monkeypatch, wmub.geometry.line)
     code, _, _ = run_cli(capsys, [command, "--d1", "5", "--d2", "7"])
@@ -662,7 +729,7 @@ def test_verify_names_conjugation_on_a_label_without_unit_determinant(capsys, mo
     assert out.strip() == "FAIL conjugation: B_7 label X(2,0|0,2): determinant is not 1 (mod 15)"
 
 
-def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
+def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch, cold_context_caches):
     # Every entry generator splits into zero component generators, so the
     # product route fails on the first entry.
     monkeypatch.setattr(wmub.geometry, "split_generator", lambda generator, ctx: ((0, 0), (0, 0)))
@@ -677,7 +744,7 @@ def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch):
     assert rows[-1]["detail"] == "FAIL catalog: catalog entry 1: product route disagrees"
 
 
-def test_verify_names_catalog_on_a_wrong_component_generator(capsys, monkeypatch):
+def test_verify_names_catalog_on_a_wrong_component_generator(capsys, monkeypatch, cold_context_caches):
     # Entry 7 records the components L1(1,0) and L2(0,1) but its generator is
     # joined from L1(1,2): the matrix route would fail too, but the product
     # route runs first.
@@ -749,7 +816,7 @@ def test_verify_names_partitions_on_a_wrong_grid(capsys, monkeypatch, grid, faul
     assert out.strip() == "FAIL partitions: line and basis grids compared"
 
 
-def test_verify_names_catalog_on_a_wrong_size(capsys, monkeypatch):
+def test_verify_names_catalog_on_a_wrong_size(capsys, monkeypatch, cold_context_caches):
     # A layout one row short gives a catalog whose every entry passes both
     # routes; the catalog check is the one place that counts them.
     real = wmub.geometry.catalog_layout
@@ -769,7 +836,7 @@ def test_lines_table_at_d_3007_is_pinned(capsys):
     )
 
 
-def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):
+def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch, cold_context_caches):
     # Entry 7 (components (0, None)) gets the identity, which keeps the
     # vertical line: the matrix route fails while the product route holds.
     real = wmub.geometry.sweep_entries
@@ -786,7 +853,7 @@ def test_verify_names_catalog_on_a_wrong_sweep_matrix(capsys, monkeypatch):
     assert out.strip() == "FAIL catalog: catalog entry 7: matrix route disagrees"
 
 
-def test_verify_names_catalog_on_a_sweep_matrix_without_unit_determinant(capsys, monkeypatch):
+def test_verify_names_catalog_on_a_sweep_matrix_without_unit_determinant(capsys, monkeypatch, cold_context_caches):
     # With t1 one off, the sweep matrices whose first component is swept
     # lose their unit determinant; entry 7 (components (1, 0)) is the first.
     real = wmub.geometry.sweep_entries
@@ -863,7 +930,7 @@ def test_catalog_tables_hold_only_the_layout_whole(monkeypatch, command):
     assert peak < 3.5 * layout.nbytes, peak / layout.nbytes
 
 
-def test_verify_names_line_census_on_a_failed_cross_check(capsys, monkeypatch):
+def test_verify_names_line_census_on_a_failed_cross_check(capsys, monkeypatch, cold_context_caches):
     # Every line claims the vertical components (key p for each factor), so
     # the component rule disagrees with the determinant route on the first pair.
     monkeypatch.setattr(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ def test_crt_index_maps_factorize_the_displacements(d1, d2):
         assert np.abs(p @ displacement(ctx.d, a, b) @ p.T - split).max() < ATOL
 
 
-def test_crt_relabelling_check_names_the_broken_identity(monkeypatch):
+def test_crt_relabelling_check_names_the_broken_identity(monkeypatch, cold_context_caches):
     ctx = crt_context(3, 5)
     real_split, real_inverse = CrtContext.map2_split, wmub.hilbert.mod_inverse
     cases = [
@@ -367,6 +368,18 @@ def test_crt_relabelling_check_names_the_broken_identity(monkeypatch):
             patch.setattr(target, name, fake)
             with pytest.raises(RuntimeError, match=f"^CRT relabelling: .*{message}"):
                 check_crt_relabelling(ctx)
+
+
+def test_a_certified_relabelling_vouches_for_no_other_context(cold_context_caches):
+    # A context that passes is certified once; one with another t1 is a key
+    # of its own, and its failure is not cached, so it fails on every call.
+    ctx = crt_context(3, 5)
+    check_crt_relabelling(ctx)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match=r"^CRT relabelling: Z_d is not"):
+            check_crt_relabelling(replace(ctx, t1=1))
+    check_crt_relabelling(ctx)
+    assert check_crt_relabelling.cache_info()[:4] == (1, 3, None, 1)  # hits, misses, maxsize, size
 
 
 def test_assemble_rejects_wrong_dimensions():
