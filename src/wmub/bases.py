@@ -6,13 +6,15 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 
 import numpy as np
 
-from .geometry import MaximalLineCatalog, _intersection_sizes, _pair_blocks, partition_lines, split_entries
+from .geometry import (
+    MaximalLineCatalog, _intersection_sizes, _pair_blocks, partition_lines, prime_sweep_labels, split_entries
+)
 from .hilbert import (
     assemble_tensor_basis,
     check_crt_relabelling,
@@ -107,8 +109,8 @@ class FactorFamily:
     """A family of p+1 factor bases of C^p, as one read-only (p+1, p, p)
     stack, with the certificates the factor gates read of it.  Each is a
     fact about the stack alone, so it is computed on first use and kept on
-    the family: `extrema`, `unitarity`, `row_norms`, and the residual of
-    each (slot, component label) that `residuals` has measured.
+    the family: `extrema`, `unitarity`, `row_norms` and `residuals`.  Row k
+    of the stack is factor slot k, whose label is `prime_sweep_labels(p)[k]`.
 
     `factor_family(p)` keeps one family of `prime_mub(p)` per process.  A
     family made from any other stack is certified afresh, on its own; the
@@ -116,10 +118,6 @@ class FactorFamily:
     """
 
     stack: np.ndarray
-    # (slot, component label) as one mixed-radix integer -> its unscaled
-    # `conjugation_defect` residual.  Two racing calls may both measure a
-    # key; they store the same value.
-    _residuals: dict[int, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.stack.setflags(write=False)
@@ -141,24 +139,14 @@ class FactorFamily:
         norms.setflags(write=False)
         return norms
 
-    def residuals(self, slots: np.ndarray, comp) -> np.ndarray:
-        """The `conjugation_defect` residual of the basis at each slot against
-        its component label, whose four entries `comp` holds as arrays.  The
-        (slot, label) pairs not measured before are measured in one call."""
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """The `conjugation_defect` residual of each basis against the label
+        of its slot, by slot, from one kernel call on the whole stack."""
         p = self.stack.shape[-1]
-        # Slots and component entries are < p + 1, so one mixed-radix
-        # integer keys each distinct (slot, component label).
-        key = slots
-        for entry in comp:
-            key = key * (p + 1) + entry
-        keys, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        keys = keys.tolist()
-        new = np.flatnonzero([k not in self._residuals for k in keys])
-        if new.size:
-            at = first[new]
-            measured = conjugation_defect(p, self.stack[slots[at]], [entry[at] for entry in comp])
-            self._residuals.update(zip((keys[n] for n in new), measured.tolist()))
-        return np.array([self._residuals[k] for k in keys])[inverse]
+        residuals = conjugation_defect(p, self.stack, tuple(prime_sweep_labels(p).T))
+        residuals.setflags(write=False)
+        return residuals
 
 
 @cache
@@ -190,13 +178,6 @@ class WmubSet:
 
     def __len__(self) -> int:
         return len(self.slots)
-
-    @property
-    def factor_extrema(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per factor, the `_factor_extrema` of its family, kept on the
-        family: (d1+1)(d1+2)/2 + (d2+1)(d2+2)/2 tables with j <= i, of at
-        most d2 x d2, once per family; the others are mirrored."""
-        return self.families[0].extrema, self.families[1].extrema
 
 
 def build_wmub(catalog: MaximalLineCatalog) -> WmubSet:
@@ -243,27 +224,30 @@ def conjugation_bound(s: WmubSet) -> float:
     component label and c_i the largest row norm of U_i, the residual of B
     is at most q1*r1*c2 + c1*q2*r2, where
     q_i = min(t_i, d_i - t_i) bounds the growth of the X residual from X to
-    X^t_i (X^t is also X^-(d_i - t_i)).  Each (factor basis, component
-    label) is measured once per family, by `FactorFamily.residuals`.
+    X^t_i (X^t is also X^-(d_i - t_i)).
 
-    All labels are split in one array pass.  Each component label must have
-    determinant 1 mod d_i, which by the CRT is the unit determinant of the
-    label itself.  Raises RuntimeError when the relabelling check fails or a
-    label's determinant is not 1.
+    All labels are split in one array pass; each component label must equal
+    the `prime_sweep_labels` row of its factor slot exactly, which by the CRT
+    also gives the label determinant 1, so r_i is the residual of that slot,
+    measured once per family (`FactorFamily.residuals`).  Raises RuntimeError
+    when the relabelling check fails or a label does not split into the
+    labels of its factor slots, naming the first such basis.
     """
     ctx = s.ctx
     check_crt_relabelling(ctx)
     powers = (min(ctx.t1, ctx.d1 - ctx.t1), min(ctx.t2, ctx.d2 - ctx.t2))
-    factors = tuple(zip((ctx.d1, ctx.d2), split_entries(s.labels.T, ctx)))
-    unit = [(k * n - l * m) % di == 1 for di, (k, l, m, n) in factors]
-    bad = np.flatnonzero(~(unit[0] & unit[1]))
+    fits = [
+        (np.array(comp) == prime_sweep_labels(di)[slots].T).all(axis=0)
+        for di, slots, comp in zip((ctx.d1, ctx.d2), s.slots.T, split_entries(s.labels.T, ctx))
+    ]
+    bad = np.flatnonzero(~(fits[0] & fits[1]))
     if bad.size:
         j = int(bad[0]) + 1
         k, l, m, n = s.labels[j - 1].tolist()
-        raise RuntimeError(f"B_{j} label X({k},{l}|{m},{n}): determinant is not 1 (mod {ctx.d})")
+        raise RuntimeError(f"B_{j} label X({k},{l}|{m},{n}) does not split into its factor slots' labels")
     (r1, c1), (r2, c2) = (
-        (power * family.residuals(slots, comp), family.row_norms[slots])
-        for power, family, slots, (_, comp) in zip(powers, s.families, s.slots.T, factors)
+        (power * family.residuals[slots], family.row_norms[slots])
+        for power, family, slots in zip(powers, s.families, s.slots.T)
     )
     return float((r1 * c2 + c1 * r2).max())
 
@@ -304,8 +288,8 @@ def _match(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
     if none, and the flat template's top and bottom over all the pairs.
     """
     # Each factor's fields at the pairs' slots, [field, pair], by flat index.
-    fields = [extrema.reshape(5, -1) for extrema in s.factor_extrema]
-    at = [s.slots[j, f] * len(e[0]) + s.slots[i, f] for f, e in enumerate(s.factor_extrema)]
+    fields = [family.extrema.reshape(5, -1) for family in s.families]
+    at = [s.slots[j, f] * len(family.stack) + s.slots[i, f] for f, family in enumerate(s.families)]
     (max1, min1), (max2, min2) = (field[:2].take(k, axis=1) for field, k in zip(fields, at))
     top, bottom = max1 * max2, min1 * min2
     flat = 1.0 / s.ctx.d
@@ -333,7 +317,7 @@ def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> Over
     and n = m (mod d2) exactly when the second residues agree (likewise for
     d1), so the squared table is T1[n1, m1] * T2[n2, m2] with the template
     support a product region.  Every entry-wise `<= tol` test of a template
-    then reduces to products of factor-table extrema (`factor_extrema`):
+    then reduces to products of factor-table extrema (`FactorFamily.extrema`):
     e.g. the d1**-0.5 template holds iff max T1 * max diag T2 - 1/d1,
     1/d1 - min T1 * min diag T2 and max T1 * max offdiag T2 are all <= tol.
     No d x d table is formed; `unitarity_bound` and `conjugation_bound`

@@ -196,6 +196,17 @@ def sweep_entries(ctx: CrtContext, components: np.ndarray, start: int = 0) -> np
     return entries
 
 
+def prime_sweep_labels(p: int) -> np.ndarray:
+    """The label (kappa, lam, mu, nu) of each factor slot over Z(p), reduced
+    mod p, as a (p+1, 4) array: the identity at slot 0, and at slot k >= 1
+    the sweep matrix (0, 1 | -1, -lam) with sweep value lam = k - 1."""
+    labels = np.empty((p + 1, 4), dtype=np.int64)
+    labels[0] = 1, 0, 0, 1
+    labels[1:, :3] = 0, 1, p - 1
+    labels[1:, 3] = -np.arange(p) % p
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class MaximalLineCatalog:
     """The maximal lines as integer arrays, row index - 1 for each 1-based
@@ -399,7 +410,9 @@ def split_entries(entries, ctx: CrtContext):
     entries may be ints or integer arrays of equal shape (one label per
     position), so the label pass of `bases.conjugation_bound` splits every
     label at once.  The component matrices act on component lines exactly
-    as the matrix over Z(d) acts on the product line.
+    as the matrix over Z(d) acts on the product line; the sweep matrix of
+    components (i1, i2) splits into the `prime_sweep_labels` of slot i1
+    over Z(d1) and of slot i2 over Z(d2).
     """
     kappa, lam, mu, nu = entries
     k1, k2 = ctx.map1_split(kappa)

@@ -104,7 +104,8 @@ def prime_mub(p: int) -> np.ndarray:
     """The p+1 mutually unbiased bases of C^p for an odd prime p, as one
     (p+1, p, p) stack of unitaries whose columns are the basis vectors.
 
-    Row 0 is the position basis; row 1+lam is the unitary of the swept
+    Row k realises the label of factor slot k, `geometry.prime_sweep_labels`:
+    row 0 is the position basis; row 1+lam is the unitary of the swept
     symplectic matrix (0, 1 | -1, -lam): the Fourier matrix with row n
     scaled by omega(2^-1 * lam * n^2), all p of them read from one
     (lam, n) phase table.  Every cross-basis overlap has magnitude p**-0.5.

@@ -226,7 +226,7 @@ def test_factor_stacks_are_read_only(catalog15):
     # leave the gates reading certificates of another stack; it must raise
     # instead, also on a family made from a stack of the caller's.
     s = build_wmub(catalog15)
-    s.factor_extrema
+    [family.extrema for family in s.families]
     own = FactorFamily(s.families[0].stack.copy())
     for stack in (*(family.stack for family in s.families), own.stack):
         with pytest.raises(ValueError, match="read-only"):
@@ -235,12 +235,13 @@ def test_factor_stacks_are_read_only(catalog15):
 
 def test_cached_arrays_are_read_only(catalog15):
     # `duality_report` reads the cached factor extrema and the catalog's
-    # pair classes, and `partitions_hold` the partition grid; a write into
-    # any of them must raise.  A fresh set: the fixtures are shared.
+    # pair classes, `conjugation_bound` the row norms and residuals, and
+    # `partitions_hold` the partition grid; a write into any of them must
+    # raise.  A fresh set: the fixtures are shared.
     s = build_wmub(catalog15)
     duality_report(catalog15, s)
-    row_norms = (family.row_norms for family in s.families)
-    for array in (*s.factor_extrema, *row_norms, catalog15.pair_classes, partition_lines(s.ctx), partition_bases(s)):
+    certificates = (array for f in s.families for array in (f.extrema, f.row_norms, f.residuals))
+    for array in (*certificates, catalog15.pair_classes, partition_lines(s.ctx), partition_bases(s)):
         with pytest.raises(ValueError, match="read-only"):
             array[:] = 1
 
@@ -571,8 +572,8 @@ def test_mirrored_extrema_classify_every_pair_as_the_full_tables_do(dims, monkey
     # fresh families whose extrema come from one table per ordered pair must
     # give every ordered pair the same code, also at tolerances a few ulps wide.
     s = supported_set(*dims)
-    for fields in s.factor_extrema:
-        for field in fields:
+    for family in s.families:
+        for field in family.extrema:
             assert np.array_equal(field, field.T)
     monkeypatch.setattr(wmub.bases, "_factor_extrema", per_pair_extrema)
     full = replace(s, families=tuple(FactorFamily(family.stack) for family in s.families))
@@ -588,7 +589,7 @@ def three_template_match(s, i, j, tol):
     first one each pair fits (FULL, then SUB_D1, then SUB_D2), -1 for none;
     with the flat template's top and bottom."""
     (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
-        extrema[:, s.slots[j, f], s.slots[i, f]] for f, extrema in enumerate(s.factor_extrema)
+        family.extrema[:, s.slots[j, f], s.slots[i, f]] for f, family in enumerate(s.families)
     )
     ctx = s.ctx
     templates = (
@@ -954,11 +955,12 @@ def test_factored_bounds_hold_under_small_factor_faults(dims):
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=dims_id)
 def test_factored_conjugation_rejects_factor_faults(dims):
-    # Each fault in one factor basis, or a basis checked against its
-    # neighbour's label, lands above 1/(2d), the largest tolerance `verify`
-    # admits, and still bounds the dense residuals of the bases it touches.
-    # Under random column phases those exceed r1*c2 + c1*r2 at every d:
-    # the powers q_i in `conjugation_bound` are needed.
+    # Each fault in one factor basis lands above 1/(2d), the largest
+    # tolerance `verify` admits, and still bounds the dense residuals of the
+    # bases it touches.  Under random column phases those exceed
+    # r1*c2 + c1*r2 at every d: the powers q_i in `conjugation_bound` are
+    # needed.  A basis given its neighbour's label gets no bound: the label
+    # does not split into the labels of its factor slots, which is named.
     s = supported_set(*dims)
     ceiling = 0.5 / s.ctx.d
     rng = np.random.default_rng(s.ctx.d)
@@ -978,9 +980,10 @@ def test_factored_conjugation_rejects_factor_faults(dims):
     labels = s.labels.copy()
     for j in (2, len(s) - 1):
         labels[j - 1] = s.labels[j]
-    neighbour = replace(s, labels=labels)
-    assert conjugation_bound(neighbour) > ceiling
-    assert_bounds_hold(neighbour, (2, len(s) - 1))
+    k, l, m, n = s.labels[2].tolist()
+    message = f"B_2 label X({k},{l}|{m},{n}) does not split into its factor slots' labels"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        conjugation_bound(replace(s, labels=labels))
 
 
 @pytest.mark.parametrize("dims", [(3, 5), (5, 7), (7, 13)], ids=dims_id)
@@ -988,8 +991,8 @@ def test_conjugation_bound_keeps_distinct_labels_of_one_slot_apart(dims):
     # The last basis takes the label of an earlier basis with the same
     # second factor slot, so its second component label stays right and
     # its first is wrong.  An earlier basis shares its first factor slot
-    # with the right component label; both (slot, label) rows must be
-    # checked, so the fault reaches the bound.
+    # with the right component label; each component label is checked
+    # against its own slot, so the last basis is named.
     s = supported_set(*dims)
     last = len(s)
     slot1, slot2 = s.slots[last - 1]
@@ -997,6 +1000,7 @@ def test_conjugation_bound_keeps_distinct_labels_of_one_slot_apart(dims):
     assert using_slot(s, 0, slot1)[0] < last
     labels = s.labels.copy()
     labels[last - 1] = s.labels[donor - 1]
-    tampered = replace(s, labels=labels)
-    assert conjugation_bound(tampered) > 0.5 / s.ctx.d
-    assert_bounds_hold(tampered, (last,))
+    k, l, m, n = labels[last - 1].tolist()
+    message = f"B_{last} label X({k},{l}|{m},{n}) does not split into its factor slots' labels"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        conjugation_bound(replace(s, labels=labels))

@@ -422,7 +422,7 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_cac
     caches = (wmub.bases.factor_family, wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling)
     wmub.bases.factor_family.cache_clear()
     want = [wmub.cli.run_verification(d1, d2, 1e-9) for d1, d2 in dims]
-    residuals = {p: dict(wmub.bases.factor_family(p)._residuals) for p in (3, 5, 7, 11)}
+    residuals = {p: wmub.bases.factor_family(p).residuals for p in (3, 5, 7, 11)}
     for cache in caches:
         cache.cache_clear()
     interval = sys.getswitchinterval()
@@ -434,7 +434,8 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_cac
     finally:
         sys.setswitchinterval(interval)
     assert got == want * 4
-    assert {p: wmub.bases.factor_family(p)._residuals for p in residuals} == residuals
+    for p, want_residuals in residuals.items():
+        assert np.array_equal(wmub.bases.factor_family(p).residuals, want_residuals), p
     assert [cache.cache_info().currsize for cache in caches] == [4, 4, 4]
 
 
@@ -719,14 +720,21 @@ def test_verify_names_conjugation_on_a_wrong_crt_relabelling(capsys, monkeypatch
 
 
 def test_verify_names_conjugation_on_a_label_without_unit_determinant(capsys, monkeypatch):
-    # (2, 0 | 0, 2) has determinant 4 at d = 15: a unit mod 3 but not mod 5.
+    # (2, 0 | 0, 2) has determinant 4 at d = 15: a unit mod 3 but not mod 5,
+    # so it splits into no pair of factor slot labels.  Permuted slots under
+    # the catalog's labels fail the same way, at the first basis moved.
     s = build_wmub(maximal_line_catalog(crt_context(3, 5)))
     labels = s.labels.copy()
     labels[7 - 1] = (2, 0, 0, 2)
-    monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: replace(s, labels=labels))
-    code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
-    assert code == 1 and err == ""
-    assert out.strip() == "FAIL conjugation: B_7 label X(2,0|0,2): determinant is not 1 (mod 15)"
+    cases = {
+        "B_7 label X(2,0|0,2)": replace(s, labels=labels),
+        "B_1 label X(1,0|0,1)": replace(s, slots=s.slots[::-1]),
+    }
+    for named, tampered in cases.items():
+        monkeypatch.setattr(wmub.cli, "build_wmub", lambda catalog: tampered)
+        code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+        assert code == 1 and err == ""
+        assert out.strip() == f"FAIL conjugation: {named} does not split into its factor slots' labels"
 
 
 def test_verify_names_catalog_on_a_failed_cross_check(capsys, monkeypatch, cold_context_caches):

@@ -25,7 +25,9 @@ from wmub.geometry import (
     maximal_line_catalog,
     pair_census,
     partition_lines,
+    prime_sweep_labels,
     redundancy,
+    split_entries,
     split_generator,
     sweep_entries,
     sweep_value,
@@ -462,6 +464,20 @@ def test_sweep_entries_name_the_first_row_without_unit_determinant(d1, d2, field
         sweep_entries(wrong, components)
     with pytest.raises(DetNotOne, match=r"^sweep entry 1: "):
         sweep_entries(wrong, components[first - 1:first])
+
+
+@pytest.mark.parametrize(
+    "dims", SUPPORTED_DIMS + [(3, 10007), (31, 97)], ids=lambda dims: f"d={dims[0] * dims[1]}"
+)
+def test_sweep_entries_split_into_the_labels_of_their_factor_slots(dims):
+    # `conjugation_bound` reads each basis's factor residuals by slot, so it
+    # needs every catalog label to split exactly into the labels of its
+    # slots; the Z(d) formula and the Z(p) formula are written apart.
+    ctx = crt_context(*dims)
+    components = catalog_layout(ctx)
+    factors = zip((ctx.d1, ctx.d2), components.T, split_entries(sweep_entries(ctx, components).T, ctx))
+    for p, slots, comp in factors:
+        assert np.array_equal(np.stack(comp, axis=1), prime_sweep_labels(p)[slots]), (ctx.d, p)
 
 
 @pytest.mark.parametrize("dims", SUPPORTED_DIMS, ids=lambda dims: f"d={dims[0] * dims[1]}")

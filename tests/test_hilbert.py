@@ -9,7 +9,7 @@ import pytest
 
 import wmub.hilbert
 from wmub.bases import build_wmub
-from wmub.geometry import maximal_line_catalog
+from wmub.geometry import maximal_line_catalog, prime_sweep_labels
 from wmub.hilbert import (
     DimMismatch,
     DimTooLarge,
@@ -22,7 +22,7 @@ from wmub.hilbert import (
     prime_mub,
     unitarity_defect,
 )
-from wmub.zring import CrtContext, crt_context, mod_inverse
+from wmub.zring import CrtContext, crt_context, is_prime, mod_inverse
 
 from dense import (
     UnsupportedMatrix,
@@ -213,6 +213,12 @@ def factor_labels(p: int) -> np.ndarray:
     """[slot, entry]: the label of each `prime_mub(p)` basis, the identity
     and then the swept matrices (0, 1 | -1, -lam)."""
     return np.array([(1, 0, 0, 1)] + [(0, 1, p - 1, -lam % p) for lam in range(p)])
+
+
+def test_prime_sweep_labels_equal_the_factor_label_oracle():
+    for p in filter(is_prime, range(3, 104)):
+        labels = prime_sweep_labels(p)
+        assert labels.dtype == np.int64 and np.array_equal(labels, factor_labels(p)), p
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
