@@ -10,10 +10,10 @@ from .bases import (
     DualityReport,
     NotWeaklyUnbiased,
     OverlapCategory,
+    PairCertificate,
     WmubSet,
     build_wmub,
     conjugation_bound,
-    duality_report,
     unitarity_bound,
 )
 from .geometry import (

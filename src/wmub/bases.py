@@ -6,6 +6,7 @@ against the maximal-line catalog."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
@@ -280,34 +281,51 @@ def overlap_table(s: WmubSet, i: int, j: int) -> np.ndarray:
     return np.abs(bj.conj().T @ bi)
 
 
-def _match(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
-    """Match the 0-based pairs (i[k], j[k]) of distinct bases, unchecked, against the
-    templates: flat first, then d1**-0.5 and d2**-0.5 on the pairs still unmatched.
+def _residuals(s: WmubSet, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """How far the 0-based pairs (i[k], j[k]) of distinct bases, unchecked, are from
+    each template, as one (3, len(i)) array in `_CATEGORIES` order: a pair fits a
+    template within tol exactly when its residual there is <= tol.  None reads a
+    tolerance, each is >= 0, and a NaN in a table's extrema stays NaN.
 
-    Returns each pair's category position in the first template it fits, -1
-    if none, and the flat template's top and bottom over all the pairs.
+    The flat residual is max(top - 1/d, 1/d - bottom) with top = max1*max2 and
+    bottom = min1*min2; the d1**-0.5 one is max(max1*dmax2 - 1/d1, 1/d1 -
+    min1*dmin2, max1*off2), and the d2**-0.5 one its mirror (`classify_pair`).
     """
     # Each factor's fields at the pairs' slots, [field, pair], by flat index.
-    fields = [family.extrema.reshape(5, -1) for family in s.families]
-    at = [s.slots[j, f] * len(family.stack) + s.slots[i, f] for f, family in enumerate(s.families)]
-    (max1, min1), (max2, min2) = (field[:2].take(k, axis=1) for field, k in zip(fields, at))
-    top, bottom = max1 * max2, min1 * min2
-    flat = 1.0 / s.ctx.d
-    # Codes are positions in `_CATEGORIES`: FULL 2, SUB_D1 0, SUB_D2 1.
-    codes = np.where((top - flat <= tol) & (flat - bottom <= tol) & (0.0 <= tol), 2, -1)
-    rest = np.flatnonzero(codes < 0)
-    if not rest.size:
-        return codes, top, bottom
     (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
-        field.take(k[rest], axis=1) for field, k in zip(fields, at)
+        family.extrema.reshape(5, -1).take(s.slots[j, f] * len(family.stack) + s.slots[i, f], axis=1)
+        for f, family in enumerate(s.families)
     )
-    for code, top_k, bottom_k, off_top, value in (
-        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / s.ctx.d1),
-        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / s.ctx.d2),
+    ctx, residuals = s.ctx, np.empty((len(_CATEGORIES), len(i)))
+    for code, top, bottom, off_top, value in (
+        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
+        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
+        (2, max1 * max2, min1 * min2, None, 1.0 / ctx.d),
     ):
-        fit = (top_k - value <= tol) & (value - bottom_k <= tol) & (off_top <= tol)
-        codes[rest[fit & (codes[rest] < 0)]] = code
-    return codes, top, bottom
+        np.maximum(top - value, value - bottom, out=residuals[code])
+        if off_top is not None:
+            np.maximum(residuals[code], off_top, out=residuals[code])
+    return residuals
+
+
+# The order in which a pair's templates are tried, as positions in `_CATEGORIES`:
+# flat first, then d1**-0.5, then d2**-0.5.
+_FIRST_FIT = (2, 0, 1)
+
+
+def _match(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float):
+    """Match the 0-based pairs (i[k], j[k]) of distinct bases, unchecked, against the
+    templates in `_FIRST_FIT` order.
+
+    Returns each pair's category position in the first template whose
+    `_residuals` entry is <= tol, -1 if none, and the flat residual of every pair.
+    """
+    residuals = _residuals(s, i, j)
+    fits = residuals <= tol
+    codes = np.full(len(i), -1)
+    for code in reversed(_FIRST_FIT):
+        codes[fits[code]] = code
+    return codes, residuals[2]
 
 
 def classify_pair(s: WmubSet, i: int, j: int, tol: float = OVERLAP_ATOL) -> OverlapCategory:
@@ -338,14 +356,13 @@ def _census(s: WmubSet, i: np.ndarray, j: np.ndarray, tol: float) -> np.ndarray:
     """The category positions of the pairs (i[k], j[k]), 0-based and unchecked, as `_match`
     reads them; the first unfit pair in the given order raises NotWeaklyUnbiased, naming
     the pair 1-based with its flat-template residual.  The caller checks the tolerance."""
-    codes, top, bottom = _match(s, i, j, tol)
+    codes, flat = _match(s, i, j, tol)
     unfit = np.flatnonzero(codes < 0)
     if unfit.size:
         k = unfit[0]
-        worst = max(top[k] - 1.0 / s.ctx.d, 1.0 / s.ctx.d - bottom[k])
         raise NotWeaklyUnbiased(
             f"bases ({i[k] + 1}, {j[k] + 1}) fit no overlap template within {tol} "
-            f"(flat-template residual {worst:.3e})"
+            f"(flat-template residual {flat[k]:.3e})"
         )
     return codes
 
@@ -398,21 +415,98 @@ def duality_report(catalog: MaximalLineCatalog, s: WmubSet, tol: float = OVERLAP
     return DualityReport(dict(zip(_CATEGORIES, counts.tolist())), mismatch)
 
 
+def _window(classes: np.ndarray, residuals: np.ndarray) -> tuple[float, float]:
+    """(W, E) of a block of pairs with line classes `classes` and `_residuals`:
+    the largest residual of each pair against its own class's template, and
+    the smallest against a template that comes before it in `_FIRST_FIT`.
+    A NaN at any of these makes W or E NaN."""
+    own = residuals[classes, np.arange(len(classes))]
+    # The flat template comes before both others, d1**-0.5 before d2**-0.5.
+    earlier = np.minimum(np.where(classes != 2, residuals[2], np.inf), np.where(classes == 1, residuals[0], np.inf))
+    return float(own.max()), float(earlier.min())
+
+
+@dataclass(frozen=True, eq=False)
+class PairCertificate:
+    """What `verify`'s pair checks read of a catalog and a basis set, none of
+    it the tolerance, each fact computed on first use and kept on the
+    certificate; a fact that raises is not kept.  Nothing per pair is kept.
+
+    `window` is (W, E): every pair's code is its line class exactly at the
+    tolerances W <= tol < E, since there its own template fits and no
+    template tried before it does.  So inside the window the overlap census
+    is the catalog's `class_counts` and no pair is mismatched or unfit;
+    outside it some pair's code differs from its class, and `duality` runs
+    the pass of `duality_report`, which words the failure.
+    """
+
+    catalog: MaximalLineCatalog
+    s: WmubSet
+
+    @classmethod
+    def of(cls, catalog: MaximalLineCatalog) -> PairCertificate:
+        """The certificate of the set that this module's `build_wmub` makes of
+        the catalog, whatever another module binds to that name."""
+        return cls(catalog, build_wmub(catalog))
+
+    def certifies(self, catalog: MaximalLineCatalog, s: WmubSet) -> bool:
+        """Whether this is the certificate of `s` against `catalog`: the same
+        catalog, and the same context, slots, labels and families, each the
+        same object."""
+        own = self.s
+        same = ((own.ctx, s.ctx), (own.slots, s.slots), (own.labels, s.labels), *zip(own.families, s.families))
+        return self.catalog is catalog and all(a is b for a, b in same)
+
+    @cached_property
+    def conjugation(self) -> float:
+        """The `conjugation_bound` of the set."""
+        return conjugation_bound(self.s)
+
+    @cached_property
+    def window(self) -> tuple[float, float]:
+        """(W, E) over every pair, from one `_residuals` pass per block of
+        `_pair_blocks`; a set of another context raises ValueError."""
+        if self.catalog.ctx != self.s.ctx:
+            raise ValueError("catalog and basis set were built from different contexts")
+        classes = self.catalog.pair_classes
+        w, e = np.array([_window(classes[at], _residuals(self.s, i, j)) for at, i, j in _pair_blocks(len(self.s))]).T
+        return float(w.max()), float(e.min())
+
+    @cached_property
+    def partitions(self) -> tuple[bool, float]:
+        """Whether the one grid of `partition_lines`, shared by both sides, has
+        d2+1 groups of d1+1 that cover 1..psi exactly once and whose lines meet
+        pairwise only at the origin; and the largest flat residual of the
+        basis pairs of a group.  Both pair passes run on the group pairs alone."""
+        ctx = self.catalog.ctx
+        grid = partition_lines(ctx) - 1  # [group, member], 0-based
+        if grid.shape != (ctx.d2 + 1, ctx.d1 + 1):
+            return False, math.nan
+        if not np.array_equal(np.sort(grid, axis=None), np.arange(len(self.catalog))):
+            return False, math.nan
+        first, second = np.triu_indices(ctx.d1 + 1, k=1)
+        a, b = grid[:, first].ravel(), grid[:, second].ravel()
+        sizes = _intersection_sizes(self.catalog.generators, self.catalog._keys, a, b, ctx)
+        return bool((sizes == 1).all()), float(_residuals(self.s, a, b)[2].max())
+
+    def duality(self, tol: float) -> DualityReport:
+        """`duality_report(catalog, s, tol)`, from the catalog's class counts
+        inside the window and from its pass outside it."""
+        _check_tolerance(tol, self.s.ctx.d)
+        w, e = self.window
+        if w <= tol < e:
+            return DualityReport(dict(zip(_CATEGORIES, self.catalog.class_counts)))
+        return duality_report(self.catalog, self.s, tol)
+
+    def partitions_hold(self, tol: float) -> bool:
+        """What the paper claims of the partition grid: the grid facts of
+        `partitions` hold and the bases of each group are unbiased within tol."""
+        _check_tolerance(tol, self.catalog.ctx.d)
+        grid, flat = self.partitions
+        return grid and flat <= tol
+
+
 def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, tol: float) -> bool:
-    """What the paper claims of the one partition grid of `partition_lines`,
-    shared by both sides: d2+1 groups of d1+1 cover 1..psi exactly once, the
-    lines of each group meet pairwise only at the origin, and the bases of
-    each group are unbiased.  Both pair passes run on the group pairs alone,
-    0-based; a tolerance outside [0, 1/(2d)] raises ValueError."""
-    ctx = catalog.ctx
-    _check_tolerance(tol, ctx.d)
-    grid = partition_lines(ctx) - 1  # [group, member], 0-based
-    if grid.shape != (ctx.d2 + 1, ctx.d1 + 1):
-        return False
-    if not np.array_equal(np.sort(grid, axis=None), np.arange(len(catalog))):
-        return False
-    first, second = np.triu_indices(ctx.d1 + 1, k=1)
-    a, b = grid[:, first].ravel(), grid[:, second].ravel()
-    sizes = _intersection_sizes(catalog.generators, catalog._keys, a, b, ctx)
-    codes = _match(s, a, b, tol)[0]
-    return bool((sizes == 1).all() and (codes == _CATEGORIES.index(OverlapCategory.FULL)).all())
+    """`PairCertificate.partitions_hold` of a fresh certificate; a tolerance
+    outside [0, 1/(2d)] raises ValueError."""
+    return PairCertificate(catalog, s).partitions_hold(tol)

@@ -23,11 +23,9 @@ import numpy as np
 from .bases import (
     OVERLAP_ATOL,
     NotWeaklyUnbiased,
+    PairCertificate,
     _check_tolerance,
     build_wmub,
-    conjugation_bound,
-    duality_report,
-    partitions_hold,
     unitarity_bound,
 )
 from .geometry import (
@@ -215,6 +213,17 @@ def verified_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     return maximal_line_catalog(ctx)
 
 
+@functools.cache
+def verified_pairs(ctx: CrtContext) -> PairCertificate:
+    """The `PairCertificate` of the verified catalog of a context and of the
+    basis set `build_wmub` makes of it, kept once per process: none of its
+    facts reads the tolerance.  Each fact is computed on first use and one
+    that raises is not kept.  Like `verified_catalog`, only `verify`'s ladder
+    reads it, after the cap, so it holds at most the 16 supported contexts;
+    it keeps no array per pair beyond the catalog's own `pair_classes`."""
+    return PairCertificate.of(verified_catalog(ctx))
+
+
 def _ladder(ctx: CrtContext, tol: float, v: Verification):
     """Yield (ok, detail) for each check of CHECKS in turn."""
     psi = dedekind_psi(ctx.d)
@@ -239,18 +248,26 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
     defect = unitarity_bound(s)
     yield defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
 
-    defect = conjugation_bound(s)
+    # What reads no tolerance is certified once per context and kept, so a
+    # warm call only compares.  A set made any other way, or paired with
+    # another catalog, is certified afresh and kept nowhere.
+    certificate = verified_pairs(ctx)
+    if not certificate.certifies(catalog, s):
+        certificate = PairCertificate(catalog, s)
+    defect = certificate.conjugation
     yield defect <= tol, f"max residual {defect:.3e} vs tolerance {tol:g}"
 
-    # One pass over the basis pairs gives both the overlap census and the
-    # duality check; a mismatch is reported only if the counts are right.
-    report = duality_report(catalog, s, tol)
+    # The overlap census and the duality check come from one certificate:
+    # inside its window every pair's class is its line's, and outside it
+    # the basis pair pass runs; a mismatch is reported only if the counts
+    # are right.
+    report = certificate.duality(tol)
     v.overlap_counts = tuple(report.overlap_census.values())  # in OverlapCategory order
     yield v.overlap_counts == expected, f"{v.overlap_counts} expected {expected}"
 
     yield report.mismatch is None, report.mismatch or f"{sum(expected)} pairs matched"
 
-    yield partitions_hold(catalog, s, tol), "line and basis grids compared"
+    yield certificate.partitions_hold(tol), "line and basis grids compared"
 
     v.redundancy = r = redundancy(ctx.d)
     identity_holds = r * (ctx.d * ctx.d - 1) + (ctx.d * ctx.d - 1) == psi * (ctx.d - 1)

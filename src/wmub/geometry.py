@@ -237,6 +237,17 @@ class MaximalLineCatalog:
         return classes
 
     @cached_property
+    def class_counts(self) -> tuple[int, int, int]:
+        """How many entries of `pair_classes` hold 0, 1 and 2, counted a block of
+        `_PAIR_BLOCK` at a time, so no temporary exceeds one block's bytes."""
+        classes, counts = self.pair_classes, [0, 0, 0]
+        for lo in range(0, len(classes), _PAIR_BLOCK):
+            block = classes[lo : lo + _PAIR_BLOCK]
+            for k in range(3):
+                counts[k] += int(np.count_nonzero(block == k))
+        return tuple(counts)
+
+    @cached_property
     def _keys(self) -> np.ndarray:
         return factor_keys(self.generators, self.ctx)
 
@@ -384,9 +395,10 @@ def classify_line_pair(a: Line, b: Line, ctx: CrtContext) -> int:
 
 
 def pair_census(catalog: MaximalLineCatalog) -> dict[int, int]:
-    """Counts of unordered maximal-line pairs keyed by intersection size: d2, d1 and 1."""
+    """Counts of unordered maximal-line pairs keyed by intersection size: d2, d1
+    and 1, read from the catalog's `class_counts`."""
     ctx = catalog.ctx
-    return dict(zip((ctx.d2, ctx.d1, 1), np.bincount(catalog.pair_classes, minlength=3).tolist()))
+    return dict(zip((ctx.d2, ctx.d1, 1), catalog.class_counts))
 
 
 def redundancy(d: int) -> Fraction:

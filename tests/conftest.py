@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import wmub.bases
 import wmub.cli
 import wmub.hilbert
 from wmub.bases import build_wmub
@@ -43,11 +44,11 @@ def wmub_sets(catalogs):
 
 @pytest.fixture
 def cold_context_caches():
-    """Clear the per-context certificates of `verify`, the checked catalog and
-    the CRT relabelling, before and after the test: a fault injected below
-    them must be seen, a cold call's passes counted, and nothing the test
-    certified may reach a later test."""
-    caches = (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling)
+    """Clear the per-context certificates of `verify`, the checked catalog,
+    the CRT relabelling and the kept pair certificate, before and after the
+    test: a fault injected below them must be seen, a cold call's passes
+    counted, and nothing the test certified may reach a later test."""
+    caches = (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling, wmub.cli.verified_pairs)
     for cache in caches:
         cache.cache_clear()
     yield

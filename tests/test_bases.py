@@ -252,19 +252,21 @@ def test_partition_reference_grid(wmub15):
 
 def test_partitions_hold_reads_both_pair_passes(catalog15, wmub15, monkeypatch):
     # Lines 1 and 10 share a set of the grid; one wrong class for that pair,
-    # on either side, fails the check: the basis pair pass saying SUB_D1, or
-    # the line pair pass saying the lines meet in 5 points.
+    # on either side, fails the check: the basis pair pass putting the pair
+    # off the flat template, or the line pair pass saying the lines meet in
+    # 5 points.
     assert partitions_hold(catalog15, wmub15, 1e-9)
-    real_match, real_sizes = wmub.bases._match, wmub.bases._intersection_sizes
+    real_residuals, real_sizes = wmub.bases._residuals, wmub.bases._intersection_sizes
 
-    def match(s, i, j, tol):
-        codes, top, bottom = real_match(s, i, j, tol)
-        return np.where((i == 0) & (j == 9), 0, codes), top, bottom
+    def residuals(s, i, j):
+        got = real_residuals(s, i, j)
+        got[2, (i == 0) & (j == 9)] = 1.0
+        return got
 
     def sizes(generators, keys, i, j, ctx):
         return np.where((i == 0) & (j == 9), 5, real_sizes(generators, keys, i, j, ctx))
 
-    for name, patched in (("_match", match), ("_intersection_sizes", sizes)):
+    for name, patched in (("_residuals", residuals), ("_intersection_sizes", sizes)):
         with monkeypatch.context() as m:
             m.setattr(wmub.bases, name, patched)
             assert not partitions_hold(catalog15, wmub15, 1e-9), name
@@ -587,7 +589,8 @@ def three_template_match(s, i, j, tol):
     """The three-template first-fit rule, kept as the oracle of `_match`: all
     three templates on every 0-based pair, and the category position of the
     first one each pair fits (FULL, then SUB_D1, then SUB_D2), -1 for none;
-    with the flat template's top and bottom."""
+    with the flat template's residual, the larger of its top's excess and
+    its bottom's shortfall."""
     (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
         family.extrema[:, s.slots[j, f], s.slots[i, f]] for f, family in enumerate(s.families)
     )
@@ -602,7 +605,8 @@ def three_template_match(s, i, j, tol):
         for _, top, bottom, off_top, value in templates
     ]
     codes = np.select(fits, [code for code, *_ in templates], default=-1)
-    return codes, templates[0][1], templates[0][2]
+    _, top, bottom, _, value = templates[0]
+    return codes, np.maximum(top - value, value - bottom)
 
 
 def tampered_15(case: str, s):
@@ -635,11 +639,10 @@ def test_flat_first_pass_equals_the_three_template_rule(case, wmub15):
     s = tampered_15(case, wmub15) if isinstance(case, str) else supported_set(*case)
     i, j = np.nonzero(~np.eye(len(s), dtype=bool))
     for tol in (-1e-9, 0.0, 1e-15, 1e-9, 1e-3, 0.5 / s.ctx.d, 0.3):
-        codes, top, bottom = _match(s, i, j, tol)
-        want_codes, want_top, want_bottom = three_template_match(s, i, j, tol)
+        codes, flat = _match(s, i, j, tol)
+        want_codes, want_flat = three_template_match(s, i, j, tol)
         assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes), (s.ctx.d, tol)
-        assert np.array_equal(top, want_top, equal_nan=True), (s.ctx.d, tol)
-        assert np.array_equal(bottom, want_bottom, equal_nan=True), (s.ctx.d, tol)
+        assert np.array_equal(flat, want_flat, equal_nan=True), (s.ctx.d, tol)
 
 
 def test_library_entry_points_reject_a_tolerance_outside_the_gap(catalog15, wmub15):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
 import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import math
 import os
@@ -32,6 +34,7 @@ import wmub.hilbert
 from wmub.bases import FactorFamily, OverlapCategory, build_wmub, duality_report
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.geometry import maximal_line_catalog, pair_census
+from wmub.hilbert import prime_mub
 from wmub.zring import CrtContext, crt_context
 
 import record_digests
@@ -268,9 +271,10 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch, cold_context_cach
     # One array factorization of the 24 catalog lines, one array pass per
     # side over the 276 pairs (one block at d = 15), then one per side over
     # the 6 * 6 pairs of the partition groups alone, and no per-pair call.
+    # The basis passes are the residual passes of the pair certificate.
     factorizations = count_calls(monkeypatch, wmub.geometry.factor_keys)
     line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
-    basis_passes = count_calls(monkeypatch, wmub.bases._match)
+    basis_passes = count_calls(monkeypatch, wmub.bases._residuals)
     single = count_calls(monkeypatch, wmub.bases.classify_pair)
     single += count_calls(monkeypatch, wmub.geometry.classify_line_pair)
     code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
@@ -281,32 +285,41 @@ def test_verify_classifies_each_pair_once(capsys, monkeypatch, cold_context_cach
 
 
 def test_verify_certifies_each_context_once_per_process(capsys, monkeypatch, cold_context_caches):
-    # The catalog, its line pair classes and the CRT relabelling are facts
-    # of (d1, d2): a second call factorizes no line and passes over none of
-    # the 276 line pairs again, while the 36 pairs of the partition groups
-    # are checked on each call.
+    # The catalog, its line pair classes, the CRT relabelling and the pair
+    # certificate are facts of (d1, d2): a second call factorizes no line and
+    # passes over none of the 276 pairs, nor the 36 pairs of the partition
+    # groups, on either side.
     factorizations = count_calls(monkeypatch, wmub.geometry.factor_keys)
     line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
+    basis_passes = count_calls(monkeypatch, wmub.bases._residuals)
     first = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"]) == first and first[0] == 0
     assert [args[0].shape for args in factorizations] == [(24, 2)]
-    assert [len(args[2]) for args in line_passes] == [276, 36, 36]
-    for cache in (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling):
-        assert cache.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert [len(args[2]) for args in line_passes] == [len(args[1]) for args in basis_passes] == [276, 36]
+    # (hits, misses): the kept pair certificate reads the kept catalog once,
+    # and its conjugation bound, the relabelling once.
+    assert wmub.cli.verified_pairs.cache_info()[:2] == (1, 1)
+    assert wmub.cli.verified_catalog.cache_info()[:2] == (2, 1)
+    assert wmub.hilbert.check_crt_relabelling.cache_info()[:2] == (0, 1)
 
 
 def test_verify_reads_the_tolerance_on_every_call(capsys, monkeypatch, cold_context_caches):
-    # No cached certificate reads the tolerance: with the context and both
-    # families warm, a call at another tolerance matches every basis pair
-    # again, and a failing tolerance fails the same gate as on a cold run.
+    # No cached certificate reads the tolerance: each call compares it with
+    # the kept bounds and window.  With the context and both families warm,
+    # a call at another tolerance inside the window passes over no pair, and
+    # a failing tolerance fails the same gate as on a cold run.
     wmub.bases.factor_family.cache_clear()
     argv = ["verify", "--d1", "3", "--d2", "5", "--json"]
     cold = run_cli(capsys, [*argv, "--tolerance", "0"])
     assert cold[0] == 1 and json.loads(cold[1])["rows"][-1]["detail"].startswith("FAIL unitarity: ")
     assert run_cli(capsys, argv)[0] == 0
-    basis_passes = count_calls(monkeypatch, wmub.bases._match)
-    assert run_cli(capsys, [*argv, "--tolerance", "1e-12"])[0] == 0
-    assert [len(args[1]) for args in basis_passes] == [276, 36]
+    basis_passes = count_calls(monkeypatch, wmub.bases._residuals)
+    line_passes = count_calls(monkeypatch, wmub.geometry._intersection_sizes)
+    w, e = wmub.cli.verified_pairs(crt_context(3, 5)).window
+    assert w < 1e-12 and e > 1 / 30  # every tolerance that passes unitarity lies inside
+    for tol in (1e-12, 1e-3, 1 / 30):
+        assert run_cli(capsys, [*argv, f"--tolerance={tol!r}"])[0] == 0, tol
+    assert basis_passes == line_passes == []
     assert run_cli(capsys, [*argv, "--tolerance", "0"]) == cold
 
 
@@ -358,13 +371,26 @@ def test_verify_runs_no_select_and_no_gcd_over_the_pairs(capsys, monkeypatch, co
 
 def test_verify_builds_each_catalog_fact_once(capsys, monkeypatch, cold_context_caches):
     # The basis set reads its labels from the catalog's sweep table, and the
-    # line census and the redundancy are each formed by one check.
+    # line census and the redundancy are each formed by one check per call.
+    # The class counts the census reads are counted once, on the cold call,
+    # and never by a `bincount`, which would cast the int8 classes to intp.
     sweeps = count_calls(monkeypatch, wmub.geometry.sweep_entries)
     censuses = count_calls(monkeypatch, wmub.geometry.pair_census)
     redundancies = count_calls(monkeypatch, wmub.geometry.redundancy)
-    code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
-    assert code == 0
-    assert len(sweeps) == len(censuses) == len(redundancies) == 1
+    counts = {"count_nonzero": [], "bincount": []}
+    for name, record in counts.items():
+        real = getattr(np, name)
+
+        def spy(*args, real=real, record=record, **kwargs):
+            record.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    for calls in (1, 2):
+        code, _, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
+        assert code == 0
+        assert len(sweeps) == 1 and len(censuses) == len(redundancies) == calls
+        assert len(counts["count_nonzero"]) == 3 and counts["bincount"] == []
 
 
 @pytest.mark.parametrize(
@@ -419,7 +445,10 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_cac
     # measure a certificate, twice, but must store and report what one
     # thread alone does.
     dims = [(3, 5), (3, 7), (5, 7), (3, 11)]
-    caches = (wmub.bases.factor_family, wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling)
+    caches = (
+        wmub.bases.factor_family, wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling,
+        wmub.cli.verified_pairs,
+    )
     wmub.bases.factor_family.cache_clear()
     want = [wmub.cli.run_verification(d1, d2, 1e-9) for d1, d2 in dims]
     residuals = {p: wmub.bases.factor_family(p).residuals for p in (3, 5, 7, 11)}
@@ -436,7 +465,7 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_cac
     assert got == want * 4
     for p, want_residuals in residuals.items():
         assert np.array_equal(wmub.bases.factor_family(p).residuals, want_residuals), p
-    assert [cache.cache_info().currsize for cache in caches] == [4, 4, 4]
+    assert [cache.cache_info().currsize for cache in caches] == [4, 4, 4, 4]
 
 
 @pytest.mark.parametrize(
@@ -509,7 +538,7 @@ def test_tables_fill_no_context_cache(capsys, cold_context_caches):
     # hold about 89 MB, against the tables' 120 MB bound.
     for argv in TABLES:
         assert run_cli(capsys, [argv[0], "--d1", "3", "--d2", "5", *argv[1:]])[0] == 0
-    for cache in (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling):
+    for cache in (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling, wmub.cli.verified_pairs):
         assert cache.cache_info().currsize == 0
 
 
@@ -523,10 +552,10 @@ def test_a_table_makes_no_block_past_its_last_row(capsys, monkeypatch, command, 
 
 
 @pytest.mark.parametrize("argv", [*TABLES, ["verify"], ["verify", "--json"]], ids=" ".join)
-def test_partition_grid_is_built_only_where_it_is_read(capsys, monkeypatch, argv):
+def test_partition_grid_is_built_only_where_it_is_read(capsys, monkeypatch, argv, cold_context_caches):
     # The lines and bases tables read the component array of the layout
     # alone; each partition table and the `partitions` check build the
-    # grid once.
+    # grid once, the check on a cold call, in the pair certificate.
     ctx = crt_context(3, 5)
     components = wmub.geometry.catalog_layout(ctx)
     assert components.dtype.kind == "i" and components.shape == (24, 2)
@@ -649,29 +678,31 @@ def test_verify_names_unitarity_on_a_nan_in_a_later_factor_basis(capsys, monkeyp
 
 
 def relabel_pairs(monkeypatch, relabel: dict) -> None:
-    """Make the basis pair pass report the given categories for some 1-based
+    """Make the basis pair residual pass, which the pair certificate and the
+    pair pass both read, fit the given categories alone for some 1-based
     pairs; the pass reads its pairs 0-based."""
-    real = wmub.bases._match
+    real = wmub.bases._residuals
     categories = tuple(OverlapCategory)
 
-    def patched(s, i, j, tol):
-        codes, top, bottom = real(s, i, j, tol)
-        codes = codes.copy()
+    def patched(s, i, j):
+        residuals = real(s, i, j)
         for (a, b), category in relabel.items():
-            codes[(i == a - 1) & (j == b - 1)] = categories.index(category)
-        return codes, top, bottom
+            at = (i == a - 1) & (j == b - 1)
+            residuals[:, at] = np.inf
+            residuals[categories.index(category), at] = 0.0
+        return residuals
 
-    monkeypatch.setattr(wmub.bases, "_match", patched)
+    monkeypatch.setattr(wmub.bases, "_residuals", patched)
 
 
-def test_verify_names_overlap_census_on_wrong_counts(capsys, monkeypatch):
+def test_verify_names_overlap_census_on_wrong_counts(capsys, monkeypatch, cold_context_caches):
     relabel_pairs(monkeypatch, {(3, 9): OverlapCategory.SUB_D1})
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert code == 1
     assert out.strip() == "FAIL overlap-census: (37, 60, 179) expected (36, 60, 180)"
 
 
-def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypatch):
+def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypatch, cold_context_caches):
     # Swapping two categories keeps the census, so only the pairing is wrong.
     relabel_pairs(monkeypatch, {(1, 7): OverlapCategory.FULL, (3, 9): OverlapCategory.SUB_D1})
     code, out, _ = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
@@ -679,6 +710,98 @@ def test_verify_names_duality_on_a_mismatch_under_right_counts(capsys, monkeypat
     assert out.strip() == (
         "FAIL duality: pair (1, 7): intersection 5 against overlap class d^{-1/2}"
     )
+
+
+def shifted_family(p: int, shift: float, spread: float) -> FactorFamily:
+    """The family of `prime_mub(p)` with its stack intact and two of its kept
+    overlap extrema moved: the largest entry of the slot 1-to-2 table raised
+    by `shift` (the flat and d2**-0.5 templates of the pairs that read it
+    then miss by up to `shift`), and the largest and smallest entries of the
+    slot 1 self-table set to 1/p +- `spread` (the flat template then comes
+    within `spread` / d1 of the d1**-0.5 pairs that read it, whose first
+    factor table is flat at 1/d1)."""
+    family = FactorFamily(prime_mub(p))
+    extrema = family.extrema.copy()
+    extrema[0, 1, 2] += shift
+    extrema[0, 2, 1] += shift
+    extrema[:2, 1, 1] = 1 / p + spread, 1 / p - spread
+    extrema.setflags(write=False)
+    family.__dict__["extrema"] = extrema
+    return family
+
+
+def window_oracle(catalog, s) -> tuple[float, float]:
+    """(W, E) of a set against its catalog, pair by pair: the largest residual
+    of a pair against its line class's template, and the smallest against a
+    template tried before it (flat, then d1**-0.5, then d2**-0.5)."""
+    ctx, first_fit = s.ctx, (2, 0, 1)
+    own, earlier = [], []
+    for k, (i, j) in enumerate(zip(*np.triu_indices(len(s), k=1))):
+        (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
+            family.extrema[:, s.slots[j, f], s.slots[i, f]] for f, family in enumerate(s.families)
+        )
+        residuals = (
+            max(max1 * dmax2 - 1 / ctx.d1, 1 / ctx.d1 - min1 * dmin2, max1 * off2),
+            max(dmax1 * max2 - 1 / ctx.d2, 1 / ctx.d2 - dmin1 * min2, off1 * max2),
+            max(max1 * max2 - 1 / ctx.d, 1 / ctx.d - min1 * min2),
+        )
+        cls = int(catalog.pair_classes[k])
+        own.append(residuals[cls])
+        earlier += [residuals[t] for t in first_fit[: first_fit.index(cls)]]
+    return max(own), min(earlier)
+
+
+def test_a_kept_window_decides_as_the_pair_pass_at_its_edges(monkeypatch, cold_context_caches):
+    # A d = 15 set whose p = 5 family keeps moved extrema, so both its
+    # certificate and the basis set `verify` builds read that family: W is
+    # about 1e-3 and E about 0.01, both legal tolerances above the unitarity
+    # and conjugation bounds.  At each edge a warm call, a cold one and the
+    # pair pass alone (an empty window) give the same rows; inside [W, E)
+    # every check passes, and outside it the overlap census or the duality
+    # fails.
+    real = wmub.bases.factor_family
+    moved = shifted_family(5, shift=1e-3, spread=0.03)
+    monkeypatch.setattr(wmub.bases, "factor_family", lambda p: moved if p == 5 else real(p))
+    catalog = wmub.cli.verified_catalog(crt_context(3, 5))
+    w, e = wmub.cli.verified_pairs(crt_context(3, 5)).window
+    assert (w, e) == window_oracle(catalog, build_wmub(catalog))
+    assert 5e-4 < w < 2e-3 and 5e-3 < e < 1 / 30
+    for tol, inside in ((w, True), (math.nextafter(w, 0.0), False), (math.nextafter(e, 0.0), True), (e, False)):
+        wmub.cli.verified_pairs.cache_clear()
+        cold = wmub.cli.run_verification(3, 5, tol)
+        warm = wmub.cli.run_verification(3, 5, tol)
+        with monkeypatch.context() as m:
+            m.setattr(wmub.bases.PairCertificate, "window", (math.nan, math.nan))
+            wmub.cli.verified_pairs.cache_clear()
+            passed = wmub.cli.run_verification(3, 5, tol)
+        assert warm == cold == passed, tol
+        if inside:
+            assert warm.ok, tol
+        else:
+            assert warm.checks[-1]["check"] in ("overlap-census", "duality") and not warm.ok, tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([(3, 5), (5, 7)]),
+    scale=st.one_of(st.just(0.0), st.floats(min_value=-16.0, max_value=0.0)),
+    fmt=st.sampled_from([[], ["--json"]]),
+)
+def test_warm_verify_equals_cold_at_random_tolerances(dims, scale, fmt):
+    # Legal tolerances from 1/(2d) down to 16 decades below it, where every
+    # check but the catalog and the line census fails, and 0.
+    d1, d2 = dims
+    tol = 0.0 if scale == 0.0 else 10.0**scale / (2 * d1 * d2)
+    argv = ["verify", "--d1", str(d1), "--d2", str(d2), f"--tolerance={tol!r}", *fmt]
+    outputs = []
+    for cache in (wmub.cli.verified_catalog, wmub.cli.verified_pairs, wmub.hilbert.check_crt_relabelling):
+        cache.cache_clear()
+    for _ in ("cold", "warm"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        outputs.append((code, out.getvalue()))
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_names_conjugation_on_a_generic_basis(capsys, monkeypatch):
@@ -1075,13 +1198,22 @@ def test_verify_json_pins_every_passing_row(capsys, dims):
     assert list(report.overlap_census) == list(OverlapCategory)
 
 
-@pytest.mark.parametrize("gate,check", [("unitarity_bound", "unitarity"), ("partitions_hold", "partitions")])
-def test_verify_names_the_check_whose_gate_raises(capsys, monkeypatch, gate, check):
-    # Any cross-check error fails the check being run, with no traceback.
+@pytest.mark.parametrize(
+    "module,gate,check",
+    [
+        pytest.param(wmub.cli, "unitarity_bound", "unitarity", id="unitarity_bound-unitarity"),
+        # The ladder's `partitions_hold` reads the certificate's partition facts.
+        pytest.param(wmub.bases, "_intersection_sizes", "partitions", id="partitions_hold-partitions"),
+    ],
+)
+def test_verify_names_the_check_whose_gate_raises(capsys, monkeypatch, module, gate, check, cold_context_caches):
+    # Any cross-check error fails the check being run, with no traceback;
+    # the partitions check reads the pair certificate, whose line pass over
+    # the partition groups raises here.
     def boom(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(wmub.cli, gate, boom)
+    monkeypatch.setattr(module, gate, boom)
     code, out, err = run_cli(capsys, ["verify", "--d1", "3", "--d2", "5"])
     assert (code, out, err) == (1, f"FAIL {check}: boom\n", "")
 
