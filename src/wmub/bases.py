@@ -297,14 +297,16 @@ def _residuals(s: WmubSet, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         for f, family in enumerate(s.families)
     )
     ctx, residuals = s.ctx, np.empty((len(_CATEGORIES), len(i)))
-    for code, top, bottom, off_top, value in (
-        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / ctx.d1),
-        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / ctx.d2),
-        (2, max1 * max2, min1 * min2, None, 1.0 / ctx.d),
+    # Each template's products are formed in its own iteration, so only one
+    # template's temporaries are alive at a time.
+    for code, (top1, top2), (bottom1, bottom2), off, value in (
+        (0, (max1, dmax2), (min1, dmin2), (max1, off2), 1.0 / ctx.d1),
+        (1, (dmax1, max2), (dmin1, min2), (off1, max2), 1.0 / ctx.d2),
+        (2, (max1, max2), (min1, min2), None, 1.0 / ctx.d),
     ):
-        np.maximum(top - value, value - bottom, out=residuals[code])
-        if off_top is not None:
-            np.maximum(residuals[code], off_top, out=residuals[code])
+        np.maximum(top1 * top2 - value, value - bottom1 * bottom2, out=residuals[code])
+        if off is not None:
+            np.maximum(residuals[code], off[0] * off[1], out=residuals[code])
     return residuals
 
 
@@ -504,9 +506,3 @@ class PairCertificate:
         _check_tolerance(tol, self.catalog.ctx.d)
         grid, flat = self.partitions
         return grid and flat <= tol
-
-
-def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, tol: float) -> bool:
-    """`PairCertificate.partitions_hold` of a fresh certificate; a tolerance
-    outside [0, 1/(2d)] raises ValueError."""
-    return PairCertificate(catalog, s).partitions_hold(tol)

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import sys
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,15 +214,49 @@ def verified_catalog(ctx: CrtContext) -> MaximalLineCatalog:
     return maximal_line_catalog(ctx)
 
 
-@functools.cache
-def verified_pairs(ctx: CrtContext) -> PairCertificate:
-    """The `PairCertificate` of the verified catalog of a context and of the
-    basis set `build_wmub` makes of it, kept once per process: none of its
-    facts reads the tolerance.  Each fact is computed on first use and one
-    that raises is not kept.  Like `verified_catalog`, only `verify`'s ladder
-    reads it, after the cap, so it holds at most the 16 supported contexts;
-    it keeps no array per pair beyond the catalog's own `pair_classes`."""
-    return PairCertificate.of(verified_catalog(ctx))
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _KeptPairs:
+    """`verified_pairs(ctx)`: the `PairCertificate` of the verified catalog of
+    a context and of the basis set `build_wmub` makes of it, kept once per
+    process: none of its facts reads the tolerance.  Each fact is computed
+    on first use and one that raises is not kept.  Like `verified_catalog`,
+    only `verify`'s ladder reads it, after the cap, so it holds at most the
+    16 supported contexts; it keeps no array per pair beyond the catalog's
+    own `pair_classes`.
+
+    A `functools.cache` of the context, with its `cache_info` and
+    `cache_clear`, except that `keep` replaces the entry of a context: the
+    ladder keeps the certificate of the set `build_wmub` now makes when the
+    kept one no longer certifies it, as after `factor_family.cache_clear()`.
+    """
+
+    def __init__(self) -> None:
+        self._kept: dict[CrtContext, PairCertificate] = {}
+        self._hits = self._misses = 0
+
+    def __call__(self, ctx: CrtContext) -> PairCertificate:
+        certificate = self._kept.get(ctx)
+        if certificate is None:
+            self._misses += 1
+            certificate = self._kept[ctx] = PairCertificate.of(verified_catalog(ctx))
+        else:
+            self._hits += 1
+        return certificate
+
+    def keep(self, ctx: CrtContext, certificate: PairCertificate) -> None:
+        self._kept[ctx] = certificate
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, None, len(self._kept))
+
+    def cache_clear(self) -> None:
+        self._kept.clear()
+        self._hits = self._misses = 0
+
+
+verified_pairs = _KeptPairs()
 
 
 def _ladder(ctx: CrtContext, tol: float, v: Verification):
@@ -249,11 +284,16 @@ def _ladder(ctx: CrtContext, tol: float, v: Verification):
     yield defect <= tol, f"max defect {defect:.3e} vs tolerance {tol:g}"
 
     # What reads no tolerance is certified once per context and kept, so a
-    # warm call only compares.  A set made any other way, or paired with
-    # another catalog, is certified afresh and kept nowhere.
+    # warm call only compares.  The set `build_wmub` now makes of the
+    # verified catalog is certified afresh and kept in place of one it no
+    # longer is, as after its families were rebuilt; a set made any other
+    # way, or paired with another catalog, is certified afresh and kept
+    # nowhere.
     certificate = verified_pairs(ctx)
     if not certificate.certifies(catalog, s):
         certificate = PairCertificate(catalog, s)
+        if PairCertificate.of(catalog).certifies(catalog, s):
+            verified_pairs.keep(ctx, certificate)
     defect = certificate.conjugation
     yield defect <= tol, f"max residual {defect:.3e} vs tolerance {tol:g}"
 
@@ -325,25 +365,44 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each subcommand's own parser, by name, for `parse` to hand argv to.
+    parser.commands = {}
 
     tables = {"lines": "the maximal-line table", "wmub": "the basis table", "partitions": "a partition grid"}
     for command, table in tables.items():
-        p_table = sub.add_parser(command, help=f"emit {table}")
+        p_table = parser.commands[command] = sub.add_parser(command, help=f"emit {table}")
         _add_dims(p_table)
         if command == "partitions":
             p_table.add_argument("--side", choices=("lines", "bases"), default="lines")
         p_table.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
-    p_verify = sub.add_parser("verify", help="run the full duality verification")
+    p_verify = parser.commands["verify"] = sub.add_parser("verify", help="run the full duality verification")
     _add_dims(p_verify)
     p_verify.add_argument("--tolerance", type=float, default=OVERLAP_ATOL)
     p_verify.add_argument("--json", action="store_true")
     return parser
 
 
+def parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one argparse pass: an argv that
+    starts with a subcommand goes straight to that subcommand's parser, and
+    what it leaves over is refused through the top-level parser's `error`,
+    in the top-level parse's words; any other argv goes to the top-level
+    parser."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(sys.argv[1:] if argv is None else list(argv))
         code = 0
         if args.command == "lines":
             doc = lines_document(args.d1, args.d2)

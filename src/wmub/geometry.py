@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -132,12 +132,17 @@ def product_generator(
     return ctx.map1_join(comp1[0], comp2[0]), ctx.map2_join(comp1[1], comp2[1])
 
 
+@cache
 def check_point_map(ctx: CrtContext) -> None:
     """Certify in one pass over Z(d) that each CRT join undoes its split
     (map1 on the first coordinate, map2 on the second), or raise RuntimeError.
     Both sides have d elements, so the linear point map is then an
     isomorphism Z(d)^2 -> Z(d1)^2 x Z(d2)^2: it sends the line of (nu, mu)
-    onto the product of the component lines of `split_generator(nu, mu)`."""
+    onto the product of the component lines of `split_generator(nu, mu)`.
+
+    A fact of the context alone, so a context that passes is certified once
+    per process, one entry per context; a raise is not cached, so a failing
+    context fails on every call."""
     m = np.arange(ctx.d)
     for name, split, join in (("map1", ctx.map1_split, ctx.map1_join),
                               ("map2", ctx.map2_split, ctx.map2_join)):

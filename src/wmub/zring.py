@@ -112,8 +112,13 @@ class CrtContext:
         return (mbar1 * self.r1 + mbar2 * self.r2) % self.d
 
 
+@lru_cache(maxsize=None, typed=True)
 def crt_context(d1: int, d2: int) -> CrtContext:
-    """Build the CRT context for d = d1*d2, distinct odd primes with d1 < d2."""
+    """Build the CRT context for d = d1*d2, distinct odd primes with d1 < d2.
+
+    A fact of (d1, d2) alone, so each context is built once per process and
+    argument type, one small frozen object per pair; a raise is not cached,
+    so bad dimensions are refused on every call."""
     # Trial division takes sqrt(x) steps, so each factor meets the cap
     # first; below it the primality test takes at most 1024 steps.
     for name, x in (("d1", d1), ("d2", d2)):

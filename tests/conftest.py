@@ -4,7 +4,9 @@ import pytest
 
 import wmub.bases
 import wmub.cli
+import wmub.geometry
 import wmub.hilbert
+import wmub.zring
 from wmub.bases import build_wmub
 from wmub.geometry import maximal_line_catalog
 from wmub.zring import crt_context
@@ -44,11 +46,15 @@ def wmub_sets(catalogs):
 
 @pytest.fixture
 def cold_context_caches():
-    """Clear the per-context certificates of `verify`, the checked catalog,
-    the CRT relabelling and the kept pair certificate, before and after the
-    test: a fault injected below them must be seen, a cold call's passes
-    counted, and nothing the test certified may reach a later test."""
-    caches = (wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling, wmub.cli.verified_pairs)
+    """Clear the per-context caches, before and after the test: the checked
+    catalog, the CRT relabelling and the kept pair certificate of `verify`,
+    the context itself and its point-map certificate.  A fault injected
+    below them must be seen, a cold call's passes counted, and nothing the
+    test certified may reach a later test."""
+    caches = (
+        wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling, wmub.cli.verified_pairs,
+        wmub.zring.crt_context, wmub.geometry.check_point_map,
+    )
     for cache in caches:
         cache.cache_clear()
     yield

@@ -1,7 +1,8 @@
 """Brute-force point-set oracles for the line geometry, the scalar
 per-entry routes of the catalog, and the symplectic matrices with the
 group operations and factorizations that only the tests use, and the
-unit and group-order counts `euler_phi` and `jordan_j2` that no command
+unit and group-order counts `euler_phi` and `jordan_j2` and the partition
+check of a fresh pair certificate, `partitions_hold`, that no command
 reads.
 
 The library keeps a line as its generator, a matrix as four integers,
@@ -17,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from wmub.bases import PairCertificate, WmubSet
 from wmub.geometry import (
     DetNotOne,
     Line,
@@ -323,3 +325,9 @@ def jordan_j2(d: int) -> int:
     for p, _ in prime_factorization(d):
         n = n // (p * p) * (p * p - 1)
     return n
+
+
+def partitions_hold(catalog: MaximalLineCatalog, s: WmubSet, tol: float) -> bool:
+    """`PairCertificate.partitions_hold` of a fresh certificate; a tolerance
+    outside [0, 1/(2d)] raises ValueError."""
+    return PairCertificate(catalog, s).partitions_hold(tol)

@@ -22,7 +22,6 @@ from wmub.bases import (
     duality_report,
     overlap_table,
     partition_bases,
-    partitions_hold,
     unitarity_bound,
     wmub_census,
 )
@@ -41,7 +40,7 @@ from wmub.hilbert import MAX_DIM, conjugation_defect, prime_mub, unitarity_defec
 from wmub.zring import crt_context, dedekind_psi, is_prime
 
 from dense import assembled_basis, dense_conjugation_defect, overlaps, symplectic_label_defect
-from oracles import SymplecticMatrix, catalog_entries, intersection, line_pairs, matrix_factorize
+from oracles import SymplecticMatrix, catalog_entries, intersection, line_pairs, matrix_factorize, partitions_hold
 
 # Symplectic labels of the d = 15 set in index order; same data as the
 # second column of tests/golden/bases_3_5.txt.
@@ -643,6 +642,28 @@ def test_flat_first_pass_equals_the_three_template_rule(case, wmub15):
         want_codes, want_flat = three_template_match(s, i, j, tol)
         assert codes.dtype == want_codes.dtype and np.array_equal(codes, want_codes), (s.ctx.d, tol)
         assert np.array_equal(flat, want_flat, equal_nan=True), (s.ctx.d, tol)
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (5, 7), (5, 19)], ids=dims_id)
+def test_residuals_equal_the_nine_product_formula(dims):
+    # `_residuals` forms each template's products in its own iteration; the
+    # residuals of every pair are bit for bit those of the formula that
+    # forms all nine products first.
+    s = supported_set(*dims)
+    i, j = np.triu_indices(len(s), k=1)
+    (max1, min1, dmax1, dmin1, off1), (max2, min2, dmax2, dmin2, off2) = (
+        family.extrema[:, s.slots[j, f], s.slots[i, f]] for f, family in enumerate(s.families)
+    )
+    want = np.empty((3, len(i)))
+    for code, top, bottom, off_top, value in (
+        (0, max1 * dmax2, min1 * dmin2, max1 * off2, 1.0 / s.ctx.d1),
+        (1, dmax1 * max2, dmin1 * min2, off1 * max2, 1.0 / s.ctx.d2),
+        (2, max1 * max2, min1 * min2, None, 1.0 / s.ctx.d),
+    ):
+        np.maximum(top - value, value - bottom, out=want[code])
+        if off_top is not None:
+            np.maximum(want[code], off_top, out=want[code])
+    assert np.array_equal(wmub.bases._residuals(s, i, j), want)
 
 
 def test_library_entry_points_reject_a_tolerance_outside_the_gap(catalog15, wmub15):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import functools
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wmub
@@ -31,6 +32,7 @@ import wmub.bases
 import wmub.cli
 import wmub.geometry
 import wmub.hilbert
+import wmub.zring
 from wmub.bases import FactorFamily, OverlapCategory, build_wmub, duality_report
 from wmub.cli import USAGE_ERROR, VERIFY_ERROR, main
 from wmub.geometry import maximal_line_catalog, pair_census
@@ -303,6 +305,23 @@ def test_verify_certifies_each_context_once_per_process(capsys, monkeypatch, col
     assert wmub.hilbert.check_crt_relabelling.cache_info()[:2] == (0, 1)
 
 
+def test_verify_keeps_the_certificate_of_rebuilt_families(capsys, monkeypatch, cold_context_caches):
+    # Rebuilt factor families make a new set, which the kept certificate no
+    # longer certifies: the first call after the rebuild certifies it and
+    # keeps it in place of the old one, so later calls pass over no pair.
+    basis_passes = count_calls(monkeypatch, wmub.bases._residuals)
+    argv = ["verify", "--d1", "3", "--d2", "5"]
+    first = run_cli(capsys, argv)
+    assert run_cli(capsys, argv) == first and first[0] == 0
+    wmub.bases.factor_family.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, argv) == first
+    assert [len(args[1]) for args in basis_passes] == [276, 36, 276, 36]
+    assert wmub.cli.verified_pairs.cache_info().currsize == 1
+    kept = wmub.cli.verified_pairs(crt_context(3, 5))
+    assert kept.s.families == (wmub.bases.factor_family(3), wmub.bases.factor_family(5))
+
+
 def test_verify_reads_the_tolerance_on_every_call(capsys, monkeypatch, cold_context_caches):
     # No cached certificate reads the tolerance: each call compares it with
     # the kept bounds and window.  With the context and both families warm,
@@ -447,7 +466,7 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_cac
     dims = [(3, 5), (3, 7), (5, 7), (3, 11)]
     caches = (
         wmub.bases.factor_family, wmub.cli.verified_catalog, wmub.hilbert.check_crt_relabelling,
-        wmub.cli.verified_pairs,
+        wmub.cli.verified_pairs, wmub.zring.crt_context, wmub.geometry.check_point_map,
     )
     wmub.bases.factor_family.cache_clear()
     want = [wmub.cli.run_verification(d1, d2, 1e-9) for d1, d2 in dims]
@@ -465,7 +484,7 @@ def test_threads_sharing_the_family_cache_agree_with_one_thread(cold_context_cac
     assert got == want * 4
     for p, want_residuals in residuals.items():
         assert np.array_equal(wmub.bases.factor_family(p).residuals, want_residuals), p
-    assert [cache.cache_info().currsize for cache in caches] == [4, 4, 4, 4]
+    assert [cache.cache_info().currsize for cache in caches] == [4] * len(caches)
 
 
 @pytest.mark.parametrize(
@@ -531,6 +550,16 @@ TABLES = [
     ["partitions", "--side", side, "--format", fmt]
     for side in ("lines", "bases") for fmt in ("table", "csv", "json")
 ]
+
+
+@pytest.mark.parametrize("command", ["lines", "verify"])
+def test_a_context_and_its_point_map_are_certified_once_per_process(capsys, cold_context_caches, command):
+    # Both are facts of (d1, d2): a second call rebuilds neither.
+    argv = [command, "--d1", "3", "--d2", "7"]
+    first = run_cli(capsys, argv)
+    assert run_cli(capsys, argv) == first and first[0] == 0
+    for cache in (wmub.zring.crt_context, wmub.geometry.check_point_map):
+        assert cache.cache_info().misses == 1, cache
 
 
 def test_tables_fill_no_context_cache(capsys, cold_context_caches):
@@ -1283,6 +1312,72 @@ def test_one_parser_per_process_matches_fresh_processes(capsys):
     for order in (mix + edge, edge + mix[::-1]):
         for argv in order:
             assert run_cli(capsys, argv) == fresh[tuple(argv)], argv
+
+
+@pytest.mark.parametrize("argv", [argv for argv in small_mix() if "3" in argv and "5" in argv], ids=" ".join)
+def test_main_parses_a_valid_argv_once(capsys, monkeypatch, argv):
+    # The subcommand's own parser reads the argv; the top-level parser does
+    # not parse it first.
+    real = argparse.ArgumentParser.parse_known_args
+    parses = []
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_cli(capsys, argv)[0] == 0
+    assert parses == [f"wmub {argv[0]}"]
+
+
+def parse_outcome(parse, argv: list[str]) -> tuple:
+    """What `parse(argv)` gives: its namespace's attributes (by repr, so that
+    a nan tolerance equals itself), its UsageError message, or its
+    SystemExit code with what it printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", repr(sorted(vars(parse(argv)).items()))
+    except wmub.cli.UsageError as err:
+        return "usage", str(err)
+    except SystemExit as exit:
+        return "exit", exit.code, out.getvalue()
+
+
+COMMANDS = ["lines", "wmub", "partitions", "verify"]
+# Every option, with abbreviations and near misses, and values good and bad for each.
+FLAGS = ["--d1", "--d2", "--side", "--format", "--tolerance", "--json", "--tol", "--d", "--fo", "--si", "--js",
+         "-h", "--help", "--he", "--x", "-x"]
+VALUES = ["3", "5", "19", "4", "-1", "three", "1e-9", "-1e-5", "nan", "lines", "bases", "points", "table", "csv",
+          "json", "xml", "", "-", "--", "verify"]
+TOKENS = st.one_of(
+    st.sampled_from(FLAGS + VALUES + COMMANDS),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+)
+OPTION_PAIRS = st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)), max_size=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    argv=st.one_of(
+        st.lists(TOKENS, max_size=8),
+        st.builds(lambda command, rest: [command, *rest], st.sampled_from(COMMANDS), st.lists(TOKENS, max_size=8)),
+        # Mostly well formed: both dimensions and a few more options, in any order.
+        st.builds(
+            lambda command, pairs, tail: [command, *(token for pair in pairs for token in pair), *tail],
+            st.sampled_from(COMMANDS),
+            OPTION_PAIRS.flatmap(lambda extra: st.permutations([("--d1", "3"), ("--d2", "5"), *extra])),
+            st.lists(TOKENS, max_size=2),
+        ),
+    )
+)
+@example(argv=["verify", "--d1", "3", "--d2", "5", "extra", "--x"])
+@example(argv=["--", "verify", "--d1", "3", "--d2", "5"])
+@example(argv=["verify", "--", "--d1", "3", "--d2", "5"])
+@example(argv=["partitions", "--d1=3", "--d2", "5", "--si", "bases", "--fo=csv"])
+@example(argv=["verify", "--tol", "1e-9", "--d1", "3", "--d2", "5", "--js"])
+def test_parse_gives_what_the_top_level_parse_gives(argv):
+    assert parse_outcome(wmub.cli.parse, argv) == parse_outcome(wmub.cli.build_parser().parse_args, argv)
 
 
 def test_module_entry_point_matches_golden():

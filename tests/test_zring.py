@@ -131,6 +131,16 @@ def test_crt_context_rejects_bad_dims(d1, d2):
         crt_context(d1, d2)
 
 
+def test_crt_context_is_built_once_per_pair(cold_context_caches):
+    # A raise is not cached, so bad dimensions are refused on every call.
+    ctx = crt_context(3, 5)
+    assert crt_context(3, 5) is ctx
+    for _ in range(2):
+        with pytest.raises(InvalidDims):
+            crt_context(5, 3)
+    assert crt_context.cache_info()[:4] == (1, 3, None, 1)  # hits, misses, maxsize, size
+
+
 def test_map1_examples(ctx15: CrtContext):
     assert ctx15.map1_split(7) == (1, 2)
     assert ctx15.map1_join(1, 2) == 7
